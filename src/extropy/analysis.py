@@ -23,7 +23,6 @@ from .distributions import Distribution, Mixture, Uniform
 from .errors import (
     DegenerateHead,
     DegenerateTail,
-    DivergentMean,
     UnboundedSupport,
 )
 from .measures import (
@@ -38,8 +37,9 @@ from .measures import (
     dcrex,
     dcrex_min,
     evaluate,
+    evaluate_grid,
 )
-from .orderstats import kth_order
+from .orderstats import MAX_N, kth_order
 from .quadrature import integrate
 
 BASE_TOL = 1e-7
@@ -214,26 +214,30 @@ def check_korder_chains(
 
     side="residual": dynamic residual extropy of X_{k:n} dominates that of
     X_{k+1:n}, X_{k:n-1} and X_{k+1:n+1}.  side="past": the dual chain for
-    dynamic past extropy (X_{k-1:n}, X_{k:n+1}, X_{k-1:n-1}).
+    dynamic past extropy (X_{k-1:n}, X_{k:n+1}, X_{k-1:n-1}).  Pairs with an
+    order outside 1 <= k <= n <= MAX_N are skipped.  Each distinct order's
+    curve is evaluated once, by one sweep over the grid.
     """
     if side not in ("residual", "past"):
         raise ValueError(f"side must be residual|past, got {side!r}")
     chains = _RESIDUAL_CHAIN if side == "residual" else _PAST_CHAIN
     kind = dcrex if side == "residual" else dcpex
+    curves: dict[tuple[int, int], list] = {}
+
+    def curve_of(order: tuple[int, int]) -> list:
+        if order not in curves:
+            curves[order] = evaluate_grid(kth_order(d, *order), kind, t_grid)
+        return curves[order]
+
     margins: list[tuple[float, object]] = []
     degenerate = 0
     tol = BASE_TOL
     for chain in chains:
         (k1, n1), (k2, n2) = chain(k, n)
-        if not (1 <= k1 <= n1 and 1 <= k2 <= n2):
+        if not (1 <= k1 <= n1 <= MAX_N and 1 <= k2 <= n2 <= MAX_N):
             continue
-        lhs_d = kth_order(d, k1, n1)
-        rhs_d = kth_order(d, k2, n2)
-        for t in t_grid:
-            try:
-                a = evaluate(lhs_d, kind(t))
-                b = evaluate(rhs_d, kind(t))
-            except (DegenerateTail, DegenerateHead, DivergentMean):
+        for t, a, b in zip(t_grid, curve_of((k1, n1)), curve_of((k2, n2))):
+            if not (isinstance(a, MeasureValue) and isinstance(b, MeasureValue)):
                 degenerate += 1
                 continue
             margin, pt_tol = _pair(a, b)

@@ -72,6 +72,9 @@ class Distribution(ABC):
     #: True when the mean integral converges.
     has_finite_mean: bool = True
 
+    #: Interior points where cdf/sf are not smooth; integrals split there.
+    breakpoints: tuple[float, ...] = ()
+
     def quantile(self, p: float) -> float:
         """Inverse cdf by bracketed bisection; subclasses override with closed forms."""
         _check_p(p)
@@ -397,34 +400,36 @@ class GPD(Distribution):
             return Support(0.0, -self.theta / self.lam)
         return Support(0.0, inf)
 
-    def sf(self, x: float) -> float:
-        if x <= 0:
-            return 1.0
+    def _log_sf(self, x: float) -> float:
+        """log sf(x) for x > 0; log1p keeps the digits of a small lam * x."""
         if self._exponential_limit:
-            return exp(-x / self.theta)
-        base = 1.0 + self.lam * x / self.theta
-        if base <= 0:
-            return 0.0
-        return base ** (-(1.0 + self.lam) / self.lam)
+            return -x / self.theta
+        z = self.lam * x / self.theta
+        if z <= -1.0:
+            return -inf
+        return -(1.0 + self.lam) / self.lam * math.log1p(z)
+
+    def sf(self, x: float) -> float:
+        return 1.0 if x <= 0 else exp(self._log_sf(x))
 
     def cdf(self, x: float) -> float:
-        return 1.0 - self.sf(x)
+        return 0.0 if x <= 0 else -math.expm1(self._log_sf(x))
 
     def pdf(self, x: float) -> float:
         if x < 0 or x > self.support.upper:
             return 0.0
         if self._exponential_limit:
             return exp(-x / self.theta) / self.theta
-        base = 1.0 + self.lam * x / self.theta
-        if base <= 0:
+        z = self.lam * x / self.theta
+        if z <= -1.0:
             return 0.0
-        return (1.0 + self.lam) / self.theta * base ** (-(1.0 + 2.0 * self.lam) / self.lam)
+        return (1.0 + self.lam) / self.theta * exp(-(1.0 + 2.0 * self.lam) / self.lam * math.log1p(z))
 
     def quantile(self, p: float) -> float:
         _check_p(p)
         if self._exponential_limit:
             return -self.theta * math.log1p(-p)
-        return self.theta * ((1.0 - p) ** (-self.lam / (1.0 + self.lam)) - 1.0) / self.lam
+        return self.theta * math.expm1(-self.lam / (1.0 + self.lam) * math.log1p(-p)) / self.lam
 
     def hazard_rate(self, t: float) -> float:
         if t > self.support.upper - DEGENERATE_EPS:
@@ -540,6 +545,8 @@ class PiecewiseBounded(Distribution):
     point values).
     """
 
+    breakpoints = (1.0,)
+
     @property
     def support(self) -> Support:
         return Support(0.0, 2.0)
@@ -596,6 +603,10 @@ class Affine(Distribution):
     @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return self.base.has_finite_mean
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
+        return tuple(self.scale * p + self.shift for p in self.base.breakpoints)
 
     def _pull(self, x: float) -> float:
         return (x - self.shift) / self.scale
@@ -661,6 +672,14 @@ class Mixture(Distribution):
     @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return all(d.has_finite_mean for _, d in self.components)
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
+        # a component's support ends are kinks of the mixture cdf
+        points = {p for _, d in self.components for p in d.breakpoints}
+        for _, d in self.components:
+            points.update(x for x in (d.support.lower, d.support.upper) if math.isfinite(x))
+        return tuple(sorted(points))
 
     def cdf(self, x: float) -> float:
         return sum(w * d.cdf(x) for w, d in self.components)

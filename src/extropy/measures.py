@@ -3,7 +3,9 @@
 ``evaluate`` dispatches a :class:`MeasureKind` against a distribution:
 closed forms from the catalog when the (family, kind) pair has one, adaptive
 quadrature otherwise.  The catalog contains only formulas with an exact
-derivation; everything else is integrated numerically.
+derivation; everything else is integrated numerically, split at the
+distribution's breakpoints.  ``evaluate_grid`` gives a dynamic measure on a
+whole increasing age grid from one sweep of short panels.
 
 Sign conventions: the extropy family (extropy, crex, cpex and the dynamic
 versions) is always <= 0; the entropy analogues (cren, cpen) are >= 0.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 from .distributions import (
     DEGENERATE_EPS,
@@ -170,6 +172,24 @@ def _cf_dcpex_max(d: Distribution, n: int, t: float) -> Optional[float]:
     return None
 
 
+#: kind name -> catalog lookup (d, n, t) -> closed-form value or None
+_CATALOG: dict[str, Callable[[Distribution, int, Optional[float]], Optional[float]]] = {
+    "crex": lambda d, n, t: _cf_crex_min(d, 1),
+    "crex-min": lambda d, n, t: _cf_crex_min(d, n),
+    "dcrex": lambda d, n, t: _cf_dcrex_min(d, 1, t),
+    "dcrex-min": _cf_dcrex_min,
+    "cpex": lambda d, n, t: _cf_cpex_max(d, 1),
+    "cpex-max": lambda d, n, t: _cf_cpex_max(d, n),
+    "dcpex": lambda d, n, t: _cf_dcpex_max(d, 1, t),
+    "dcpex-max": _cf_dcpex_max,
+}
+
+
+def _closed_form(d: Distribution, kind: MeasureKind) -> Optional[float]:
+    lookup = _CATALOG.get(kind.name)
+    return None if lookup is None else lookup(d, kind.n, kind.t)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -180,12 +200,22 @@ def _require_bounded(d: Distribution, kind: str) -> None:
         raise UnboundedSupport(f"{kind} requires a finite upper support endpoint")
 
 
+def _degenerate_age(d: Distribution, kind: MeasureKind) -> Optional[ExtropyError]:
+    """The error a dynamic measure raises at a conditioning age with zero mass."""
+    if kind.name.startswith("dcrex") and d.sf(kind.t) <= DEGENERATE_EPS:
+        return DegenerateTail(f"sf({kind.t}) is zero")
+    if kind.name.startswith("dcpex") and d.cdf(kind.t) <= DEGENERATE_EPS:
+        return DegenerateHead(f"cdf({kind.t}) is zero")
+    return None
+
+
 def _quadrature_value(d: Distribution, kind: MeasureKind) -> tuple[float, float]:
     lo, hi = d.support.lower, d.support.upper
     n, t = kind.n, kind.t
+    pts = d.breakpoints
 
     if kind.name == "extropy":
-        value, err = integrate(lambda x: d.pdf(x) ** 2, lo, hi)
+        value, err = integrate(lambda x: d.pdf(x) ** 2, lo, hi, pts)
         return -0.5 * value, 0.5 * err
 
     if kind.name == "cren":
@@ -194,7 +224,7 @@ def _quadrature_value(d: Distribution, kind: MeasureKind) -> tuple[float, float]
             s = d.sf(x)
             return -s * math.log(s) if s > 0.0 else 0.0
 
-        value, err = integrate(integrand, lo, hi)
+        value, err = integrate(integrand, lo, hi, pts)
         return value, err
 
     if kind.name == "cpen":
@@ -204,30 +234,30 @@ def _quadrature_value(d: Distribution, kind: MeasureKind) -> tuple[float, float]
             F = d.cdf(x)
             return -F * math.log(F) if F > 0.0 else 0.0
 
-        value, err = integrate(integrand, lo, hi)
+        value, err = integrate(integrand, lo, hi, pts)
         return value, err
 
     if kind.name in ("crex", "crex-min"):
-        value, err = integrate(lambda x: d.sf(x) ** (2 * n), lo, hi)
+        value, err = integrate(lambda x: d.sf(x) ** (2 * n), lo, hi, pts)
         return -0.5 * value, 0.5 * err
 
     if kind.name in ("cpex", "cpex-max"):
         _require_bounded(d, kind.name)
-        value, err = integrate(lambda x: d.cdf(x) ** (2 * n), lo, hi)
+        value, err = integrate(lambda x: d.cdf(x) ** (2 * n), lo, hi, pts)
         return -0.5 * value, 0.5 * err
 
     if kind.name in ("dcrex", "dcrex-min"):
         st = d.sf(t)
         if st <= DEGENERATE_EPS:
             raise DegenerateTail(f"sf({t}) is zero")
-        value, err = integrate(lambda x: (d.sf(x) / st) ** (2 * n), t, hi)
+        value, err = integrate(lambda x: (d.sf(x) / st) ** (2 * n), t, hi, pts)
         return -0.5 * value, 0.5 * err
 
     # dcpex / dcpex-max
     Ft = d.cdf(t)
     if Ft <= DEGENERATE_EPS:
         raise DegenerateHead(f"cdf({t}) is zero")
-    value, err = integrate(lambda x: (d.cdf(x) / Ft) ** (2 * n), lo, min(t, hi))
+    value, err = integrate(lambda x: (d.cdf(x) / Ft) ** (2 * n), lo, min(t, hi), pts)
     if t > hi:  # cdf stays 1 beyond the support
         value += t - hi
     return -0.5 * value, 0.5 * err
@@ -236,30 +266,12 @@ def _quadrature_value(d: Distribution, kind: MeasureKind) -> tuple[float, float]
 def evaluate(d: Distribution, kind: MeasureKind, *, force_quadrature: bool = False) -> MeasureValue:
     """Evaluate one measure; closed form when cataloged, quadrature otherwise."""
     if not force_quadrature:
-        cf: Optional[float] = None
-        if kind.name == "crex":
-            cf = _cf_crex_min(d, 1)
-        elif kind.name == "crex-min":
-            cf = _cf_crex_min(d, kind.n)
-        elif kind.name == "dcrex":
-            cf = _cf_dcrex_min(d, 1, kind.t)
-        elif kind.name == "dcrex-min":
-            cf = _cf_dcrex_min(d, kind.n, kind.t)
-        elif kind.name == "cpex":
-            cf = _cf_cpex_max(d, 1)
-        elif kind.name == "cpex-max":
-            cf = _cf_cpex_max(d, kind.n)
-        elif kind.name == "dcpex":
-            cf = _cf_dcpex_max(d, 1, kind.t)
-        elif kind.name == "dcpex-max":
-            cf = _cf_dcpex_max(d, kind.n, kind.t)
+        cf = _closed_form(d, kind)
         if cf is not None:
-            if kind.name in DYNAMIC_KINDS:
-                # closed forms still require a nondegenerate conditioning age
-                if kind.name.startswith("dcrex") and d.sf(kind.t) <= DEGENERATE_EPS:
-                    raise DegenerateTail(f"sf({kind.t}) is zero")
-                if kind.name.startswith("dcpex") and d.cdf(kind.t) <= DEGENERATE_EPS:
-                    raise DegenerateHead(f"cdf({kind.t}) is zero")
+            # closed forms still require a nondegenerate conditioning age
+            degenerate = _degenerate_age(d, kind)
+            if degenerate is not None:
+                raise degenerate
             return MeasureValue(cf, "closed-form", 0.0)
     value, err = _quadrature_value(d, kind)
     return MeasureValue(value, "quadrature", err)
@@ -336,6 +348,74 @@ def curve(
         except (DegenerateTail, DegenerateHead):
             skipped.append(t)
     return Curve(tuple(ts), tuple(values), tuple(skipped))
+
+
+GridValue = Union[MeasureValue, DegenerateTail, DegenerateHead]
+
+
+def _evaluate_or_degenerate(d: Distribution, kind: MeasureKind) -> GridValue:
+    try:
+        return evaluate(d, kind)
+    except (DegenerateTail, DegenerateHead) as exc:
+        return exc
+
+
+def evaluate_grid(
+    d: Distribution,
+    kind_for_t: Callable[[float], MeasureKind],
+    t_grid: Sequence[float],
+) -> list[GridValue]:
+    """A dynamic measure at every age of a grid: what ``evaluate`` returns or raises there.
+
+    Closed forms win pointwise.  On a strictly increasing grid the remaining
+    ages t_1 < ... < t_m share one sweep of short panels.  Residual side, with
+    D_i = int_{t_i}^{hi} (S/S(t_i))^{2n}:
+
+        D_i = int_{t_i}^{t_{i+1}} (S/S(t_i))^{2n} + (S(t_{i+1})/S(t_i))^{2n} D_{i+1},
+
+    so only D_m is a long (tail) integral.  The past side is the mirror
+    image: it runs forward from the lower support end with (F/F(t_i))^{2n}
+    and adds t - hi past the support.  Error estimates combine with the same
+    weights, which are at most 1.  Any other grid is evaluated pointwise.
+    """
+    kinds = [kind_for_t(t) for t in t_grid]
+    ages = [kind.t for kind in kinds]
+    if (
+        not kinds
+        or kinds[0].name not in DYNAMIC_KINDS
+        or any((kind.name, kind.n) != (kinds[0].name, kinds[0].n) for kind in kinds)
+        or any(b <= a for a, b in zip(ages, ages[1:]))
+    ):
+        return [_evaluate_or_degenerate(d, kind) for kind in kinds]
+
+    residual = kinds[0].name.startswith("dcrex")
+    g = d.sf if residual else d.cdf
+    p = 2 * kinds[0].n
+    out: list = [None] * len(kinds)
+    swept: list[tuple[int, float]] = []  # (index, sf or cdf at the age) left to quadrature
+    for i, kind in enumerate(kinds):
+        level = g(kind.t)
+        if level <= DEGENERATE_EPS:
+            out[i] = _degenerate_age(d, kind)
+        elif (cf := _closed_form(d, kind)) is not None:
+            out[i] = MeasureValue(cf, "closed-form", 0.0)
+        else:
+            swept.append((i, level))
+
+    hi, pts = d.support.upper, d.breakpoints
+    edge = hi if residual else d.support.lower
+    acc = err = prev_level = 0.0
+    for i, level in reversed(swept) if residual else swept:
+        t = ages[i]
+        x = min(t, hi)
+        a, b = (x, edge) if residual else (edge, x)
+        value, value_err = integrate(lambda y: (g(y) / level) ** p, a, b, pts)
+        w = (prev_level / level) ** p
+        acc, err = value + w * acc, value_err + w * err
+        beyond = t - hi if t > hi else 0.0  # past side: cdf stays 1 beyond the support
+        out[i] = MeasureValue(-0.5 * (acc + beyond), "quadrature", 0.5 * err)
+        edge, prev_level = x, level
+    return out
 
 
 def sign_changes(values: tuple[float, ...] | list[float]) -> int:

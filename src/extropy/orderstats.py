@@ -2,8 +2,9 @@
 
 ``min_order`` and ``max_order`` give the series- and parallel-system
 lifetimes; ``KthOrder`` covers the general (n-k+1)-out-of-n system via a
-direct binomial sum (n capped at 60, summed from the smallest term to keep
-cancellation in check).
+direct binomial sum (n capped at 60).  Its sf sums the terms i < k and its
+cdf the terms i >= k, so neither is formed as one minus the other; every
+term is nonnegative, so a plain sum is accurate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ from dataclasses import dataclass
 from .distributions import Distribution, Support
 from .errors import InvalidOrder
 
-_MAX_N = 60
+#: largest sample size of an order statistic
+MAX_N = 60
+
+#: float binomial coefficients C(n, i), i = 0..n, for every n <= MAX_N
+_BINOM = tuple(tuple(float(math.comb(n, i)) for i in range(n + 1)) for n in range(MAX_N + 1))
 
 
 @dataclass(frozen=True)
@@ -27,15 +32,15 @@ class OrderSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or not (1 <= self.k <= self.n):
             raise InvalidOrder(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.n > _MAX_N:
-            raise InvalidOrder(f"n capped at {_MAX_N} to avoid catastrophic cancellation")
+        if self.n > MAX_N:
+            raise InvalidOrder(f"n capped at {MAX_N} to avoid catastrophic cancellation")
 
 
 def _check_n(n: int) -> None:
     if n < 1:
         raise InvalidOrder(f"sample size must be >= 1, got {n}")
-    if n > _MAX_N:
-        raise InvalidOrder(f"n capped at {_MAX_N}")
+    if n > MAX_N:
+        raise InvalidOrder(f"n capped at {MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,10 @@ class MinOrder(Distribution):
     @property
     def support(self) -> Support:
         return self.parent.support
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
+        return self.parent.breakpoints
 
     @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
@@ -92,6 +101,10 @@ class MaxOrder(Distribution):
         return self.parent.support
 
     @property
+    def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
+        return self.parent.breakpoints
+
+    @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return self.parent.has_finite_mean
 
@@ -123,6 +136,10 @@ class KthOrder(Distribution):
         return self.parent.support
 
     @property
+    def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
+        return self.parent.breakpoints
+
+    @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return self.parent.has_finite_mean or self.spec.n - self.spec.k + 1 >= 2
 
@@ -130,7 +147,10 @@ class KthOrder(Distribution):
         return kth_order_sf(self.parent, self.spec, x)
 
     def cdf(self, x: float) -> float:
-        return 1.0 - self.sf(x)
+        # the terms i >= k of the binomial sum, i.e. the terms j = n - i < n - k + 1
+        # with the roles of F and S swapped
+        k, n = self.spec.k, self.spec.n
+        return _lower_binomial_sum(n, n - k + 1, self.parent.sf(x), self.parent.cdf(x))
 
     def pdf(self, x: float) -> float:
         k, n = self.spec.k, self.spec.n
@@ -166,8 +186,16 @@ def kth_order(d: Distribution, k: int, n: int) -> Distribution:
 
 
 def kth_order_sf(d: Distribution, spec: OrderSpec, x: float) -> float:
-    """P(X_{k:n} > x) by the binomial sum, accumulated from the smallest term."""
-    F = d.cdf(x)
-    S = d.sf(x)
-    terms = [math.comb(spec.n, i) * F**i * S ** (spec.n - i) for i in range(spec.k)]
-    return math.fsum(sorted(terms))
+    """P(X_{k:n} > x) = sum_{i<k} C(n,i) F^i S^(n-i) with F, S the parent cdf, sf at x."""
+    return _lower_binomial_sum(spec.n, spec.k, d.cdf(x), d.sf(x))
+
+
+def _lower_binomial_sum(n: int, m: int, F: float, S: float) -> float:
+    """sum_{i<m} C(n,i) F^i S^(n-i), as S^(n-m+1) times a Horner sum in S."""
+    row = _BINOM[n]
+    acc = 0.0
+    Fi = 1.0
+    for i in range(m):
+        acc = acc * S + row[i] * Fi
+        Fi *= F
+    return acc * S ** (n - m + 1)

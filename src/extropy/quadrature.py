@@ -1,17 +1,19 @@
 """Thin adaptive-quadrature wrapper used throughout the package.
 
 Backed by QUADPACK (adaptive Gauss-Kronrod) via ``scipy.integrate.quad``
-with a relative target of 1e-9 and an absolute floor of 1e-14.  Infinite
-upper limits go through the QAGI transformation; if QUADPACK flags trouble
-there, we retry on a truncated interval and add the truncation remainder to
-the reported error estimate.
+with a relative target of 1e-9 and an absolute floor of 1e-14.  Breakpoints
+(kinks of the integrand) strictly inside the interval go to QUADPACK's QAGP,
+which starts from the pieces between them.  Infinite upper limits go through
+the QAGI transformation; if QUADPACK flags trouble there, we retry on a
+truncated interval and add the truncation remainder to the reported error
+estimate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable
+from typing import Callable, Sequence
 
 from scipy import integrate as _si
 
@@ -20,14 +22,23 @@ EPS_REL = 1e-9
 _LIMIT = 256
 
 
-def integrate(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Integrate ``f`` over [a, b]; returns (value, abs_error_estimate)."""
+def integrate(
+    f: Callable[[float], float], a: float, b: float, points: Sequence[float] = ()
+) -> tuple[float, float]:
+    """Integrate ``f`` over [a, b], split at ``points``; returns (value, abs_error_estimate)."""
     if b <= a:
         return 0.0, 0.0
+    cuts = sorted({p for p in points if a < p < b})
+    if cuts and math.isinf(b):
+        # QAGP needs a finite interval: the tail past the last cut goes alone
+        head, head_err = integrate(f, a, cuts[-1], cuts)
+        tail, tail_err = integrate(f, cuts[-1], b)
+        return head + tail, head_err + tail_err
+    extra = {"points": cuts} if cuts else {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", _si.IntegrationWarning)
         try:
-            value, err = _si.quad(f, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT)
+            value, err = _si.quad(f, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT, **extra)
             return value, err
         except _si.IntegrationWarning:
             pass
@@ -35,7 +46,7 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
         return _truncated_tail(f, a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
-        value, err = _si.quad(f, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT)
+        value, err = _si.quad(f, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT, **extra)
     return value, err
 
 

@@ -148,6 +148,17 @@ def test_korder_chains_hold(d):
             assert check_korder_chains(d, k, n, g, "past").verdict == "Holds"
 
 
+def test_korder_chains_skip_orders_above_the_cap():
+    # at n = 60 the (k+1, n+1) and (k, n+1) neighbours pass the cap; those
+    # pairs are skipped like those with k > n, and the other two are checked
+    d = Uniform(0, 1)
+    g = list(np.linspace(0.5, 0.99, 5))
+    resid = check_korder_chains(d, 59, 60, g, "residual")
+    assert (resid.verdict, resid.points_tested) == ("Holds", 2 * len(g))
+    past = check_korder_chains(d, 2, 60, g, "past")
+    assert (past.verdict, past.points_tested) == ("Holds", 2 * len(g))
+
+
 def test_korder_chain_side_validation():
     with pytest.raises(ValueError):
         check_korder_chains(Exponential(1), 1, 2, [0.5], "sideways")

@@ -1,0 +1,144 @@
+"""Grid evaluation of dynamic measures: the panel sweep against pointwise evaluate and mpmath."""
+
+import math
+
+import mpmath as mp
+import pytest
+
+from extropy.analysis import default_grid
+from extropy.distributions import Exponential, Mixture, PiecewiseBounded, Uniform
+from extropy.errors import DegenerateHead, DegenerateTail
+from extropy.measures import MeasureValue, dcpex, dcrex, dcrex_min, evaluate, evaluate_grid
+from extropy.orderstats import kth_order
+from extropy.quadrature import integrate
+
+from conftest import ALL_FAMILIES, ids
+
+#: every (k, n) that the k-of-n chains reach from n <= 5
+CHAIN_ORDERS = [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
+
+SLACK = 1e-12
+
+
+def _pointwise(d, kind, grid):
+    out = []
+    for t in grid:
+        try:
+            out.append(evaluate(d, kind(t)))
+        except (DegenerateTail, DegenerateHead) as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_sweep_agrees_with_pointwise_evaluate(d):
+    grid = default_grid(d)
+    sides = (dcrex, dcpex) if d.support.bounded else (dcrex,)
+    for k, n in CHAIN_ORDERS:
+        od = kth_order(d, k, n)
+        for kind in sides:
+            for t, got, want in zip(grid, evaluate_grid(od, kind, grid), _pointwise(od, kind, grid)):
+                if not isinstance(want, MeasureValue):
+                    assert type(got) is type(want), (k, n, kind.__name__, t)
+                    continue
+                assert got.method == want.method
+                bound = got.abs_error_estimate + want.abs_error_estimate + SLACK
+                assert abs(got.value - want.value) <= bound, (k, n, kind.__name__, t)
+
+
+def test_sweep_reports_degenerate_ages():
+    d = Uniform(0, 1)
+    grid = [-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]
+    resid = evaluate_grid(d, dcrex, grid)
+    assert [type(v) for v in resid[-2:]] == [DegenerateTail, DegenerateTail]
+    past = evaluate_grid(kth_order(d, 2, 3), dcpex, grid)
+    assert [type(v) for v in past[:2]] == [DegenerateHead, DegenerateHead]
+    # beyond the support the cdf stays 1, as in evaluate
+    beyond = evaluate(kth_order(d, 2, 3), dcpex(1.5))
+    assert past[-1].value == pytest.approx(beyond.value, abs=1e-12)
+
+
+def test_closed_forms_win_pointwise():
+    grid = [0.1, 0.5, 2.0]
+    for got, t in zip(evaluate_grid(Exponential(2), lambda t: dcrex_min(3, t), grid), grid):
+        assert got == evaluate(Exponential(2), dcrex_min(3, t))
+        assert got.method == "closed-form"
+
+
+def test_unordered_grid_falls_back_to_pointwise():
+    d = kth_order(Exponential(1), 2, 4)
+    grid = [1.0, 0.5, 0.5, 2.0]
+    assert evaluate_grid(d, dcrex, grid) == [evaluate(d, dcrex(t)) for t in grid]
+
+
+# ---------------------------------------------------------------------------
+# Error bars against a 30-digit oracle: kth orders of the kinked cdf
+# ---------------------------------------------------------------------------
+
+
+def _pb_cdf(x):
+    if x <= 0:
+        return mp.mpf(0)
+    if x <= 1:
+        return mp.exp(-mp.mpf(1) / 2 - 1 / x)
+    if x <= 2:
+        return mp.exp(-2 + x * x / 2)
+    return mp.mpf(1)
+
+
+def _kth_sf(F, k, n):
+    return mp.fsum(mp.binomial(n, i) * F**i * (1 - F) ** (n - i) for i in range(k))
+
+
+def _reference(k, n, t, side):
+    """dcrex/dcpex of X_{k:n} at t, integrated with the kink at x = 1 as a breakpoint."""
+    with mp.workdps(20):
+        t = mp.mpf(t)
+
+        def g(x):
+            sf = _kth_sf(_pb_cdf(x), k, n)
+            return sf if side == "residual" else 1 - sf
+
+        a, b = (t, 2) if side == "residual" else (0, t)
+        points = [a, 1, b] if a < 1 < b else [a, b]
+        level = g(t)
+        return float(-mp.quad(lambda x: (g(x) / level) ** 2, points) / 2)
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 3), (2, 3), (3, 4), (4, 5)])
+@pytest.mark.parametrize("side", ["residual", "past"])
+def test_error_bars_hold_on_piecewise_bounded_orders(k, n, side):
+    d = kth_order(PiecewiseBounded(), k, n)
+    # 1.9453: figure 3.1's worst point when the kink at x = 1 was not split
+    grid = [0.4, 0.95, 1.0, 1.05, 1.6, 1.9453]
+    kind = dcrex if side == "residual" else dcpex
+    swept = evaluate_grid(d, kind, grid)
+    for t, sv in zip(grid, swept):
+        ref = _reference(k, n, t, side)
+        for mv in (sv, evaluate(d, kind(t))):
+            assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (t, mv, ref)
+
+
+# ---------------------------------------------------------------------------
+# Breakpoints
+# ---------------------------------------------------------------------------
+
+
+def test_breakpoints_are_forwarded_and_mapped():
+    pb = PiecewiseBounded()
+    assert pb.breakpoints == (1.0,)
+    assert Exponential(1).breakpoints == ()
+    for k, n in [(1, 3), (3, 3), (2, 4)]:
+        assert kth_order(pb, k, n).breakpoints == (1.0,)
+    assert pb.affine(2.0, 3.0).breakpoints == (5.0,)
+    mix = Mixture([(0.5, Uniform(0, 1)), (0.5, pb.affine(1.0, 0.5))])
+    assert mix.breakpoints == (0.0, 0.5, 1.0, 1.5, 2.5)
+
+
+def test_integrate_splits_at_breakpoints():
+    # points outside (a, b) are ignored; an infinite tail past the last cut works too
+    value, err = integrate(lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0, points=[1.0 / 3.0, 5.0])
+    assert abs(value - 5.0 / 18.0) <= err + 1e-15
+    value, err = integrate(lambda x: min(1.0, math.exp(1.0 - x)), 0.0, math.inf, points=[1.0])
+    assert abs(value - 2.0) <= err + 1e-15
+

@@ -105,3 +105,17 @@ def test_invalid_orders_rejected():
         OrderSpec(1, 61)
     with pytest.raises(InvalidOrder):
         min_order(d, 61)
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (2, 4), (3, 4), (4, 5), (3, 7), (10, 30)])
+def test_kth_order_cdf_and_sf_relative_accuracy(k, n):
+    import mpmath as mp
+
+    d = KthOrder(Exponential(1), OrderSpec(k, n))
+    with mp.workdps(40):
+        for x in [1e-6, 1e-4, 1e-3, 0.1, 1.0, 5.0, 30.0]:
+            F, S = -mp.expm1(-mp.mpf(x)), mp.exp(-mp.mpf(x))
+            terms = [mp.binomial(n, i) * F**i * S ** (n - i) for i in range(n + 1)]
+            cdf, sf = mp.fsum(terms[k:]), mp.fsum(terms[:k])
+            assert abs(d.cdf(x) - cdf) <= 1e-13 * cdf, x
+            assert abs(d.sf(x) - sf) <= 1e-13 * sf, x
