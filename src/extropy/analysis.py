@@ -94,9 +94,11 @@ def _margins_report(
     check_id: str,
     margins: list[tuple[float, object]],
     degenerate: int = 0,
-    tol: float = BASE_TOL,
+    tol: Optional[float] = None,
     premise_failed: bool = False,
 ) -> CheckReport:
+    if tol is None:  # read at call time, so a CLI --tol override reaches every check
+        tol = BASE_TOL
     total = len(margins) + degenerate
     if premise_failed or (total > 0 and degenerate > _INCONCLUSIVE_FRACTION * total) or not margins:
         worst = min(margins, default=(math.nan, None))

@@ -267,9 +267,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="inequality tolerance override")
-    common.add_argument("--seed", type=int, default=42)
     common.add_argument("--output", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=["json", "csv", "text"], default=None)
 
     parser = argparse.ArgumentParser(
         prog="extropy",
@@ -343,12 +341,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    tol = os.environ.get("EXTROPY_TOL")
-    if args.tol is None and tol is not None:
-        args.tol = float(tol)
-    if args.tol is not None:
-        analysis.BASE_TOL = args.tol  # module-level default used by the checks
     try:
+        tol = os.environ.get("EXTROPY_TOL")
+        if args.tol is None and tol is not None:
+            try:
+                args.tol = float(tol)
+            except ValueError:
+                raise UsageError(f"EXTROPY_TOL must be a number, got {tol!r}") from None
+        if args.tol is not None:
+            analysis.BASE_TOL = args.tol  # module-level default used by the checks
         text = args.func(args)
         _emit(text, args.output)
         return 0

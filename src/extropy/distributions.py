@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import exp, inf, log, sqrt
-from typing import Any, Mapping
+from math import exp, inf
+from typing import Any, Mapping, Union
+
+import numpy as np
 
 from .errors import (
     DegenerateHead,
@@ -33,6 +35,9 @@ from .quadrature import integrate
 DEGENERATE_EPS = 1e-13
 
 _QUANTILE_ATOL = 1e-12
+
+#: a float, or a 1-D float64 array evaluated elementwise into the same shape
+FloatOrArray = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,20 @@ class Distribution(ABC):
     #: Interior points where cdf/sf are not smooth; integrals split there.
     breakpoints: tuple[float, ...] = ()
 
-    def quantile(self, p: float) -> float:
-        """Inverse cdf by bracketed bisection; subclasses override with closed forms."""
+    #: True when ``cdf`` also takes a float64 array of points, elementwise.
+    array_cdf: bool = False
+
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+        """Inverse cdf by bracketed bisection; subclasses override with closed forms.
+
+        An array of probabilities is bisected as a whole when ``cdf`` takes
+        arrays, and mapped through the scalar bisection otherwise.
+        """
         _check_p(p)
+        if isinstance(p, np.ndarray):
+            if self.array_cdf:
+                return self._bisect_array(p)
+            return np.array([self.quantile(q) for q in p.tolist()], dtype=np.float64)
         lo = self.support.lower
         hi = self.support.upper
         if not math.isfinite(hi):
@@ -92,6 +108,30 @@ class Distribution(ABC):
                 lo = mid
             else:
                 hi = mid
+        return 0.5 * (lo + hi)
+
+    def _bisect_array(self, p: np.ndarray) -> np.ndarray:
+        """The scalar bisection run elementwise: same brackets, midpoints and stop."""
+        lower, upper = self.support.lower, self.support.upper
+        lo = np.full_like(p, lower)
+        if math.isfinite(upper):
+            hi = np.full_like(p, upper)
+        else:
+            hi = np.full_like(p, max(lower + 1.0, 1.0))
+            grow = self.cdf(hi) < p
+            while grow.any():
+                hi = np.where(grow, lower + 2.0 * (hi - lower), hi)
+                if (hi > 1e300).any():  # pragma: no cover - guards pathological tails
+                    raise QuantileOutOfRange(f"failed to bracket quantile at p={p[hi > 1e300][0]}")
+                grow &= self.cdf(hi) < p
+        # whole-array steps; an element whose bracket is narrow enough stops moving
+        active = hi - lo > _QUANTILE_ATOL
+        while active.any():
+            mid = 0.5 * (lo + hi)
+            below = self.cdf(mid) < p
+            lo = np.where(active & below, mid, lo)
+            hi = np.where(active & ~below, mid, hi)
+            active = hi - lo > _QUANTILE_ATOL
         return 0.5 * (lo + hi)
 
     def hazard_rate(self, t: float) -> float:
@@ -133,9 +173,18 @@ class Distribution(ABC):
         return Affine(self, scale, shift)
 
 
-def _check_p(p: float) -> None:
-    if not (0.0 < p < 1.0):
+def _check_p(p: FloatOrArray) -> None:
+    if isinstance(p, np.ndarray):
+        outside = ~((p > 0.0) & (p < 1.0))  # NaN is outside
+        if outside.any():
+            raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p[outside][0]}")
+    elif not (0.0 < p < 1.0):
         raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p}")
+
+
+def _xp(p: FloatOrArray):
+    """``math`` for a float and ``numpy`` for an array, so a formula is written once."""
+    return np if isinstance(p, np.ndarray) else math
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -168,7 +217,7 @@ class Uniform(Distribution):
     def pdf(self, x: float) -> float:
         return 1.0 / (self.b - self.a) if self.a <= x <= self.b else 0.0
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
         return self.a + p * (self.b - self.a)
 
@@ -218,7 +267,7 @@ class FiniteRange(Distribution):
             return 0.0
         return self.a * self.b * (1.0 - self.a * x) ** (self.b - 1.0)
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
         return (1.0 - (1.0 - p) ** (1.0 / self.b)) / self.a
 
@@ -260,9 +309,9 @@ class Weibull(Distribution):
             return self.lam if self.theta == 1.0 else (inf if self.theta < 1 else 0.0)
         return self.lam * self.theta * x ** (self.theta - 1.0) * self.sf(x)
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
-        return (-math.log1p(-p) / self.lam) ** (1.0 / self.theta)
+        return (-_xp(p).log1p(-p) / self.lam) ** (1.0 / self.theta)
 
     def mean(self) -> float:
         return math.gamma(1.0 + 1.0 / self.theta) / self.lam ** (1.0 / self.theta)
@@ -290,9 +339,9 @@ class Exponential(Distribution):
     def pdf(self, x: float) -> float:
         return 0.0 if x < 0 else self.lam * exp(-self.lam * x)
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
-        return -math.log1p(-p) / self.lam
+        return -_xp(p).log1p(-p) / self.lam
 
     def mean(self) -> float:
         return 1.0 / self.lam
@@ -327,7 +376,7 @@ class FoldedCramer(Distribution):
     def pdf(self, x: float) -> float:
         return 0.0 if x < 0 else self.theta / (1.0 + self.theta * x) ** 2
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
         return p / (self.theta * (1.0 - p))
 
@@ -359,7 +408,7 @@ class Pareto(Distribution):
             return 0.0
         return self.theta / self.lam * (self.lam / (x + self.lam)) ** (self.theta + 1.0)
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
         return self.lam * ((1.0 - p) ** (-1.0 / self.theta) - 1.0)
 
@@ -425,11 +474,12 @@ class GPD(Distribution):
             return 0.0
         return (1.0 + self.lam) / self.theta * exp(-(1.0 + 2.0 * self.lam) / self.lam * math.log1p(z))
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
+        xp = _xp(p)
         if self._exponential_limit:
-            return -self.theta * math.log1p(-p)
-        return self.theta * math.expm1(-self.lam / (1.0 + self.lam) * math.log1p(-p)) / self.lam
+            return -self.theta * xp.log1p(-p)
+        return self.theta * xp.expm1(-self.lam / (1.0 + self.lam) * xp.log1p(-p)) / self.lam
 
     def hazard_rate(self, t: float) -> float:
         if t > self.support.upper - DEGENERATE_EPS:
@@ -474,7 +524,7 @@ class Power(Distribution):
             return self.c / self.b if self.c == 1.0 else (inf if self.c < 1 else 0.0)
         return self.c / self.b * (x / self.b) ** (self.c - 1.0)
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
         return self.b * p ** (1.0 / self.c)
 
@@ -510,10 +560,15 @@ class TwoExpMax(Distribution):
             return 1.0
         return exp(-x) + exp(-2.0 * x) - exp(-3.0 * x)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
+    array_cdf = True
+
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        if isinstance(x, np.ndarray):
+            x = np.maximum(x, 0.0)
+        elif x <= 0:
             return 0.0
-        return -math.expm1(-x) * -math.expm1(-2.0 * x)
+        xp = _xp(x)
+        return -xp.expm1(-x) * -xp.expm1(-2.0 * x)
 
     def pdf(self, x: float) -> float:
         if x < 0:
@@ -567,11 +622,22 @@ class PiecewiseBounded(Distribution):
             return exp(-0.5 - 1.0 / x) / (x * x)
         return x * exp(-2.0 + 0.5 * x * x)
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
-        if p <= _PB_BREAK:
-            return 1.0 / (-log(p) - 0.5)
-        return sqrt(4.0 + 2.0 * log(p))
+        xp = _xp(p)
+
+        def head(q):
+            return 1.0 / (-xp.log(q) - 0.5)
+
+        def tail(q):
+            return xp.sqrt(4.0 + 2.0 * xp.log(q))
+
+        if xp is math:
+            return head(p) if p <= _PB_BREAK else tail(p)
+        x = np.empty_like(p)
+        low = p <= _PB_BREAK
+        x[low], x[~low] = head(p[low]), tail(p[~low])
+        return x
 
     def __repr__(self) -> str:
         return "PiecewiseBounded()"
@@ -620,7 +686,7 @@ class Affine(Distribution):
     def pdf(self, x: float) -> float:
         return self.base.pdf(self._pull(x)) / self.scale
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         return self.scale * self.base.quantile(p) + self.shift
 
     def mean(self) -> float:
@@ -739,25 +805,31 @@ def from_spec(spec: Mapping[str, Any]) -> Distribution:
     if missing:
         raise SchemaError(f"missing params for {family}: {sorted(missing)}")
 
+    def num(name: str) -> float:
+        try:
+            return float(params[name])
+        except (TypeError, ValueError):
+            raise ParamDomainError(f"{family} param {name} must be a number, got {params[name]!r}") from None
+
     if family == "uniform":
-        return Uniform(float(params["a"]), float(params["b"]))
+        return Uniform(num("a"), num("b"))
     if family == "finite-range":
-        return FiniteRange(float(params["a"]), float(params["b"]))
+        return FiniteRange(num("a"), num("b"))
     if family == "weibull":
-        return Weibull(float(params["lambda"]), float(params["theta"]))
+        return Weibull(num("lambda"), num("theta"))
     if family == "folded-cramer":
-        return FoldedCramer(float(params["theta"]))
+        return FoldedCramer(num("theta"))
     if family == "pareto":
-        return Pareto(float(params["lambda"]), float(params["theta"]))
+        return Pareto(num("lambda"), num("theta"))
     if family == "gpd":
-        return GPD(float(params["theta"]), float(params["lambda"]))
+        return GPD(num("theta"), num("lambda"))
     if family == "power":
-        return Power(float(params["b"]), float(params["c"]))
+        return Power(num("b"), num("c"))
     if family == "exponential":
-        return Exponential(float(params["lambda"]))
+        return Exponential(num("lambda"))
     if family == "two-exp-max":
         return TwoExpMax()
     if family == "piecewise-bounded":
         return PiecewiseBounded()
     # affine
-    return Affine(from_spec(params["base"]), float(params["scale"]), float(params["shift"]))
+    return Affine(from_spec(params["base"]), num("scale"), num("shift"))

@@ -17,27 +17,34 @@ from .distributions import Distribution
 from .errors import DegenerateTail, EmptySample, ExtropyError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Sorted nonnegative observations, with an optional known support bound."""
+    """Sorted nonnegative observations, with an optional known support bound.
 
-    values: tuple[float, ...]
+    ``values`` is stored as a read-only float64 array, copied from the input.
+    """
+
+    values: np.ndarray
     upper_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ExtropyError("sample values must be a flat sequence")
+        if arr.size == 0:
             raise EmptySample("sample must contain at least one observation")
-        arr = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ExtropyError("sample values must be finite and nonnegative")
         if np.any(np.diff(arr) < 0):
             raise ExtropyError("sample values must be sorted ascending")
         if self.upper_bound is not None and self.upper_bound < arr[-1]:
             raise ExtropyError("upper_bound must be >= max(values)")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_values(cls, values: Sequence[float], upper_bound: Optional[float] = None) -> "SampleSet":
-        return cls(tuple(sorted(float(v) for v in values)), upper_bound)
+        return cls(np.sort(np.asarray(values, dtype=np.float64)), upper_bound)
 
     @property
     def size(self) -> int:
@@ -46,7 +53,7 @@ class SampleSet:
 
 def empirical_crex(s: SampleSet, n: int = 1) -> float:
     """Exact integral of (empirical sf)^{2n} over [0, x_(m)], times -1/2."""
-    x = np.asarray(s.values)
+    x = s.values
     m = s.size
     widths = np.diff(np.concatenate(([0.0], x)))
     sf = (m - np.arange(m)) / m  # empirical sf on each segment (x_(i), x_(i+1)]
@@ -59,7 +66,7 @@ def empirical_cpex(s: SampleSet, n: int = 1) -> float:
     B is the known support bound when given (the segment [x_(m), B] has
     empirical cdf 1), otherwise the largest observation.
     """
-    x = np.asarray(s.values)
+    x = s.values
     m = s.size
     widths = np.diff(np.concatenate(([0.0], x)))
     cdf = np.arange(m) / m  # empirical cdf on each segment (x_(i), x_(i+1))
@@ -71,7 +78,7 @@ def empirical_cpex(s: SampleSet, n: int = 1) -> float:
 
 def empirical_dcrex(s: SampleSet, t: float, n: int = 1) -> float:
     """Plug-in dynamic residual extropy at age t."""
-    x = np.asarray(s.values)
+    x = s.values
     m = s.size
     if t >= x[-1]:
         raise DegenerateTail(f"empirical sf at t={t} is zero")
@@ -87,16 +94,18 @@ def draw_samples(d: Distribution, m: int, seed: int) -> SampleSet:
     """Inverse-cdf sampling with an explicit seed; each call owns its RNG."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=m)
-    values = sorted(d.quantile(float(p)) for p in u)
-    return SampleSet(tuple(values))
+    return SampleSet(np.sort(d.quantile(u)))
 
 
 def read_sample_file(path: str, upper_bound: Optional[float] = None) -> SampleSet:
     """One float per line; blank lines and '#' comments allowed."""
     values: list[float] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if stripped:
-                values.append(float(stripped))
+                try:
+                    values.append(float(stripped))
+                except ValueError:
+                    raise ExtropyError(f"{path}:{lineno}: not a number: {stripped!r}") from None
     return SampleSet.from_values(values, upper_bound)

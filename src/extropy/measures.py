@@ -128,7 +128,7 @@ class MeasureValue:
 # ---------------------------------------------------------------------------
 
 
-def _cf_crex_min(d: Distribution, n: int) -> Optional[float]:
+def _cf_crex_min(d: Distribution, n: int, t: Optional[float] = None) -> Optional[float]:
     if isinstance(d, Uniform):
         return -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
     if isinstance(d, FiniteRange):
@@ -156,7 +156,7 @@ def _cf_dcrex_min(d: Distribution, n: int, t: float) -> Optional[float]:
     return None
 
 
-def _cf_cpex_max(d: Distribution, n: int) -> Optional[float]:
+def _cf_cpex_max(d: Distribution, n: int, t: Optional[float] = None) -> Optional[float]:
     if isinstance(d, Power):
         return -d.b / (2.0 * (2.0 * n * d.c + 1.0))
     if isinstance(d, Uniform):
@@ -172,15 +172,17 @@ def _cf_dcpex_max(d: Distribution, n: int, t: float) -> Optional[float]:
     return None
 
 
-#: kind name -> catalog lookup (d, n, t) -> closed-form value or None
+#: kind name -> catalog lookup (d, n, t) -> closed-form value or None.  A plain
+#: kind at order n integrates the same (sf or cdf)^{2n} as its extreme-order
+#: kind, so both look up the same closed form.
 _CATALOG: dict[str, Callable[[Distribution, int, Optional[float]], Optional[float]]] = {
-    "crex": lambda d, n, t: _cf_crex_min(d, 1),
-    "crex-min": lambda d, n, t: _cf_crex_min(d, n),
-    "dcrex": lambda d, n, t: _cf_dcrex_min(d, 1, t),
+    "crex": _cf_crex_min,
+    "crex-min": _cf_crex_min,
+    "dcrex": _cf_dcrex_min,
     "dcrex-min": _cf_dcrex_min,
-    "cpex": lambda d, n, t: _cf_cpex_max(d, 1),
-    "cpex-max": lambda d, n, t: _cf_cpex_max(d, n),
-    "dcpex": lambda d, n, t: _cf_dcpex_max(d, 1, t),
+    "cpex": _cf_cpex_max,
+    "cpex-max": _cf_cpex_max,
+    "dcpex": _cf_dcpex_max,
     "dcpex-max": _cf_dcpex_max,
 }
 

@@ -4,7 +4,9 @@
 lifetimes; ``KthOrder`` covers the general (n-k+1)-out-of-n system via a
 direct binomial sum (n capped at 60).  Its sf sums the terms i < k and its
 cdf the terms i >= k, so neither is formed as one minus the other; every
-term is nonnegative, so a plain sum is accurate.
+term is nonnegative, so a plain sum is accurate.  Likewise the complements
+of the extremes, ``MinOrder.cdf`` and ``MaxOrder.sf``, are
+-expm1(n log1p(-G)) with G the parent's cdf or sf, not 1 - sf or 1 - cdf.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Distribution, Support
+import numpy as np
+
+from .distributions import Distribution, FloatOrArray, Support, _check_p
 from .errors import InvalidOrder
 
 #: largest sample size of an order statistic
@@ -71,16 +75,14 @@ class MinOrder(Distribution):
         return self.parent.sf(x) ** self.n
 
     def cdf(self, x: float) -> float:
-        return 1.0 - self.sf(x)
+        return _one_minus_power(self.parent.cdf(x), self.n)
 
     def pdf(self, x: float) -> float:
         return self.n * self.parent.sf(x) ** (self.n - 1) * self.parent.pdf(x)
 
-    def quantile(self, p: float) -> float:
-        from .distributions import _check_p
-
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
-        return self.parent.quantile(1.0 - (1.0 - p) ** (1.0 / self.n))
+        return self.parent.quantile(1.0 - _root(1.0 - p, self.n))
 
     def hazard_rate(self, t: float) -> float:
         return self.n * self.parent.hazard_rate(t)
@@ -111,14 +113,15 @@ class MaxOrder(Distribution):
     def cdf(self, x: float) -> float:
         return self.parent.cdf(x) ** self.n
 
+    def sf(self, x: float) -> float:
+        return _one_minus_power(self.parent.sf(x), self.n)
+
     def pdf(self, x: float) -> float:
         return self.n * self.parent.cdf(x) ** (self.n - 1) * self.parent.pdf(x)
 
-    def quantile(self, p: float) -> float:
-        from .distributions import _check_p
-
+    def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
-        return self.parent.quantile(p ** (1.0 / self.n))
+        return self.parent.quantile(_root(p, self.n))
 
     def reversed_hazard(self, t: float) -> float:
         return self.n * self.parent.reversed_hazard(t)
@@ -188,6 +191,25 @@ def kth_order(d: Distribution, k: int, n: int) -> Distribution:
 def kth_order_sf(d: Distribution, spec: OrderSpec, x: float) -> float:
     """P(X_{k:n} > x) = sum_{i<k} C(n,i) F^i S^(n-i) with F, S the parent cdf, sf at x."""
     return _lower_binomial_sum(spec.n, spec.k, d.cdf(x), d.sf(x))
+
+
+def _root(p: FloatOrArray, n: int) -> FloatOrArray:
+    """p ** (1/n), rounded for an array exactly as the scalar ``**`` rounds it.
+
+    ``np.float_power`` calls the C library's pow, as Python's float ``**`` does;
+    numpy's vectorized ``power`` can differ in the last bit, and the parent's
+    quantile amplifies that bit near p = 0 and p = 1.
+    """
+    return np.float_power(p, 1.0 / n) if isinstance(p, np.ndarray) else p ** (1.0 / n)
+
+
+def _one_minus_power(g: float, n: int) -> float:
+    """1 - (1 - g)^n, accurate when g is small: the complement of an extreme order."""
+    if g <= 0.0:
+        return 0.0
+    if g >= 1.0:
+        return 1.0
+    return -math.expm1(n * math.log1p(-g))
 
 
 def _lower_binomial_sum(n: int, m: int, F: float, S: float) -> float:

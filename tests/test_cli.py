@@ -49,6 +49,12 @@ def test_measure_exponential_crex(exp1, capsys):
     assert payload["value"] == pytest.approx(-0.25)
 
 
+def test_measure_crex_honours_n(exp1, capsys):
+    payload = run_json(["measure", "--dist", exp1, "--measure", "crex", "--n", "2"], capsys)
+    assert payload["value"] == pytest.approx(-0.125)
+    assert payload["method"] == "closed-form"
+
+
 def test_measure_with_order_flag(exp1, capsys):
     payload = run_json(
         ["measure", "--dist", exp1, "--measure", "crex", "--order-min", "2"], capsys
@@ -111,6 +117,37 @@ def test_unknown_verb_exits_two(capsys):
 
 def test_unknown_flag_exits_two(exp1, capsys):
     assert run(["measure", "--dist", exp1, "--measure", "crex", "--bogus", "1"]) == 2
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+def test_non_numeric_sample_line_exits_one(tmp_path, capsys):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1.0\nabc\n3.0\n")
+    assert run(["estimate", "--samples", str(samples), "--measure", "crex"]) == 1
+    assert ":2: not a number: 'abc'" in _one_line_error(capsys, "error: ")
+
+
+def test_non_numeric_spec_param_exits_one(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"family": "exponential", "params": {"lambda": "abc"}}))
+    assert run(["measure", "--dist", str(spec), "--measure", "crex"]) == 1
+    assert "lambda must be a number" in _one_line_error(capsys, "error: ")
+
+
+def test_non_numeric_tol_env_exits_two(uniform01, capsys, monkeypatch):
+    monkeypatch.setenv("EXTROPY_TOL", "abc")
+    assert run(["check", "--suite", "bounds", "--dist", uniform01]) == 2
+    assert "EXTROPY_TOL" in _one_line_error(capsys, "usage error: ")
+
+
+@pytest.mark.parametrize("flag", [["--seed", "42"], ["--format", "json"]])
+def test_unread_flags_are_gone(exp1, flag, capsys):
+    assert run(["measure", "--dist", exp1, "--measure", "crex", *flag]) == 2
 
 
 def test_error_leaves_no_partial_artifact(exp1, tmp_path, capsys):
@@ -311,6 +348,21 @@ def test_tol_env_override(uniform01, capsys, monkeypatch):
     assert run(["check", "--suite", "bounds", "--dist", uniform01]) == 0
     assert analysis.BASE_TOL == 1e-6
     capsys.readouterr()
+
+
+def test_tol_reaches_the_margin_checks(uniform01, capsys, monkeypatch):
+    # a negative tolerance demands a margin of at least 1, which none of these has
+    from extropy import analysis
+
+    monkeypatch.setattr(analysis, "BASE_TOL", analysis.BASE_TOL)  # restore after test
+    payload = run_json(["check", "--suite", "bounds", "--dist", uniform01, "--tol", "-1", "--json"], capsys)
+    verdicts = {r["check_id"].split("(")[0]: r["verdict"] for r in payload}
+    for check_id in ("crexmin-monotone-n", "crexmin-mean-bound", "crexmin-vs-crex",
+                     "dcrex-bounds", "dcpex-bounds", "cpexmax-bounds"):
+        assert verdicts[check_id] == "Fails", check_id
+    from extropy.distributions import Power
+
+    assert analysis.check_dcpexmax_monotone_t(Power(1, 2), 2, [0.3, 0.5, 0.7]).verdict == "Fails"
 
 
 def test_parser_exposes_all_verbs():

@@ -89,8 +89,8 @@ def test_draw_samples_deterministic():
     a = draw_samples(Exponential(1), 100, seed=42)
     b = draw_samples(Exponential(1), 100, seed=42)
     c = draw_samples(Exponential(1), 100, seed=43)
-    assert a.values == b.values
-    assert a.values != c.values
+    assert np.array_equal(a.values, b.values)
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_consistency_median_error_decreases():
@@ -109,9 +109,16 @@ def test_read_sample_file(tmp_path):
     path = tmp_path / "samples.txt"
     path.write_text("# header comment\n1.0\n2.0  # inline\n\n3.0\n")
     s = read_sample_file(str(path))
-    assert s.values == (1.0, 2.0, 3.0)
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
     s2 = read_sample_file(str(path), upper_bound=5.0)
     assert s2.upper_bound == 5.0
+
+
+def test_read_sample_file_names_the_bad_line(tmp_path):
+    path = tmp_path / "samples.txt"
+    path.write_text("# header\n1.0\n2.o\n3.0\n")
+    with pytest.raises(ExtropyError, match=r"samples.txt:3: not a number: '2.o'"):
+        read_sample_file(str(path))
 
 
 @settings(max_examples=60)

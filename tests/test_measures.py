@@ -143,6 +143,27 @@ def test_dcrex_min_closed_form_matches_quadrature(d, n):
     assert q.value == pytest.approx(cf.value, rel=1e-6)
 
 
+_PLAIN_CATALOGED = {
+    "crex": _CATALOGED,
+    "dcrex": [GPD(1, 1), GPD(2, -0.5), Exponential(1), FiniteRange(1, 2), Pareto(1, 2)],
+    "cpex": [Uniform(0, 1), Uniform(2, 5), Power(1, 2), Power(3, 0.5)],
+    "dcpex": [Uniform(0, 1), Uniform(2, 5), Power(1, 2), Power(3, 0.5)],
+}
+
+
+@pytest.mark.parametrize(
+    "name,d", [(name, d) for name, ds in _PLAIN_CATALOGED.items() for d in ds],
+    ids=[f"{name}-{d!r}" for name, ds in _PLAIN_CATALOGED.items() for d in ds],
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plain_kind_closed_form_honours_n(name, d, n):
+    t = d.quantile(0.3) if name.startswith("d") else None
+    kind = MeasureKind(name, n=n, t=t)
+    cf = evaluate(d, kind)
+    q = evaluate(d, kind, force_quadrature=True)
+    assert q.value == pytest.approx(cf.value, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Negativity and kind validation
 # ---------------------------------------------------------------------------

@@ -7,7 +7,16 @@ from scipy.integrate import quad
 
 from extropy.distributions import Exponential, FiniteRange, Power, Uniform
 from extropy.errors import InvalidOrder
-from extropy.orderstats import KthOrder, OrderSpec, kth_order, kth_order_sf, max_order, min_order
+from extropy.orderstats import (
+    KthOrder,
+    MaxOrder,
+    MinOrder,
+    OrderSpec,
+    kth_order,
+    kth_order_sf,
+    max_order,
+    min_order,
+)
 
 from conftest import ALL_FAMILIES, ids
 
@@ -119,3 +128,16 @@ def test_kth_order_cdf_and_sf_relative_accuracy(k, n):
             cdf, sf = mp.fsum(terms[k:]), mp.fsum(terms[:k])
             assert abs(d.cdf(x) - cdf) <= 1e-13 * cdf, x
             assert abs(d.sf(x) - sf) <= 1e-13 * sf, x
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 30])
+def test_extreme_order_complements_relative_accuracy(n):
+    import mpmath as mp
+
+    lo, hi = MinOrder(Exponential(1), n), MaxOrder(Exponential(1), n)
+    with mp.workdps(40):
+        for x in [1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.0, 30.0, 40.0]:
+            F, S = -mp.expm1(-mp.mpf(x)), mp.exp(-mp.mpf(x))
+            min_cdf, max_sf = 1 - S**n, 1 - F**n
+            assert abs(lo.cdf(x) - min_cdf) <= 1e-13 * min_cdf, x
+            assert abs(hi.sf(x) - max_sf) <= 1e-13 * max_sf, x
