@@ -26,6 +26,7 @@ from .errors import (
     UnboundedSupport,
 )
 from .measures import (
+    GridValue,
     MeasureValue,
     cpen,
     cpex,
@@ -111,6 +112,13 @@ def _margins_report(
 def _pair(a: MeasureValue, b: MeasureValue) -> tuple[float, float]:
     """Margin a >= b together with its combined tolerance."""
     return a.value - b.value, BASE_TOL + a.abs_error_estimate + b.abs_error_estimate
+
+
+def _value(v: GridValue) -> MeasureValue:
+    """A grid value, or the degenerate-age error that ``evaluate`` raises there."""
+    if isinstance(v, MeasureValue):
+        return v
+    raise v
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +376,16 @@ def check_cpex_cpen_inequality(d: Distribution) -> CheckReport:
 def check_crexmin_monotone_n(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
     """Residual extropy of minima is nondecreasing in the sample size."""
     margins = []
+    tol = BASE_TOL
     prev = None
     for n in ns:
         cur = evaluate(d, crex_min(n))
         if prev is not None:
-            margin, _ = _pair(cur, prev)
+            margin, pt_tol = _pair(cur, prev)
+            tol = max(tol, pt_tol)
             margins.append((margin, n))
         prev = cur
-    return _margins_report("crexmin-monotone-n", margins)
+    return _margins_report("crexmin-monotone-n", margins, tol=tol)
 
 
 def check_crexmin_mean_bound(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
@@ -392,49 +402,65 @@ def check_crexmin_vs_crex(d: Distribution, ns: Sequence[int] = tuple(range(1, 11
     """crex_min(n) >= crex for every n >= 1."""
     base = evaluate(d, crex())
     margins = []
+    tol = BASE_TOL
     for n in ns:
-        margin, _ = _pair(evaluate(d, crex_min(n)), base)
+        margin, pt_tol = _pair(evaluate(d, crex_min(n)), base)
+        tol = max(tol, pt_tol)
         margins.append((margin, n))
-    return _margins_report("crexmin-vs-crex", margins)
+    return _margins_report("crexmin-vs-crex", margins, tol=tol)
 
 
 def check_dcrex_bounds(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
     """Dynamic residual bounds: >= -mrl/2, nondecreasing in n, >= age-t parent value."""
     margins: list[tuple[float, object]] = []
     degenerate = 0
-    for t in t_grid:
+    tol = BASE_TOL
+    curves = zip(
+        evaluate_grid(d, lambda t: dcrex_min(n, t), t_grid),
+        evaluate_grid(d, dcrex, t_grid),
+        evaluate_grid(d, lambda t: dcrex_min(n + 1, t), t_grid),
+    )
+    for t, (v, base, nxt) in zip(t_grid, curves):
         try:
-            v = evaluate(d, dcrex_min(n, t))
-            base = evaluate(d, dcrex(t))
+            v = _value(v)
+            base = _value(base)
             if d.has_finite_mean:
                 margins.append((v.value + 0.5 * d.mean_residual_life(t), ("mrl", t)))
-            margin, _ = _pair(v, base)
+            margin, pt_tol = _pair(v, base)
+            tol = max(tol, pt_tol)
             margins.append((margin, ("vs-parent", t)))
-            nxt = evaluate(d, dcrex_min(n + 1, t))
-            margin, _ = _pair(nxt, v)
+            margin, pt_tol = _pair(_value(nxt), v)
+            tol = max(tol, pt_tol)
             margins.append((margin, ("monotone-n", t)))
         except (DegenerateTail, DegenerateHead):
             degenerate += 1
-    return _margins_report(f"dcrex-bounds(n={n})", margins, degenerate)
+    return _margins_report(f"dcrex-bounds(n={n})", margins, degenerate, tol)
 
 
 def check_dcpex_bounds(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
     """Dynamic past bounds: >= -eit/2, nondecreasing in n, >= age-t parent value."""
     margins: list[tuple[float, object]] = []
     degenerate = 0
-    for t in t_grid:
+    tol = BASE_TOL
+    curves = zip(
+        evaluate_grid(d, lambda t: dcpex_max(n, t), t_grid),
+        evaluate_grid(d, dcpex, t_grid),
+        evaluate_grid(d, lambda t: dcpex_max(n + 1, t), t_grid),
+    )
+    for t, (v, base, nxt) in zip(t_grid, curves):
         try:
-            v = evaluate(d, dcpex_max(n, t))
-            base = evaluate(d, dcpex(t))
+            v = _value(v)
+            base = _value(base)
             margins.append((v.value + 0.5 * d.expected_inactivity_time(t), ("eit", t)))
-            margin, _ = _pair(v, base)
+            margin, pt_tol = _pair(v, base)
+            tol = max(tol, pt_tol)
             margins.append((margin, ("vs-parent", t)))
-            nxt = evaluate(d, dcpex_max(n + 1, t))
-            margin, _ = _pair(nxt, v)
+            margin, pt_tol = _pair(_value(nxt), v)
+            tol = max(tol, pt_tol)
             margins.append((margin, ("monotone-n", t)))
         except (DegenerateTail, DegenerateHead):
             degenerate += 1
-    return _margins_report(f"dcpex-bounds(n={n})", margins, degenerate)
+    return _margins_report(f"dcpex-bounds(n={n})", margins, degenerate, tol)
 
 
 def check_dcpexmax_monotone_t(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
@@ -444,20 +470,20 @@ def check_dcpexmax_monotone_t(d: Distribution, n: int, t_grid: Sequence[float]) 
     counterexamples and must not be fed here.
     """
     margins: list[tuple[float, object]] = []
+    tol = BASE_TOL
     prev: Optional[MeasureValue] = None
     prev_t = None
     degenerate = 0
-    for t in t_grid:
-        try:
-            cur = evaluate(d, dcpex_max(n, t))
-        except (DegenerateTail, DegenerateHead):
+    for t, cur in zip(t_grid, evaluate_grid(d, lambda t: dcpex_max(n, t), t_grid)):
+        if not isinstance(cur, MeasureValue):
             degenerate += 1
             continue
         if prev is not None:
-            margin, _ = _pair(prev, cur)
+            margin, pt_tol = _pair(prev, cur)
+            tol = max(tol, pt_tol)
             margins.append((margin, (prev_t, t)))
         prev, prev_t = cur, t
-    return _margins_report(f"dcpexmax-monotone-t(n={n})", margins, degenerate)
+    return _margins_report(f"dcpexmax-monotone-t(n={n})", margins, degenerate, tol)
 
 
 def check_cpexmax_bounds(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
@@ -468,17 +494,20 @@ def check_cpexmax_bounds(d: Distribution, ns: Sequence[int] = tuple(range(1, 11)
     mu = d.mean()
     base = evaluate(d, cpex())
     margins = []
+    tol = BASE_TOL
     prev = None
     for n in ns:
         v = evaluate(d, cpex_max(n))
         margins.append((v.value + 0.5 * (b - mu), ("b-mu", n)))
-        margin, _ = _pair(v, base)
+        margin, pt_tol = _pair(v, base)
+        tol = max(tol, pt_tol)
         margins.append((margin, ("vs-parent", n)))
         if prev is not None:
-            margin, _ = _pair(v, prev)
+            margin, pt_tol = _pair(v, prev)
+            tol = max(tol, pt_tol)
             margins.append((margin, ("monotone-n", n)))
         prev = v
-    return _margins_report("cpexmax-bounds", margins)
+    return _margins_report("cpexmax-bounds", margins, tol=tol)
 
 
 def check_equilibrium_identity(d: Distribution) -> CheckReport:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs: measure, curve, check, characterize, estimate, reproduce.  Domain
-errors exit 1 with a one-line diagnostic on stderr; usage errors exit 2.
+errors, numeric overflow included, exit 1 with a one-line diagnostic on
+stderr; usage errors exit 2.
 Artifacts are written atomically (temp file + rename), so an error never
 leaves a partial file behind.  All numeric output uses 12 significant
 digits; identical argv produces byte-identical output.
@@ -358,6 +359,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ExtropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,11 @@ Every family exposes the same small surface: ``cdf``, ``sf``, ``pdf``,
 ``quantile``, ``hazard_rate``, ``reversed_hazard``, ``mean``,
 ``mean_residual_life`` and ``expected_inactivity_time``.  Closed forms are
 used wherever the family admits one; the base class falls back to adaptive
-quadrature and bracketed bisection.
+quadrature and bracketed bisection.  ``cdf_array`` and ``sf_array`` evaluate
+cdf and sf at every element of a float64 array, by the same formulas written
+with numpy; ``quantile`` takes a float or an array.  ``cdf`` and ``sf`` stay
+scalar: they run once per quadrature node, where a type test would cost a
+sizeable share of each call.
 
 All objects are immutable and all methods are pure, so instances can be
 shared freely across threads.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from math import exp, inf
 from typing import Any, Mapping, Union
 
@@ -38,6 +43,18 @@ _QUANTILE_ATOL = 1e-12
 
 #: a float, or a 1-D float64 array evaluated elementwise into the same shape
 FloatOrArray = Union[float, np.ndarray]
+
+
+def _piecewise(x: np.ndarray, lower: float, upper: float, below: float, above: float, f) -> np.ndarray:
+    """``below`` where x <= lower, ``above`` where x >= upper, and ``f`` strictly between.
+
+    The array form of the scalar methods' early returns at the ends of a
+    range; ``f`` only sees the points inside, so it raises no domain warnings.
+    """
+    out = np.where(x <= lower, below, above)
+    inside = (x > lower) & (x < upper)
+    out[inside] = f(x[inside])
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,20 +91,31 @@ class Distribution(ABC):
     def sf(self, x: float) -> float:
         return 1.0 - self.cdf(x)
 
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        """``cdf`` at every element of a float64 array; families override this with numpy."""
+        return np.array([self.cdf(v) for v in x.tolist()], dtype=np.float64)
+
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        """``sf`` at every element of a float64 array; a family that overrides ``sf`` overrides this."""
+        return 1.0 - self.cdf_array(x)
+
     #: True when the mean integral converges.
     has_finite_mean: bool = True
 
     #: Interior points where cdf/sf are not smooth; integrals split there.
     breakpoints: tuple[float, ...] = ()
 
-    #: True when ``cdf`` also takes a float64 array of points, elementwise.
+    #: True when ``quantile`` bisects an array of probabilities as a whole.
     array_cdf: bool = False
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         """Inverse cdf by bracketed bisection; subclasses override with closed forms.
 
-        An array of probabilities is bisected as a whole when ``cdf`` takes
-        arrays, and mapped through the scalar bisection otherwise.
+        An array of probabilities is bisected as a whole through ``cdf_array``
+        when ``array_cdf`` is set, and mapped through the scalar bisection
+        otherwise.  (Where the array cdf rounds otherwise than the scalar one,
+        as for ``KthOrder``, the whole-array bisection can end up to its
+        tolerance away.)
         """
         _check_p(p)
         if isinstance(p, np.ndarray):
@@ -118,17 +146,17 @@ class Distribution(ABC):
             hi = np.full_like(p, upper)
         else:
             hi = np.full_like(p, max(lower + 1.0, 1.0))
-            grow = self.cdf(hi) < p
+            grow = self.cdf_array(hi) < p
             while grow.any():
                 hi = np.where(grow, lower + 2.0 * (hi - lower), hi)
                 if (hi > 1e300).any():  # pragma: no cover - guards pathological tails
                     raise QuantileOutOfRange(f"failed to bracket quantile at p={p[hi > 1e300][0]}")
-                grow &= self.cdf(hi) < p
+                grow &= self.cdf_array(hi) < p
         # whole-array steps; an element whose bracket is narrow enough stops moving
         active = hi - lo > _QUANTILE_ATOL
         while active.any():
             mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < p
+            below = self.cdf_array(mid) < p
             lo = np.where(active & below, mid, lo)
             hi = np.where(active & ~below, mid, hi)
             active = hi - lo > _QUANTILE_ATOL
@@ -203,7 +231,7 @@ class Uniform(Distribution):
         if not (0 <= self.a < self.b):
             raise ParamDomainError(f"uniform requires 0 <= a < b, got a={self.a}, b={self.b}")
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(self.a, self.b)
 
@@ -213,6 +241,9 @@ class Uniform(Distribution):
         if x >= self.b:
             return 1.0
         return (x - self.a) / (self.b - self.a)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, self.a, self.b, 0.0, 1.0, lambda y: (y - self.a) / (self.b - self.a))
 
     def pdf(self, x: float) -> float:
         return 1.0 / (self.b - self.a) if self.a <= x <= self.b else 0.0
@@ -248,7 +279,7 @@ class FiniteRange(Distribution):
         _require_positive("a", self.a)
         _require_positive("b", self.b)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, 1.0 / self.a)
 
@@ -259,8 +290,14 @@ class FiniteRange(Distribution):
             return 0.0
         return (1.0 - self.a * x) ** self.b
 
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, 1.0 / self.a, 1.0, 0.0, lambda y: (1.0 - self.a * y) ** self.b)
+
     def cdf(self, x: float) -> float:
         return 1.0 - self.sf(x)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - self.sf_array(x)
 
     def pdf(self, x: float) -> float:
         if not (0 <= x <= 1.0 / self.a):
@@ -291,15 +328,21 @@ class Weibull(Distribution):
         _require_positive("lam", self.lam)
         _require_positive("theta", self.theta)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, inf)
 
     def sf(self, x: float) -> float:
         return 1.0 if x <= 0 else exp(-self.lam * x**self.theta)
 
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-self.lam * y**self.theta))
+
     def cdf(self, x: float) -> float:
         return 0.0 if x <= 0 else -math.expm1(-self.lam * x**self.theta)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-self.lam * y**self.theta))
 
     def pdf(self, x: float) -> float:
         if x < 0:
@@ -326,15 +369,21 @@ class Exponential(Distribution):
     def __post_init__(self) -> None:
         _require_positive("lam", self.lam)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, inf)
 
     def sf(self, x: float) -> float:
         return 1.0 if x <= 0 else exp(-self.lam * x)
 
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-self.lam * y))
+
     def cdf(self, x: float) -> float:
         return 0.0 if x <= 0 else -math.expm1(-self.lam * x)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-self.lam * y))
 
     def pdf(self, x: float) -> float:
         return 0.0 if x < 0 else self.lam * exp(-self.lam * x)
@@ -363,15 +412,21 @@ class FoldedCramer(Distribution):
     def __post_init__(self) -> None:
         _require_positive("theta", self.theta)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, inf)
 
     def sf(self, x: float) -> float:
         return 1.0 if x <= 0 else 1.0 / (1.0 + self.theta * x)
 
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: 1.0 / (1.0 + self.theta * y))
+
     def cdf(self, x: float) -> float:
         return 0.0 if x <= 0 else self.theta * x / (1.0 + self.theta * x)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: self.theta * y / (1.0 + self.theta * y))
 
     def pdf(self, x: float) -> float:
         return 0.0 if x < 0 else self.theta / (1.0 + self.theta * x) ** 2
@@ -393,15 +448,21 @@ class Pareto(Distribution):
         if not (self.theta > 1):
             raise ParamDomainError(f"pareto requires theta > 1, got {self.theta}")
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, inf)
 
     def sf(self, x: float) -> float:
         return 1.0 if x <= 0 else (self.lam / (x + self.lam)) ** self.theta
 
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: (self.lam / (y + self.lam)) ** self.theta)
+
     def cdf(self, x: float) -> float:
         return 1.0 - self.sf(x)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - self.sf_array(x)
 
     def pdf(self, x: float) -> float:
         if x < 0:
@@ -443,7 +504,7 @@ class GPD(Distribution):
     def _exponential_limit(self) -> bool:
         return abs(self.lam) < _GPD_EXP_EPS
 
-    @property
+    @cached_property
     def support(self) -> Support:
         if self.lam < -_GPD_EXP_EPS:
             return Support(0.0, -self.theta / self.lam)
@@ -458,11 +519,23 @@ class GPD(Distribution):
             return -inf
         return -(1.0 + self.lam) / self.lam * math.log1p(z)
 
+    def _log_sf_array(self, x: np.ndarray) -> np.ndarray:
+        if self._exponential_limit:
+            return -x / self.theta
+        z = self.lam * x / self.theta
+        return _piecewise(z, -1.0, inf, -inf, -inf, lambda w: -(1.0 + self.lam) / self.lam * np.log1p(w))
+
     def sf(self, x: float) -> float:
         return 1.0 if x <= 0 else exp(self._log_sf(x))
 
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(self._log_sf_array(y)))
+
     def cdf(self, x: float) -> float:
         return 0.0 if x <= 0 else -math.expm1(self._log_sf(x))
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(self._log_sf_array(y)))
 
     def pdf(self, x: float) -> float:
         if x < 0 or x > self.support.upper:
@@ -506,7 +579,7 @@ class Power(Distribution):
         _require_positive("b", self.b)
         _require_positive("c", self.c)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, self.b)
 
@@ -516,6 +589,9 @@ class Power(Distribution):
         if x >= self.b:
             return 1.0
         return (x / self.b) ** self.c
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, self.b, 0.0, 1.0, lambda y: (y / self.b) ** self.c)
 
     def pdf(self, x: float) -> float:
         if not (0 <= x <= self.b):
@@ -551,7 +627,7 @@ class TwoExpMax(Distribution):
     dynamic residual-extropy curve is not monotone.
     """
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, inf)
 
@@ -560,15 +636,18 @@ class TwoExpMax(Distribution):
             return 1.0
         return exp(-x) + exp(-2.0 * x) - exp(-3.0 * x)
 
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-y) + np.exp(-2.0 * y) - np.exp(-3.0 * y))
+
     array_cdf = True
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        if isinstance(x, np.ndarray):
-            x = np.maximum(x, 0.0)
-        elif x <= 0:
+    def cdf(self, x: float) -> float:
+        if x <= 0:
             return 0.0
-        xp = _xp(x)
-        return -xp.expm1(-x) * -xp.expm1(-2.0 * x)
+        return -math.expm1(-x) * -math.expm1(-2.0 * x)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-y) * -np.expm1(-2.0 * y))
 
     def pdf(self, x: float) -> float:
         if x < 0:
@@ -602,7 +681,7 @@ class PiecewiseBounded(Distribution):
 
     breakpoints = (1.0,)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(0.0, 2.0)
 
@@ -614,6 +693,14 @@ class PiecewiseBounded(Distribution):
         if x <= 2.0:
             return exp(-2.0 + 0.5 * x * x)
         return 1.0
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        def inside(y: np.ndarray) -> np.ndarray:
+            # 1/y overflows to inf for a subnormal y; exp(-inf) = 0, as on the scalar path
+            with np.errstate(over="ignore"):
+                return np.where(y <= 1.0, np.exp(-0.5 - 1.0 / y), np.exp(-2.0 + 0.5 * y * y))
+
+        return _piecewise(x, 0.0, 2.0, 0.0, 1.0, inside)
 
     def pdf(self, x: float) -> float:
         if x <= 0 or x > 2.0:
@@ -661,7 +748,7 @@ class Affine(Distribution):
         self.scale = float(scale)
         self.shift = float(shift)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         s = self.base.support
         return Support(self.scale * s.lower + self.shift, self.scale * s.upper + self.shift)
@@ -674,7 +761,7 @@ class Affine(Distribution):
     def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
         return tuple(self.scale * p + self.shift for p in self.base.breakpoints)
 
-    def _pull(self, x: float) -> float:
+    def _pull(self, x: FloatOrArray) -> FloatOrArray:
         return (x - self.shift) / self.scale
 
     def cdf(self, x: float) -> float:
@@ -682,6 +769,12 @@ class Affine(Distribution):
 
     def sf(self, x: float) -> float:
         return self.base.sf(self._pull(x))
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return self.base.cdf_array(self._pull(x))
+
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return self.base.sf_array(self._pull(x))
 
     def pdf(self, x: float) -> float:
         return self.base.pdf(self._pull(x)) / self.scale
@@ -728,7 +821,7 @@ class Mixture(Distribution):
             raise BadWeights(f"weights must sum to 1, got {sum(weights)}")
         self.components = tuple((float(w), d) for w, d in components)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(
             min(d.support.lower for _, d in self.components),
@@ -749,6 +842,9 @@ class Mixture(Distribution):
 
     def cdf(self, x: float) -> float:
         return sum(w * d.cdf(x) for w, d in self.components)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return sum(w * d.cdf_array(x) for w, d in self.components)
 
     def pdf(self, x: float) -> float:
         return sum(w * d.pdf(x) for w, d in self.components)
@@ -807,9 +903,12 @@ def from_spec(spec: Mapping[str, Any]) -> Distribution:
 
     def num(name: str) -> float:
         try:
-            return float(params[name])
+            value = float(params[name])
         except (TypeError, ValueError):
             raise ParamDomainError(f"{family} param {name} must be a number, got {params[name]!r}") from None
+        if not math.isfinite(value):
+            raise ParamDomainError(f"{family} param {name} must be finite, got {params[name]!r}")
+        return value
 
     if family == "uniform":
         return Uniform(num("a"), num("b"))

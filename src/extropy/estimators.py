@@ -82,11 +82,12 @@ def empirical_dcrex(s: SampleSet, t: float, n: int = 1) -> float:
     m = s.size
     if t >= x[-1]:
         raise DegenerateTail(f"empirical sf at t={t} is zero")
-    st = float(np.sum(x > t)) / m
-    tail = x[x > t]
-    breaks = np.concatenate(([t], tail))
-    widths = np.diff(breaks)
-    sf = (m - np.searchsorted(x, breaks[:-1], side="right")) / m
+    j = int(np.searchsorted(x, t, side="right"))  # x[j:] are the observations above t
+    st = (m - j) / m
+    widths = np.diff(np.concatenate(([t], x[j:])))
+    # sf is (m - j)/m on [t, x_j] and (m - i - 1)/m on [x_i, x_{i+1}]; a tie
+    # makes a zero-width segment, so its sf does not matter
+    sf = (m - np.arange(j, m)) / m
     return -0.5 * float(np.sum(widths * (sf / st) ** (2 * n)))
 
 

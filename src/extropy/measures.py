@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .distributions import (
     DEGENERATE_EPS,
     Distribution,
@@ -40,7 +42,7 @@ from .errors import (
     UnboundedSupport,
     VanishingDensity,
 )
-from .quadrature import integrate
+from .quadrature import integrate, integrate_panels
 
 RESIDUAL_KINDS = frozenset({"extropy", "cren", "crex", "crex-min", "dcrex", "dcrex-min"})
 PAST_KINDS = frozenset({"cpen", "cpex", "cpex-max", "dcpex", "dcpex-max"})
@@ -377,7 +379,9 @@ def evaluate_grid(
 
     so only D_m is a long (tail) integral.  The past side is the mirror
     image: it runs forward from the lower support end with (F/F(t_i))^{2n}
-    and adds t - hi past the support.  Error estimates combine with the same
+    and adds t - hi past the support.  The short panels, split at the
+    breakpoints, are integrated together by ``integrate_panels`` on
+    ``sf_array``/``cdf_array``; the tail integral goes to ``integrate``.  Error estimates combine with the same
     weights, which are at most 1.  Any other grid is evaluated pointwise.
     """
     kinds = [kind_for_t(t) for t in t_grid]
@@ -394,7 +398,8 @@ def evaluate_grid(
     g = d.sf if residual else d.cdf
     p = 2 * kinds[0].n
     out: list = [None] * len(kinds)
-    swept: list[tuple[int, float]] = []  # (index, sf or cdf at the age) left to quadrature
+    swept: list[int] = []  # ages left to quadrature
+    levels: list[float] = []  # sf or cdf at those ages
     for i, kind in enumerate(kinds):
         level = g(kind.t)
         if level <= DEGENERATE_EPS:
@@ -402,22 +407,55 @@ def evaluate_grid(
         elif (cf := _closed_form(d, kind)) is not None:
             out[i] = MeasureValue(cf, "closed-form", 0.0)
         else:
-            swept.append((i, level))
+            swept.append(i)
+            levels.append(level)
+    if not swept:
+        return out
 
     hi, pts = d.support.upper, d.breakpoints
-    edge = hi if residual else d.support.lower
+    xs = [min(ages[i], hi) for i in swept]
+    if residual:
+        # panel j is [x_j, x_{j+1}] scaled by level j; the last age's tail alone
+        values, errors = _panels(d.sf_array, xs, levels[:-1], p, pts)
+        tail, tail_err = integrate(lambda y: (g(y) / levels[-1]) ** p, xs[-1], hi, pts)
+        values, errors = np.append(values, tail), np.append(errors, tail_err)
+    else:
+        # panel j is [x_{j-1}, x_j] scaled by level j, from x_0 = lo
+        values, errors = _panels(d.cdf_array, [d.support.lower] + xs, levels, p, pts)
+
     acc = err = prev_level = 0.0
-    for i, level in reversed(swept) if residual else swept:
-        t = ages[i]
-        x = min(t, hi)
-        a, b = (x, edge) if residual else (edge, x)
-        value, value_err = integrate(lambda y: (g(y) / level) ** p, a, b, pts)
+    for j in reversed(range(len(swept))) if residual else range(len(swept)):
+        t, level = ages[swept[j]], levels[j]
         w = (prev_level / level) ** p
-        acc, err = value + w * acc, value_err + w * err
+        acc, err = float(values[j]) + w * acc, float(errors[j]) + w * err
         beyond = t - hi if t > hi else 0.0  # past side: cdf stays 1 beyond the support
-        out[i] = MeasureValue(-0.5 * (acc + beyond), "quadrature", 0.5 * err)
-        edge, prev_level = x, level
+        out[swept[j]] = MeasureValue(-0.5 * (acc + beyond), "quadrature", 0.5 * err)
+        prev_level = level
     return out
+
+
+def _panels(
+    g: Callable[[np.ndarray], np.ndarray],
+    edges: Sequence[float],
+    levels: Sequence[float],
+    p: int,
+    pts: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """int_{e_j}^{e_{j+1}} (g/levels_j)^p for every j, split at the breakpoints, in one batch.
+
+    ``g`` is ``sf_array`` or ``cdf_array``.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    knots = np.union1d(edges, [x for x in pts if edges[0] < x < edges[-1]])
+    panel = np.searchsorted(edges, knots[:-1], side="right") - 1
+    scale = np.asarray(levels, dtype=np.float64)[panel]
+
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (g(x.ravel()).reshape(x.shape) / scale[rows, None]) ** p
+
+    values, errors = integrate_panels(f, knots[:-1], knots[1:])
+    m = len(edges) - 1
+    return np.bincount(panel, values, m), np.bincount(panel, errors, m)
 
 
 def sign_changes(values: tuple[float, ...] | list[float]) -> int:

@@ -7,16 +7,18 @@ cdf the terms i >= k, so neither is formed as one minus the other; every
 term is nonnegative, so a plain sum is accurate.  Likewise the complements
 of the extremes, ``MinOrder.cdf`` and ``MaxOrder.sf``, are
 -expm1(n log1p(-G)) with G the parent's cdf or sf, not 1 - sf or 1 - cdf.
+``sf_array`` and ``cdf_array`` evaluate the same sums on the parent's arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .distributions import Distribution, FloatOrArray, Support, _check_p
+from .distributions import Distribution, FloatOrArray, Support, _check_p, _piecewise
 from .errors import InvalidOrder
 
 #: largest sample size of an order statistic
@@ -57,7 +59,7 @@ class MinOrder(Distribution):
     def __post_init__(self) -> None:
         _check_n(self.n)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return self.parent.support
 
@@ -76,6 +78,12 @@ class MinOrder(Distribution):
 
     def cdf(self, x: float) -> float:
         return _one_minus_power(self.parent.cdf(x), self.n)
+
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return self.parent.sf_array(x) ** self.n
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _one_minus_power_array(self.parent.cdf_array(x), self.n)
 
     def pdf(self, x: float) -> float:
         return self.n * self.parent.sf(x) ** (self.n - 1) * self.parent.pdf(x)
@@ -98,7 +106,7 @@ class MaxOrder(Distribution):
     def __post_init__(self) -> None:
         _check_n(self.n)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return self.parent.support
 
@@ -115,6 +123,12 @@ class MaxOrder(Distribution):
 
     def sf(self, x: float) -> float:
         return _one_minus_power(self.parent.sf(x), self.n)
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return self.parent.cdf_array(x) ** self.n
+
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _one_minus_power_array(self.parent.sf_array(x), self.n)
 
     def pdf(self, x: float) -> float:
         return self.n * self.parent.cdf(x) ** (self.n - 1) * self.parent.pdf(x)
@@ -134,7 +148,7 @@ class KthOrder(Distribution):
     parent: Distribution
     spec: OrderSpec
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return self.parent.support
 
@@ -154,6 +168,13 @@ class KthOrder(Distribution):
         # with the roles of F and S swapped
         k, n = self.spec.k, self.spec.n
         return _lower_binomial_sum(n, n - k + 1, self.parent.sf(x), self.parent.cdf(x))
+
+    def sf_array(self, x: np.ndarray) -> np.ndarray:
+        return _lower_binomial_sum(self.spec.n, self.spec.k, self.parent.cdf_array(x), self.parent.sf_array(x))
+
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        k, n = self.spec.k, self.spec.n
+        return _lower_binomial_sum(n, n - k + 1, self.parent.sf_array(x), self.parent.cdf_array(x))
 
     def pdf(self, x: float) -> float:
         k, n = self.spec.k, self.spec.n
@@ -212,8 +233,12 @@ def _one_minus_power(g: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-g))
 
 
-def _lower_binomial_sum(n: int, m: int, F: float, S: float) -> float:
-    """sum_{i<m} C(n,i) F^i S^(n-i), as S^(n-m+1) times a Horner sum in S."""
+def _one_minus_power_array(g: np.ndarray, n: int) -> np.ndarray:
+    return _piecewise(g, 0.0, 1.0, 0.0, 1.0, lambda h: -np.expm1(n * np.log1p(-h)))
+
+
+def _lower_binomial_sum(n: int, m: int, F: FloatOrArray, S: FloatOrArray) -> FloatOrArray:
+    """sum_{i<m} C(n,i) F^i S^(n-i), as S^(n-m+1) times a Horner sum in S; elementwise for arrays."""
     row = _BINOM[n]
     acc = 0.0
     Fi = 1.0

@@ -37,7 +37,9 @@ from extropy.distributions import (
     Uniform,
     Weibull,
 )
+from extropy import analysis
 from extropy.errors import BadWeights, UnboundedSupport
+from extropy.measures import MeasureValue
 from extropy.orderstats import max_order
 
 from conftest import BOUNDED, FINITE_MEAN, ALL_FAMILIES, MONOTONE_BOUNDED, ids
@@ -279,6 +281,36 @@ def test_dcpex_shift_relation():
     for d in (Uniform(0, 1), Power(1, 2)):
         g = default_grid(d, points=10, lo_q=0.1, hi_q=0.9)
         assert check_dcpex_shift_relation(d, 2.0, 3.0, g).verdict == "Holds"
+
+
+def _fake_value(d, kind):
+    """Ties that read 5e-7 below each other, inside error bars of 1e-6 each.
+
+    The value falls by 5e-7 per unit of the order n and rises by 5e-7 per
+    unit of the age t, so every comparison in n or in t is a tie missed by
+    5e-7, more than BASE_TOL but less than the two error estimates.
+    """
+    return MeasureValue(-1.0 - 5e-7 * kind.n + 5e-7 * (kind.t or 0.0), "quadrature", 1e-6)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_crexmin_monotone_n(Uniform(0, 10), ns=(1, 2)),
+        lambda: check_crexmin_vs_crex(Uniform(0, 10), ns=(2,)),
+        lambda: check_dcrex_bounds(Uniform(0, 10), 1, [1.0]),
+        lambda: check_dcpex_bounds(Uniform(0, 10), 1, [9.0]),
+        lambda: check_dcpexmax_monotone_t(Uniform(0, 10), 1, [8.0, 9.0]),
+        lambda: check_cpexmax_bounds(Uniform(0, 10), ns=(1, 2)),
+    ],
+    ids=["crexmin-monotone-n", "crexmin-vs-crex", "dcrex-bounds", "dcpex-bounds", "dcpexmax-monotone-t", "cpexmax-bounds"],
+)
+def test_margin_inside_error_bars_holds(check, monkeypatch):
+    monkeypatch.setattr(analysis, "evaluate", _fake_value)
+    monkeypatch.setattr(analysis, "evaluate_grid", lambda d, kind_for_t, grid: [_fake_value(d, kind_for_t(t)) for t in grid])
+    report = check()
+    assert -1e-6 < report.worst_margin < -analysis.BASE_TOL
+    assert report.verdict == "Holds"
 
 
 def test_default_grid_spans_interior_quantiles():

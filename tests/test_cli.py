@@ -139,6 +139,22 @@ def test_non_numeric_spec_param_exits_one(tmp_path, capsys):
     assert "lambda must be a number" in _one_line_error(capsys, "error: ")
 
 
+@pytest.mark.parametrize(
+    "family,params,message",
+    [
+        ("uniform", {"a": 0, "b": "inf"}, "uniform param b must be finite"),
+        ("exponential", {"lambda": "inf"}, "exponential param lambda must be finite"),
+        ("weibull", {"lambda": 1e-300, "theta": 1e-3}, "numeric overflow"),
+    ],
+    ids=["uniform-b-inf", "exponential-lambda-inf", "weibull-overflow"],
+)
+def test_non_finite_param_or_overflow_exits_one(tmp_path, capsys, family, params, message):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"family": family, "params": params}))
+    assert run(["measure", "--dist", str(spec), "--measure", "crex"]) == 1
+    assert message in _one_line_error(capsys, "error: ")
+
+
 def test_non_numeric_tol_env_exits_two(uniform01, capsys, monkeypatch):
     monkeypatch.setenv("EXTROPY_TOL", "abc")
     assert run(["check", "--suite", "bounds", "--dist", uniform01]) == 2

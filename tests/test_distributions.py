@@ -1,5 +1,6 @@
 """Distribution families: pointwise values, functional identities, schema parsing."""
 
+import copy
 import math
 
 import pytest
@@ -387,5 +388,17 @@ def test_weibull_roundtrip_and_unit_mass(lam, theta, p):
 def test_gpd_roundtrip(theta, lam, p):
     d = GPD(theta, lam)
     x = d.quantile(p)
-    assert d.cdf(x) == pytest.approx(p, abs=1e-10)
+    # 1e-10, plus what 4 ulps of x move the cdf by: near the bounded upper end
+    # one ulp of x can move cdf(x) by more than 1e-10
+    assert abs(d.cdf(x) - p) <= 1e-10 + 4.0 * d.pdf(x) * math.ulp(x)
     assert d.support.lower <= x <= d.support.upper
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_support_is_cached_and_equality_unchanged(d):
+    assert d.support is d.support
+    fresh = copy.deepcopy(d)
+    fresh.__dict__.pop("support", None)  # as built, before any access
+    assert fresh == d and hash(fresh) == hash(d)
+    assert fresh.support == d.support  # caches it on fresh
+    assert fresh == d and hash(fresh) == hash(d)

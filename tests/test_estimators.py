@@ -57,6 +57,25 @@ def test_dcrex_degenerate_age():
         empirical_dcrex(s, 3.0)
 
 
+def _dcrex_by_searching_every_break(s, t, n):
+    """The former empirical_dcrex: one searchsorted per segment start."""
+    x, m = s.values, s.size
+    st = float(np.sum(x > t)) / m
+    breaks = np.concatenate(([t], x[x > t]))
+    sf = (m - np.searchsorted(x, breaks[:-1], side="right")) / m
+    return -0.5 * float(np.sum(np.diff(breaks) * (sf / st) ** (2 * n)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dcrex_matches_per_segment_search_bit_for_bit_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    s = SampleSet.from_values(np.round(rng.exponential(size=400), 1))  # many ties
+    assert len(np.unique(s.values)) < s.size
+    for t in [0.0, 0.05, 0.3, 1.0, 1.0 + 1e-12, float(s.values[-2])]:
+        for n in (1, 2, 3):
+            assert empirical_dcrex(s, t, n) == _dcrex_by_searching_every_break(s, t, n)
+
+
 def test_ties_contribute_nothing():
     a = empirical_crex(SampleSet.from_values([1, 2, 2, 3]))
     # segments [0,1], (1,2], the zero-width tie, (2,3] with sf 1, 3/4, -, 1/4
