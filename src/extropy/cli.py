@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,6 +43,8 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
+    import tempfile  # about 7 ms of start-up (shutil, random), needed only here
+
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".extropy-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:

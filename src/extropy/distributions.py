@@ -216,8 +216,9 @@ def _xp(p: FloatOrArray):
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (value > 0):
-        raise ParamDomainError(f"{name} must be > 0, got {value}")
+    # chained comparisons are False for NaN, so NaN is rejected too
+    if not (0 < value < inf):
+        raise ParamDomainError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,8 @@ class Uniform(Distribution):
     b: float
 
     def __post_init__(self) -> None:
-        if not (0 <= self.a < self.b):
-            raise ParamDomainError(f"uniform requires 0 <= a < b, got a={self.a}, b={self.b}")
+        if not (0 <= self.a < self.b < inf):
+            raise ParamDomainError(f"uniform requires 0 <= a < b < inf, got a={self.a}, b={self.b}")
 
     @cached_property
     def support(self) -> Support:
@@ -423,7 +424,9 @@ class FoldedCramer(Distribution):
         return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: 1.0 / (1.0 + self.theta * y))
 
     def cdf(self, x: float) -> float:
-        return 0.0 if x <= 0 else self.theta * x / (1.0 + self.theta * x)
+        if x <= 0:
+            return 0.0
+        return 1.0 if x == inf else self.theta * x / (1.0 + self.theta * x)
 
     def cdf_array(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: self.theta * y / (1.0 + self.theta * y))
@@ -445,8 +448,8 @@ class Pareto(Distribution):
 
     def __post_init__(self) -> None:
         _require_positive("lam", self.lam)
-        if not (self.theta > 1):
-            raise ParamDomainError(f"pareto requires theta > 1, got {self.theta}")
+        if not (1 < self.theta < inf):
+            raise ParamDomainError(f"pareto requires 1 < theta < inf, got {self.theta}")
 
     @cached_property
     def support(self) -> Support:
@@ -497,8 +500,8 @@ class GPD(Distribution):
 
     def __post_init__(self) -> None:
         _require_positive("theta", self.theta)
-        if not (self.lam > -1):
-            raise ParamDomainError(f"gpd requires lam > -1, got {self.lam}")
+        if not (-1 < self.lam < inf):
+            raise ParamDomainError(f"gpd requires -1 < lam < inf, got {self.lam}")
 
     @property
     def _exponential_limit(self) -> bool:
@@ -740,10 +743,10 @@ class Affine(Distribution):
     """Y = scale * X + shift with scale > 0, shift >= 0."""
 
     def __init__(self, base: Distribution, scale: float, shift: float) -> None:
-        if not (scale > 0):
-            raise InvalidScale(f"scale must be > 0, got {scale}")
-        if shift < 0:
-            raise ParamDomainError(f"shift must be >= 0, got {shift}")
+        if not (0 < scale < inf):
+            raise InvalidScale(f"scale must be finite and > 0, got {scale}")
+        if not (0 <= shift < inf):
+            raise ParamDomainError(f"shift must be finite and >= 0, got {shift}")
         self.base = base
         self.scale = float(scale)
         self.shift = float(shift)
@@ -815,7 +818,7 @@ class Mixture(Distribution):
         if not components:
             raise BadWeights("mixture needs at least one component")
         weights = [w for w, _ in components]
-        if any(w <= 0 for w in weights):
+        if not all(w > 0 for w in weights):
             raise BadWeights(f"weights must be positive, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise BadWeights(f"weights must sum to 1, got {sum(weights)}")

@@ -6,7 +6,8 @@ with a relative target of 1e-9 and an absolute floor of 1e-14.  Breakpoints
 which starts from the pieces between them.  Infinite upper limits go through
 the QAGI transformation; if QUADPACK flags trouble there, we retry on a
 truncated interval and add the truncation remainder to the reported error
-estimate.
+estimate.  scipy is imported at the first ``quad`` call, not with this
+module, so a process that never integrates never loads it.
 
 ``integrate_panels`` applies QUADPACK's 21-point Gauss-Kronrod rule (qk21)
 to many panels in one numpy pass, with the same error estimate and targets;
@@ -20,7 +21,6 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _si
 
 EPS_ABS = 1e-14
 EPS_REL = 1e-9
@@ -91,6 +91,12 @@ def integrate(
         head, head_err = integrate(f, a, cuts[-1], cuts)
         tail, tail_err = integrate(f, cuts[-1], b)
         return head + tail, head_err + tail_err
+    # imported here, not at module level: scipy.integrate costs about 0.8 s
+    # of start-up, and closed forms, estimators and --help never reach quad.
+    # quad is looked up on the module at each call, so a patched
+    # scipy.integrate.quad (bench/tracer.py counts calls that way) is seen.
+    from scipy import integrate as _si
+
     extra = {"points": cuts} if cuts else {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", _si.IntegrationWarning)
@@ -109,6 +115,8 @@ def integrate(
 
 def _truncated_tail(f: Callable[[float], float], a: float) -> tuple[float, float]:
     """Integrate [a, inf) by extending a finite window until the tail is negligible."""
+    from scipy import integrate as _si
+
     hi = max(2.0 * abs(a), 1.0)
     total, err = 0.0, 0.0
     lo = a

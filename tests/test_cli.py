@@ -1,11 +1,15 @@
 """CLI front end: verbs, exit codes, atomic output, determinism."""
 
 import json
+import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from extropy.cli import build_parser, reproduce_figure, run
+from extropy.distributions import _FAMILY_PARAMS
 from extropy.estimators import SampleSet, empirical_crex
 from extropy.measures import sign_changes
 
@@ -171,6 +175,37 @@ def test_error_leaves_no_partial_artifact(exp1, tmp_path, capsys):
     assert run(["measure", "--dist", exp1, "--measure", "cpex", "--output", str(out)]) == 1
     assert not out.exists()
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".extropy-")]
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0, -1.0]),
+    st.integers(),
+)
+_VALUES = st.one_of(_NUMBERS, st.sampled_from(["inf", "-inf", "nan", "1e400", "abc", ""]), st.text(max_size=6))
+
+
+@st.composite
+def _specs(draw):
+    family = draw(st.one_of(st.sampled_from(sorted(_FAMILY_PARAMS)), st.text(max_size=12)))
+    names = _FAMILY_PARAMS.get(family, ("a", "b"))
+    values = {name: _VALUES for name in names}
+    if "base" in values:
+        values["base"] = st.one_of(
+            _VALUES, st.builds(lambda v: {"family": "exponential", "params": {"lambda": v}}, _VALUES)
+        )
+    # optional keys: any subset of the parameters may be missing
+    return {"family": family, "params": draw(st.fixed_dictionaries({}, optional=values))}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_specs())
+def test_any_json_spec_exits_cleanly(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = run(["measure", "--dist", str(path), "--measure", "crex-min", "--n", "2"])
+    capsys.readouterr()
+    assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from extropy.errors import (
     QuantileOutOfRange,
     SchemaError,
 )
+from extropy.orderstats import MaxOrder, MinOrder
 
 from conftest import ALL_FAMILIES, BOUNDED, FINITE_MEAN, ids
 
@@ -273,6 +275,55 @@ def test_affine_rejects_bad_parameters():
 def test_parameter_domains_rejected(make):
     with pytest.raises(ParamDomainError):
         make()
+
+
+_VALID_ARGS = [
+    (Uniform, (0.5, 2.0)),
+    (FiniteRange, (1.0, 2.0)),
+    (Weibull, (1.0, 2.0)),
+    (Exponential, (1.0,)),
+    (FoldedCramer, (1.0,)),
+    (Pareto, (1.0, 2.0)),
+    (GPD, (1.0, 0.5)),
+    (Power, (1.0, 2.0)),
+]
+_NON_FINITE_CASES = [
+    (cls, args[:i] + (bad,) + args[i + 1 :])
+    for cls, args in _VALID_ARGS
+    for i in range(len(args))
+    for bad in (math.inf, -math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize(
+    "cls,args", _NON_FINITE_CASES, ids=[f"{c.__name__}{a}" for c, a in _NON_FINITE_CASES]
+)
+def test_non_finite_parameters_rejected(cls, args):
+    with pytest.raises(ParamDomainError):
+        cls(*args)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_affine_and_mixture_reject_non_finite_parameters(bad):
+    u = Uniform(0, 1)
+    with pytest.raises(InvalidScale):
+        u.affine(bad, 0.0)
+    with pytest.raises(ParamDomainError):
+        u.affine(1.0, bad)
+    with pytest.raises(BadWeights):
+        Mixture([(bad, u)])
+    with pytest.raises(BadWeights):
+        Mixture([(bad, u), (1.0, Uniform(0, 2))])
+
+
+_WITH_EXTREMES = [e for d in ALL_FAMILIES for e in (d, MinOrder(d, 3), MaxOrder(d, 3))]
+
+
+@pytest.mark.parametrize("d", _WITH_EXTREMES, ids=ids(_WITH_EXTREMES))
+def test_cdf_and_sf_at_infinity(d):
+    x = np.array([math.inf])
+    assert d.cdf(math.inf) == 1.0 == d.cdf_array(x)[0]
+    assert d.sf(math.inf) == 0.0 == d.sf_array(x)[0]
 
 
 def test_quantile_out_of_range():
