@@ -28,6 +28,8 @@ from .errors import (
 from .measures import (
     GridValue,
     MeasureValue,
+    _evaluate_batch,
+    _values,
     cpen,
     cpex,
     cpex_max,
@@ -41,7 +43,7 @@ from .measures import (
     evaluate_grid,
 )
 from .orderstats import MAX_N, kth_order
-from .quadrature import integrate
+from .quadrature import integrate_array
 
 BASE_TOL = 1e-7
 _INCONCLUSIVE_FRACTION = 0.10
@@ -268,7 +270,7 @@ def _cpex_on_window(d: Distribution, upper: float) -> tuple[float, float]:
     supports is only meaningful on a common window.
     """
     hi = d.support.upper
-    value, err = integrate(lambda x: d.cdf(x) ** 2, d.support.lower, min(upper, hi))
+    value, err = integrate_array(lambda x: d.cdf_array(x) ** 2, d.support.lower, min(upper, hi), d.breakpoints)
     if upper > hi:
         value += upper - hi
     return -0.5 * value, 0.5 * err
@@ -329,7 +331,7 @@ def check_mean_abs_diff(d: Distribution) -> CheckReport:
     if not d.support.bounded:
         raise UnboundedSupport("mean-absolute-difference inequality requires bounded support")
     b = d.support.upper
-    mad2, mad_err = integrate(lambda x: d.cdf(x) * d.sf(x), d.support.lower, b)
+    mad2, mad_err = integrate_array(lambda x: d.cdf_array(x) * d.sf_array(x), d.support.lower, b, d.breakpoints)
     mad = 2.0 * mad2
     cp = evaluate(d, cpex())
     mu = d.mean()
@@ -378,8 +380,7 @@ def check_crexmin_monotone_n(d: Distribution, ns: Sequence[int] = tuple(range(1,
     margins = []
     tol = BASE_TOL
     prev = None
-    for n in ns:
-        cur = evaluate(d, crex_min(n))
+    for n, cur in zip(ns, _values(_evaluate_batch(d, [crex_min(n) for n in ns]))):
         if prev is not None:
             margin, pt_tol = _pair(cur, prev)
             tol = max(tol, pt_tol)
@@ -392,19 +393,18 @@ def check_crexmin_mean_bound(d: Distribution, ns: Sequence[int] = tuple(range(1,
     """crex_min(n) >= -mean/2 (finite mean required)."""
     mu = d.mean()
     margins = []
-    for n in ns:
-        v = evaluate(d, crex_min(n))
+    for n, v in zip(ns, _values(_evaluate_batch(d, [crex_min(n) for n in ns]))):
         margins.append((v.value + 0.5 * mu, n))
     return _margins_report("crexmin-mean-bound", margins)
 
 
 def check_crexmin_vs_crex(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
     """crex_min(n) >= crex for every n >= 1."""
-    base = evaluate(d, crex())
+    base, *values = _values(_evaluate_batch(d, [crex()] + [crex_min(n) for n in ns]))
     margins = []
     tol = BASE_TOL
-    for n in ns:
-        margin, pt_tol = _pair(evaluate(d, crex_min(n)), base)
+    for n, v in zip(ns, values):
+        margin, pt_tol = _pair(v, base)
         tol = max(tol, pt_tol)
         margins.append((margin, n))
     return _margins_report("crexmin-vs-crex", margins, tol=tol)
@@ -412,46 +412,46 @@ def check_crexmin_vs_crex(d: Distribution, ns: Sequence[int] = tuple(range(1, 11
 
 def check_dcrex_bounds(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
     """Dynamic residual bounds: >= -mrl/2, nondecreasing in n, >= age-t parent value."""
-    margins: list[tuple[float, object]] = []
-    degenerate = 0
-    tol = BASE_TOL
-    curves = zip(
-        evaluate_grid(d, lambda t: dcrex_min(n, t), t_grid),
-        evaluate_grid(d, dcrex, t_grid),
-        evaluate_grid(d, lambda t: dcrex_min(n + 1, t), t_grid),
-    )
-    for t, (v, base, nxt) in zip(t_grid, curves):
-        try:
-            v = _value(v)
-            base = _value(base)
-            if d.has_finite_mean:
-                margins.append((v.value + 0.5 * d.mean_residual_life(t), ("mrl", t)))
-            margin, pt_tol = _pair(v, base)
-            tol = max(tol, pt_tol)
-            margins.append((margin, ("vs-parent", t)))
-            margin, pt_tol = _pair(_value(nxt), v)
-            tol = max(tol, pt_tol)
-            margins.append((margin, ("monotone-n", t)))
-        except (DegenerateTail, DegenerateHead):
-            degenerate += 1
-    return _margins_report(f"dcrex-bounds(n={n})", margins, degenerate, tol)
+    return _dynamic_bounds(d, n, t_grid, "residual")
 
 
 def check_dcpex_bounds(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
     """Dynamic past bounds: >= -eit/2, nondecreasing in n, >= age-t parent value."""
+    return _dynamic_bounds(d, n, t_grid, "past")
+
+
+def _dynamic_bounds(d: Distribution, n: int, t_grid: Sequence[float], side: str) -> CheckReport:
+    """The dcrex (side "residual", mean residual life) or dcpex (side "past", expected
+    inactivity time) bound suite.  The mrl or eit of every age comes from one
+    ``conditional_means`` call, and its error estimate joins the tolerance.
+    """
+    residual = side == "residual"
+    plain, extreme = (dcrex, dcrex_min) if residual else (dcpex, dcpex_max)
+    curves = list(
+        zip(
+            t_grid,
+            evaluate_grid(d, lambda t: extreme(n, t), t_grid),
+            evaluate_grid(d, plain, t_grid),
+            evaluate_grid(d, lambda t: extreme(n + 1, t), t_grid),
+        )
+    )
+    means: dict[float, tuple[float, float]] = {}
+    if not residual or d.has_finite_mean:
+        ages = [t for t, v, base, _ in curves if isinstance(v, MeasureValue) and isinstance(base, MeasureValue)]
+        values, errors = d.conditional_means(ages, side)
+        means = dict(zip(ages, zip(values.tolist(), errors.tolist())))
+    label = "mrl" if residual else "eit"
     margins: list[tuple[float, object]] = []
     degenerate = 0
     tol = BASE_TOL
-    curves = zip(
-        evaluate_grid(d, lambda t: dcpex_max(n, t), t_grid),
-        evaluate_grid(d, dcpex, t_grid),
-        evaluate_grid(d, lambda t: dcpex_max(n + 1, t), t_grid),
-    )
-    for t, (v, base, nxt) in zip(t_grid, curves):
+    for t, v, base, nxt in curves:
         try:
             v = _value(v)
             base = _value(base)
-            margins.append((v.value + 0.5 * d.expected_inactivity_time(t), ("eit", t)))
+            if t in means:
+                mean, mean_err = means[t]
+                margins.append((v.value + 0.5 * mean, (label, t)))
+                tol = max(tol, BASE_TOL + v.abs_error_estimate + 0.5 * mean_err)
             margin, pt_tol = _pair(v, base)
             tol = max(tol, pt_tol)
             margins.append((margin, ("vs-parent", t)))
@@ -460,7 +460,7 @@ def check_dcpex_bounds(d: Distribution, n: int, t_grid: Sequence[float]) -> Chec
             margins.append((margin, ("monotone-n", t)))
         except (DegenerateTail, DegenerateHead):
             degenerate += 1
-    return _margins_report(f"dcpex-bounds(n={n})", margins, degenerate, tol)
+    return _margins_report(f"{'dcrex' if residual else 'dcpex'}-bounds(n={n})", margins, degenerate, tol)
 
 
 def check_dcpexmax_monotone_t(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
@@ -492,12 +492,11 @@ def check_cpexmax_bounds(d: Distribution, ns: Sequence[int] = tuple(range(1, 11)
         raise UnboundedSupport("requires bounded support")
     b = d.support.upper
     mu = d.mean()
-    base = evaluate(d, cpex())
+    base, *values = _values(_evaluate_batch(d, [cpex()] + [cpex_max(n) for n in ns]))
     margins = []
     tol = BASE_TOL
     prev = None
-    for n in ns:
-        v = evaluate(d, cpex_max(n))
+    for n, v in zip(ns, values):
         margins.append((v.value + 0.5 * (b - mu), ("b-mu", n)))
         margin, pt_tol = _pair(v, base)
         tol = max(tol, pt_tol)
@@ -513,7 +512,7 @@ def check_cpexmax_bounds(d: Distribution, ns: Sequence[int] = tuple(range(1, 11)
 def check_equilibrium_identity(d: Distribution) -> CheckReport:
     """Extropy of the equilibrium distribution equals crex(X) / mean^2."""
     mu = d.mean()
-    value, err = integrate(lambda x: (d.sf(x) / mu) ** 2, d.support.lower, d.support.upper)
+    value, err = integrate_array(lambda x: (d.sf_array(x) / mu) ** 2, d.support.lower, d.support.upper, d.breakpoints)
     lhs = -0.5 * value
     rhs = evaluate(d, crex())
     diff = abs(lhs - rhs.value / mu**2)
@@ -528,11 +527,10 @@ def check_symmetry_duality(d: Uniform, t_grid: Sequence[float]) -> CheckReport:
     degenerate = 0
     b = d.support.upper
     lo = d.support.lower
-    for t in t_grid:
-        try:
-            past = evaluate(d, dcpex(t))
-            resid = evaluate(d, dcrex(lo + b - t))
-        except (DegenerateTail, DegenerateHead):
+    ts = list(t_grid)
+    values = _evaluate_batch(d, [dcpex(t) for t in ts] + [dcrex(lo + b - t) for t in ts])
+    for t, past, resid in zip(ts, values, values[len(ts) :]):
+        if not (isinstance(past, MeasureValue) and isinstance(resid, MeasureValue)):
             degenerate += 1
             continue
         diff = abs(past.value - resid.value)
@@ -548,12 +546,9 @@ def check_dcpex_shift_relation(
     y = d.affine(scale, shift)
     margins: list[tuple[float, object]] = []
     degenerate = 0
-    for t in t_grid:
-        ty = scale * t + shift
-        try:
-            lhs = evaluate(y, dcpex(ty))
-            rhs = evaluate(d, dcpex(t))
-        except (DegenerateTail, DegenerateHead):
+    lhs_values = _evaluate_batch(y, [dcpex(scale * t + shift) for t in t_grid])
+    for t, lhs, rhs in zip(t_grid, lhs_values, _evaluate_batch(d, [dcpex(t) for t in t_grid])):
+        if not (isinstance(lhs, MeasureValue) and isinstance(rhs, MeasureValue)):
             degenerate += 1
             continue
         diff = abs(lhs.value - scale * rhs.value)

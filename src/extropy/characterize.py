@@ -26,14 +26,19 @@ import numpy as np
 
 from .analysis import BASE_TOL, CheckReport
 from .distributions import Distribution
-from .errors import (
-    DegenerateHead,
-    DegenerateTail,
-    DivergentMean,
-    ExtropyError,
-    UnboundedSupport,
+from .errors import DivergentMean, ExtropyError, UnboundedSupport
+from .measures import (
+    Curve,
+    MeasureKind,
+    MeasureValue,
+    _evaluate_batch,
+    _values,
+    cpex,
+    cpex_max,
+    crex_min,
+    dcpex_max,
+    dcrex_min,
 )
-from .measures import Curve, cpex, cpex_max, crex_min, dcpex_max, dcrex_min, evaluate
 from .orderstats import min_order
 
 
@@ -87,15 +92,22 @@ def _gpd_lambda_from_c(c: float, n: int) -> float:
     return (1.0 / (2.0 * c) - 2.0 * n) / (2.0 * n - 1.0)
 
 
+def _ratios(d: Distribution, kinds: list[MeasureKind], side: str) -> list[float]:
+    """value / mrl (side "residual") or value / eit (side "past") at every nondegenerate age.
+
+    The values come from one batch, the means from one ``conditional_means`` call.
+    """
+    live = [(kind.t, v) for kind, v in zip(kinds, _evaluate_batch(d, kinds)) if isinstance(v, MeasureValue)]
+    means, _ = d.conditional_means([t for t, _ in live], side)
+    return [v.value / mean for (_, v), mean in zip(live, means.tolist())]
+
+
 def gpd_ratio_test(d: Distribution, n: int, t_grid: Sequence[float]) -> CharacterizationResult:
     """Constant ratio of minima residual extropy to mean residual life => GPD."""
-    ratios = []
-    for t in t_grid:
-        try:
-            v = evaluate(d, dcrex_min(n, t)).value
-            ratios.append(v / d.mean_residual_life(t))
-        except (DegenerateTail, DegenerateHead, DivergentMean):
-            continue
+    try:
+        ratios = _ratios(d, [dcrex_min(n, t) for t in t_grid], "residual")
+    except DivergentMean:
+        ratios = []
     if not ratios:
         return CharacterizationResult("NotConstant", math.nan, math.nan)
     arr = np.asarray(ratios)
@@ -145,13 +157,7 @@ def power_ratio_test(d: Distribution, n: int, t_grid: Sequence[float]) -> Charac
     """Constant ratio of maxima past extropy to expected inactivity time => power."""
     if not d.support.bounded:
         raise UnboundedSupport("power characterization requires bounded support")
-    ratios = []
-    for t in t_grid:
-        try:
-            v = evaluate(d, dcpex_max(n, t)).value
-            ratios.append(v / d.expected_inactivity_time(t))
-        except (DegenerateTail, DegenerateHead):
-            continue
+    ratios = _ratios(d, [dcpex_max(n, t) for t in t_grid], "past")
     if not ratios:
         return CharacterizationResult("NotConstant", math.nan, math.nan)
     arr = np.asarray(ratios)
@@ -186,24 +192,26 @@ def family_equality_check(
     mode="LocationScale": past extropy of maxima normalized by the parent's.
     Holds is finite-schedule evidence of same-family membership, not proof.
     """
-    margins: list[tuple[float, object]] = []
+    if mode not in ("Location", "Scale", "LocationScale"):
+        raise ExtropyError(f"unknown mode {mode!r}")
     if mode == "Scale":
         for d in (d1, d2):
             s = d.support
             if s.lower != 0.0 or s.bounded:
                 raise UnboundedSupport("Scale mode requires both supports to be [0, inf)")
-    for n in schedule.orders:
-        if mode == "Location":
-            a = evaluate(d1, crex_min(n)).value
-            b = evaluate(d2, crex_min(n)).value
-        elif mode == "Scale":
-            a = evaluate(d1, crex_min(n)).value / min_order(d1, n).mean()
-            b = evaluate(d2, crex_min(n)).value / min_order(d2, n).mean()
-        elif mode == "LocationScale":
-            a = evaluate(d1, cpex_max(n)).value / evaluate(d1, cpex()).value
-            b = evaluate(d2, cpex_max(n)).value / evaluate(d2, cpex()).value
-        else:
-            raise ExtropyError(f"unknown mode {mode!r}")
+    orders = schedule.orders
+
+    def summaries(d: Distribution) -> list[float]:
+        if mode == "LocationScale":
+            base, *values = _values(_evaluate_batch(d, [cpex()] + [cpex_max(n) for n in orders]))
+            return [v.value / base.value for v in values]
+        values = _values(_evaluate_batch(d, [crex_min(n) for n in orders]))
+        if mode == "Scale":
+            return [v.value / min_order(d, n).mean() for v, n in zip(values, orders)]
+        return [v.value for v in values]
+
+    margins: list[tuple[float, object]] = []
+    for n, a, b in zip(orders, summaries(d1), summaries(d2)):
         scale = max(abs(a), abs(b), 1e-12)
         margins.append((tolerance - abs(a - b) / scale, n))
     worst_margin, worst_point = min(margins, key=lambda mp: mp[0])

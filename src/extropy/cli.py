@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, characterize as chz, distributions, estimators, measures
 from .distributions import Distribution, PiecewiseBounded, TwoExpMax, from_spec
 from .errors import ExtropyError, UsageError
-from .measures import Curve, MeasureKind, curve as eval_curve, dcpex, dcrex, evaluate
+from .measures import Curve, MeasureKind, _evaluate_batch, _values, curve as eval_curve, dcpex, dcrex, evaluate
 from .orderstats import kth_order, max_order, min_order
 
 _MEASURE_NAMES = sorted(measures.ALL_KINDS)
@@ -246,13 +246,11 @@ def reproduce_figure(figure: str, points: int = FIGURE_POINTS) -> tuple[list[flo
     if figure == "2.1":
         d = TwoExpMax()
         us = list(np.linspace(0.0, 1.0, points + 2)[1:-1])
-        values = [evaluate(d, dcrex(-math.log(u))).value for u in us]
-        return us, values
+        return us, [v.value for v in _values(_evaluate_batch(d, [dcrex(-math.log(u)) for u in us]))]
     if figure == "3.1":
         d = PiecewiseBounded()
         ts = list(np.linspace(1.0, 2.0, points + 2)[1:-1])
-        values = [evaluate(d, dcpex(t)).value for t in ts]
-        return ts, values
+        return ts, [v.value for v in _values(_evaluate_batch(d, [dcpex(t) for t in ts]))]
     raise UsageError(f"unknown figure {figure!r}; expected 2.1 or 3.1")
 
 

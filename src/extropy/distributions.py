@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from math import exp, inf
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     QuantileOutOfRange,
     SchemaError,
 )
-from .quadrature import integrate
+from .quadrature import integrate_array, integrate_panels
 
 #: sf/cdf below this is treated as degenerate rather than extrapolated.
 DEGENERATE_EPS = 1e-13
@@ -98,6 +98,10 @@ class Distribution(ABC):
     def sf_array(self, x: np.ndarray) -> np.ndarray:
         """``sf`` at every element of a float64 array; a family that overrides ``sf`` overrides this."""
         return 1.0 - self.cdf_array(x)
+
+    def pdf_array(self, x: np.ndarray) -> np.ndarray:
+        """``pdf`` at every element of a float64 array."""
+        return np.array([self.pdf(v) for v in x.tolist()], dtype=np.float64)
 
     #: True when the mean integral converges.
     has_finite_mean: bool = True
@@ -177,25 +181,45 @@ class Distribution(ABC):
     def mean(self) -> float:
         if not self.has_finite_mean:
             raise DivergentMean(f"{self!r} has no finite mean")
-        lo, hi = self.support.lower, self.support.upper
-        value, _ = integrate(self.sf, lo, hi)
+        lo = self.support.lower
+        value, _ = integrate_array(self.sf_array, lo, self.support.upper, self.breakpoints)
         return lo + value
 
     def mean_residual_life(self, t: float) -> float:
-        if not self.has_finite_mean:
-            raise DivergentMean(f"{self!r} has no finite mean")
-        s = self.sf(t)
-        if s <= DEGENERATE_EPS:
-            raise DegenerateTail(f"sf({t}) is zero")
-        value, _ = integrate(self.sf, t, self.support.upper)
-        return value / s
+        return float(self.conditional_means([t], "residual")[0][0])
 
     def expected_inactivity_time(self, t: float) -> float:
-        c = self.cdf(t)
-        if c <= DEGENERATE_EPS:
-            raise DegenerateHead(f"cdf({t}) is zero")
-        value, _ = integrate(self.cdf, self.support.lower, t)
-        return value / c
+        return float(self.conditional_means([t], "past")[0][0])
+
+    def conditional_means(self, ts: Sequence[float], side: str) -> tuple[np.ndarray, np.ndarray]:
+        """``mean_residual_life`` (side "residual") or ``expected_inactivity_time`` (side "past")
+        at every age of ts, with their abs error estimates.
+
+        A family's own closed form is used where it has one, with error 0.
+        Otherwise every age is one integral, int_t^hi sf / sf(t) or
+        int_lo^t cdf / cdf(t), split at the breakpoints, and all of them
+        go to one ``integrate_panels`` call.
+        """
+        if side not in ("residual", "past"):
+            raise ValueError(f"side must be residual|past, got {side!r}")
+        residual = side == "residual"
+        name = "mean_residual_life" if residual else "expected_inactivity_time"
+        scalar = getattr(type(self), name)
+        if scalar is not getattr(Distribution, name):
+            return np.array([scalar(self, t) for t in ts], dtype=np.float64), np.zeros(len(ts))
+        if residual and not self.has_finite_mean:
+            raise DivergentMean(f"{self!r} has no finite mean")
+        levels = []
+        for t in ts:
+            level = self.sf(t) if residual else self.cdf(t)
+            if level <= DEGENERATE_EPS:
+                raise DegenerateTail(f"sf({t}) is zero") if residual else DegenerateHead(f"cdf({t}) is zero")
+            levels.append(level)
+        lo, hi = self.support.lower, self.support.upper
+        g = self.sf_array if residual else self.cdf_array
+        a, b = (ts, [hi] * len(ts)) if residual else ([lo] * len(ts), ts)
+        values, errors = integrate_panels(lambda x, rows: g(x.ravel()).reshape(x.shape), a, b, self.breakpoints)
+        return values / levels, errors / levels
 
     def affine(self, scale: float, shift: float) -> "Affine":
         return Affine(self, scale, shift)

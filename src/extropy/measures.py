@@ -3,9 +3,12 @@
 ``evaluate`` dispatches a :class:`MeasureKind` against a distribution:
 closed forms from the catalog when the (family, kind) pair has one, adaptive
 quadrature otherwise.  The catalog contains only formulas with an exact
-derivation; everything else is integrated numerically, split at the
-distribution's breakpoints.  ``evaluate_grid`` gives a dynamic measure on a
-whole increasing age grid from one sweep of short panels.
+derivation; everything else is integrated numerically by the batched engine
+``quadrature.integrate_panels``, split at the distribution's breakpoints.
+``evaluate`` is a batch of one of ``_evaluate_batch``, which integrates many
+kinds in one engine call and gives each the bits ``evaluate`` gives it.
+``evaluate_grid`` gives a dynamic measure on a whole increasing age grid from
+one sweep of short panels.
 
 Sign conventions: the extropy family (extropy, crex, cpex and the dynamic
 versions) is always <= 0; the entropy analogues (cren, cpen) are >= 0.
@@ -42,7 +45,7 @@ from .errors import (
     UnboundedSupport,
     VanishingDensity,
 )
-from .quadrature import integrate, integrate_panels
+from .quadrature import integrate_array, integrate_panels
 
 RESIDUAL_KINDS = frozenset({"extropy", "cren", "crex", "crex-min", "dcrex", "dcrex-min"})
 PAST_KINDS = frozenset({"cpen", "cpex", "cpex-max", "dcpex", "dcpex-max"})
@@ -65,6 +68,8 @@ class MeasureKind:
             raise ExtropyError(f"order n must be >= 1, got {self.n}")
         if self.name in DYNAMIC_KINDS and self.t is None:
             raise ExtropyError(f"{self.name} requires an age t")
+        if self.t is not None and math.isnan(self.t):
+            raise ExtropyError(f"{self.name} requires an age t that is a number, got nan")
 
 
 def extropy() -> MeasureKind:
@@ -130,54 +135,67 @@ class MeasureValue:
 # ---------------------------------------------------------------------------
 
 
-def _cf_crex_min(d: Distribution, n: int, t: Optional[float] = None) -> Optional[float]:
+def _cf_crex_min(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
     if isinstance(d, Uniform):
-        return -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
-    if isinstance(d, FiniteRange):
-        return -1.0 / (2.0 * d.a * (1.0 + 2.0 * n * d.b))
-    if isinstance(d, Weibull):
-        return -math.gamma(1.0 / d.theta) / (2.0 * d.theta * (2.0 * n * d.lam) ** (1.0 / d.theta))
-    if isinstance(d, Exponential):
-        return -1.0 / (4.0 * n * d.lam)
-    if isinstance(d, FoldedCramer):
-        return -1.0 / (2.0 * (2.0 * n - 1.0) * d.theta)
-    if isinstance(d, Pareto):
-        return -d.lam / (2.0 * (2.0 * n * d.theta - 1.0))
-    return None
+        value = -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
+    elif isinstance(d, FiniteRange):
+        value = -1.0 / (2.0 * d.a * (1.0 + 2.0 * n * d.b))
+    elif isinstance(d, Weibull):
+        value = -math.gamma(1.0 / d.theta) / (2.0 * d.theta * (2.0 * n * d.lam) ** (1.0 / d.theta))
+    elif isinstance(d, Exponential):
+        value = -1.0 / (4.0 * n * d.lam)
+    elif isinstance(d, FoldedCramer):
+        value = -1.0 / (2.0 * (2.0 * n - 1.0) * d.theta)
+    elif isinstance(d, Pareto):
+        value = -d.lam / (2.0 * (2.0 * n * d.theta - 1.0))
+    else:
+        return None
+    return lambda t: value
 
 
-def _cf_dcrex_min(d: Distribution, n: int, t: float) -> Optional[float]:
+def _cf_dcrex_min(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
     if isinstance(d, GPD):
-        return -(d.theta + d.lam * t) / (2.0 * (2.0 * n * (1.0 + d.lam) - d.lam))
+        den = 2.0 * (2.0 * n * (1.0 + d.lam) - d.lam)
+        return lambda t: -(d.theta + d.lam * t) / den
     if isinstance(d, Exponential):
-        return -1.0 / (4.0 * n * d.lam)
+        value = -1.0 / (4.0 * n * d.lam)
+        return lambda t: value
     if isinstance(d, FiniteRange):
-        return -((1.0 + d.b) / (1.0 + 2.0 * n * d.b)) * d.mean_residual_life(t) / 2.0
+        factor = -((1.0 + d.b) / (1.0 + 2.0 * n * d.b))
+        return lambda t: factor * d.mean_residual_life(t) / 2.0
     if isinstance(d, Pareto) and n == 1:
-        return -(d.lam + t) / (4.0 * d.theta - 2.0)
+        den = 4.0 * d.theta - 2.0
+        return lambda t: -(d.lam + t) / den
     return None
 
 
-def _cf_cpex_max(d: Distribution, n: int, t: Optional[float] = None) -> Optional[float]:
+def _cf_cpex_max(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
     if isinstance(d, Power):
-        return -d.b / (2.0 * (2.0 * n * d.c + 1.0))
+        value = -d.b / (2.0 * (2.0 * n * d.c + 1.0))
+    elif isinstance(d, Uniform):
+        value = -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
+    else:
+        return None
+    return lambda t: value
+
+
+def _cf_dcpex_max(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
+    # the formulas hold inside the support only
+    if isinstance(d, Power):
+        den = 2.0 * (2.0 * n * d.c + 1.0)
+        return lambda t: -t / den if t <= d.b else None
     if isinstance(d, Uniform):
-        return -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
+        den = 2.0 * (2.0 * n + 1.0)
+        return lambda t: -(t - d.a) / den if t <= d.b else None
     return None
 
 
-def _cf_dcpex_max(d: Distribution, n: int, t: float) -> Optional[float]:
-    if isinstance(d, Power) and t <= d.b:
-        return -t / (2.0 * (2.0 * n * d.c + 1.0))
-    if isinstance(d, Uniform) and t <= d.b:
-        return -(t - d.a) / (2.0 * (2.0 * n + 1.0))
-    return None
-
-
-#: kind name -> catalog lookup (d, n, t) -> closed-form value or None.  A plain
+#: kind name -> catalog lookup (d, n) -> None, or the closed form as a function
+#: of the age t (None at an age where it does not hold).  Whether a (family,
+#: kind, n) has an entry is decided once per lookup, not once per age.  A plain
 #: kind at order n integrates the same (sf or cdf)^{2n} as its extreme-order
 #: kind, so both look up the same closed form.
-_CATALOG: dict[str, Callable[[Distribution, int, Optional[float]], Optional[float]]] = {
+_CATALOG: dict[str, Callable[[Distribution, int], Optional[Callable[[Optional[float]], Optional[float]]]]] = {
     "crex": _cf_crex_min,
     "crex-min": _cf_crex_min,
     "dcrex": _cf_dcrex_min,
@@ -189,9 +207,9 @@ _CATALOG: dict[str, Callable[[Distribution, int, Optional[float]], Optional[floa
 }
 
 
-def _closed_form(d: Distribution, kind: MeasureKind) -> Optional[float]:
-    lookup = _CATALOG.get(kind.name)
-    return None if lookup is None else lookup(d, kind.n, kind.t)
+def _catalog_entry(d: Distribution, name: str, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
+    lookup = _CATALOG.get(name)
+    return None if lookup is None else lookup(d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,81 +222,110 @@ def _require_bounded(d: Distribution, kind: str) -> None:
         raise UnboundedSupport(f"{kind} requires a finite upper support endpoint")
 
 
-def _degenerate_age(d: Distribution, kind: MeasureKind) -> Optional[ExtropyError]:
-    """The error a dynamic measure raises at a conditioning age with zero mass."""
-    if kind.name.startswith("dcrex") and d.sf(kind.t) <= DEGENERATE_EPS:
-        return DegenerateTail(f"sf({kind.t}) is zero")
-    if kind.name.startswith("dcpex") and d.cdf(kind.t) <= DEGENERATE_EPS:
-        return DegenerateHead(f"cdf({kind.t}) is zero")
-    return None
+def _degenerate_age(d: Distribution, kind: MeasureKind) -> tuple[float, Optional[ExtropyError]]:
+    """A dynamic measure's conditioning level (sf or cdf at t), and the error it raises if that is zero."""
+    if kind.name.startswith("dcrex"):
+        level = d.sf(kind.t)
+        return level, DegenerateTail(f"sf({kind.t}) is zero") if level <= DEGENERATE_EPS else None
+    level = d.cdf(kind.t)
+    return level, DegenerateHead(f"cdf({kind.t}) is zero") if level <= DEGENERATE_EPS else None
 
 
-def _quadrature_value(d: Distribution, kind: MeasureKind) -> tuple[float, float]:
+def _entropy_density(g: np.ndarray) -> np.ndarray:
+    """-g log g, and 0 where g is 0."""
+    positive = g > 0.0
+    return np.where(positive, -g * np.log(np.where(positive, g, 1.0)), 0.0)
+
+
+def _evaluate_batch(
+    d: Distribution, kinds: Sequence[MeasureKind], force_quadrature: bool = False
+) -> list[GridValue]:
+    """``evaluate`` of every kind on d, the degenerate-age errors returned rather than raised.
+
+    Closed forms win where the catalog has one.  Every other kind is one
+    integral, and all of them go to one ``integrate_panels`` call; since the
+    engine's results do not depend on the batch, each element equals what
+    ``evaluate`` gives for that kind alone, bit for bit.  Any other error
+    (a past measure of an unbounded support) is raised.
+    """
+    out: list = [None] * len(kinds)
+    entries: dict[tuple[str, int], Optional[Callable[[Optional[float]], Optional[float]]]] = {}
     lo, hi = d.support.lower, d.support.upper
-    n, t = kind.n, kind.t
-    pts = d.breakpoints
+    jobs: list[tuple[int, float, float, str, int, float, float, float]] = []
+    for i, kind in enumerate(kinds):
+        name, t = kind.name, kind.t
+        level = 1.0
+        if name in DYNAMIC_KINDS:
+            level, degenerate = _degenerate_age(d, kind)
+            if degenerate is not None:
+                out[i] = degenerate
+                continue
+        if not force_quadrature:
+            key = (name, kind.n)
+            if key not in entries:
+                entries[key] = _catalog_entry(d, name, kind.n)
+            if entries[key] is not None and (cf := entries[key](t)) is not None:
+                out[i] = MeasureValue(cf, "closed-form", 0.0)
+                continue
+        # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b], times factor
+        a, b, beyond = lo, hi, 0.0
+        if name == "extropy":
+            source, p, factor = "pdf_array", 2, -0.5
+        elif name in ("cren", "cpen"):
+            source, p, factor = ("sf_array" if name == "cren" else "cdf_array"), 0, 1.0
+        else:
+            source, p, factor = ("sf_array" if name in RESIDUAL_KINDS else "cdf_array"), 2 * kind.n, -0.5
+        if name in ("cpen", "cpex", "cpex-max"):
+            _require_bounded(d, name)
+        elif name in ("dcrex", "dcrex-min"):
+            a = t
+        elif name in ("dcpex", "dcpex-max"):
+            b = min(t, hi)
+            beyond = t - hi if t > hi else 0.0  # cdf stays 1 beyond the support
+        jobs.append((i, a, b, source, p, level, factor, beyond))
+    if not jobs:
+        return out
 
-    if kind.name == "extropy":
-        value, err = integrate(lambda x: d.pdf(x) ** 2, lo, hi, pts)
-        return -0.5 * value, 0.5 * err
+    index, a, b, sources, exponents, levels, factors, beyonds = zip(*jobs)
+    # integrals with the same g and the same use of it (a power, or -g log g) share one call of g
+    uses = list(zip(sources, (p == 0 for p in exponents)))
+    groups = sorted(set(uses))
+    group = np.array([groups.index(use) for use in uses])
+    scale = np.array(levels)
+    powers = np.array(exponents, dtype=np.float64)
 
-    if kind.name == "cren":
+    def part(k: int, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        source, entropy = groups[k]
+        g = getattr(d, source)(x.ravel()).reshape(x.shape) / scale[rows, None]
+        return _entropy_density(g) if entropy else g ** powers[rows, None]
 
-        def integrand(x: float) -> float:
-            s = d.sf(x)
-            return -s * math.log(s) if s > 0.0 else 0.0
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if len(groups) == 1:
+            return part(0, x, rows)
+        fx = np.empty_like(x)
+        of_rows = group[rows]
+        for k in range(len(groups)):
+            sel = of_rows == k
+            fx[sel] = part(k, x[sel], rows[sel])
+        return fx
 
-        value, err = integrate(integrand, lo, hi, pts)
-        return value, err
+    values, errors = integrate_panels(f, a, b, d.breakpoints)
+    for i, factor, beyond, value, err in zip(index, factors, beyonds, values.tolist(), errors.tolist()):
+        out[i] = MeasureValue(factor * (value + beyond), "quadrature", abs(factor) * err)
+    return out
 
-    if kind.name == "cpen":
-        _require_bounded(d, "cpen")
 
-        def integrand(x: float) -> float:
-            F = d.cdf(x)
-            return -F * math.log(F) if F > 0.0 else 0.0
-
-        value, err = integrate(integrand, lo, hi, pts)
-        return value, err
-
-    if kind.name in ("crex", "crex-min"):
-        value, err = integrate(lambda x: d.sf(x) ** (2 * n), lo, hi, pts)
-        return -0.5 * value, 0.5 * err
-
-    if kind.name in ("cpex", "cpex-max"):
-        _require_bounded(d, kind.name)
-        value, err = integrate(lambda x: d.cdf(x) ** (2 * n), lo, hi, pts)
-        return -0.5 * value, 0.5 * err
-
-    if kind.name in ("dcrex", "dcrex-min"):
-        st = d.sf(t)
-        if st <= DEGENERATE_EPS:
-            raise DegenerateTail(f"sf({t}) is zero")
-        value, err = integrate(lambda x: (d.sf(x) / st) ** (2 * n), t, hi, pts)
-        return -0.5 * value, 0.5 * err
-
-    # dcpex / dcpex-max
-    Ft = d.cdf(t)
-    if Ft <= DEGENERATE_EPS:
-        raise DegenerateHead(f"cdf({t}) is zero")
-    value, err = integrate(lambda x: (d.cdf(x) / Ft) ** (2 * n), lo, min(t, hi), pts)
-    if t > hi:  # cdf stays 1 beyond the support
-        value += t - hi
-    return -0.5 * value, 0.5 * err
+def _values(results: Sequence[GridValue]) -> list[MeasureValue]:
+    """A batch's values; its first degenerate age raises, as ``evaluate`` raises there."""
+    for result in results:
+        if not isinstance(result, MeasureValue):
+            raise result
+    return list(results)
 
 
 def evaluate(d: Distribution, kind: MeasureKind, *, force_quadrature: bool = False) -> MeasureValue:
     """Evaluate one measure; closed form when cataloged, quadrature otherwise."""
-    if not force_quadrature:
-        cf = _closed_form(d, kind)
-        if cf is not None:
-            # closed forms still require a nondegenerate conditioning age
-            degenerate = _degenerate_age(d, kind)
-            if degenerate is not None:
-                raise degenerate
-            return MeasureValue(cf, "closed-form", 0.0)
-    value, err = _quadrature_value(d, kind)
-    return MeasureValue(value, "quadrature", err)
+    return _values(_evaluate_batch(d, [kind], force_quadrature))[0]
 
 
 def crex_min_quantile_form(d: Distribution, n: int) -> MeasureValue:
@@ -288,18 +335,18 @@ def crex_min_quantile_form(d: Distribution, n: int) -> MeasureValue:
     agree with ``evaluate(d, crex_min(n))`` within combined error estimates.
     """
 
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        # deep adaptive subdivision can round u to exactly 1; that endpoint
-        # corresponds to the lower support boundary
-        x = d.support.lower if u >= 1.0 else d.quantile(1.0 - u)
-        f = d.pdf(x)
-        if f <= 0.0 or math.isinf(f):
-            raise VanishingDensity(f"density degenerate at quantile(1-{u})")
+    def integrand(u: np.ndarray) -> np.ndarray:
+        q = 1.0 - u
+        # the scalar fallback's deep subdivision can round q to 0: the lower support end
+        x = np.full_like(u, d.support.lower)
+        x[q > 0.0] = d.quantile(q[q > 0.0])
+        f = d.pdf_array(x)
+        bad = ~((f > 0.0) & np.isfinite(f))
+        if bad.any():
+            raise VanishingDensity(f"density degenerate at quantile(1-{u[bad][0]})")
         return u ** (2 * n) / f
 
-    value, err = integrate(integrand, 0.0, 1.0)
+    value, err = integrate_array(integrand, 0.0, 1.0)
     return MeasureValue(-0.5 * value, "quadrature", 0.5 * err)
 
 
@@ -339,29 +386,22 @@ def curve(
     kind_for_t: Callable[[float], MeasureKind],
     t_grid: list[float] | tuple[float, ...],
 ) -> Curve:
-    """Evaluate a dynamic measure pointwise over a strictly increasing grid."""
+    """A dynamic measure over a strictly increasing grid: ``evaluate`` at every age, in one batch."""
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ExtropyError("t_grid must be strictly increasing")
     ts: list[float] = []
     values: list[float] = []
     skipped: list[float] = []
-    for t in t_grid:
-        try:
-            values.append(evaluate(d, kind_for_t(t)).value)
+    for t, result in zip(t_grid, _evaluate_batch(d, [kind_for_t(t) for t in t_grid])):
+        if isinstance(result, MeasureValue):
+            values.append(result.value)
             ts.append(t)
-        except (DegenerateTail, DegenerateHead):
+        else:
             skipped.append(t)
     return Curve(tuple(ts), tuple(values), tuple(skipped))
 
 
 GridValue = Union[MeasureValue, DegenerateTail, DegenerateHead]
-
-
-def _evaluate_or_degenerate(d: Distribution, kind: MeasureKind) -> GridValue:
-    try:
-        return evaluate(d, kind)
-    except (DegenerateTail, DegenerateHead) as exc:
-        return exc
 
 
 def evaluate_grid(
@@ -377,12 +417,12 @@ def evaluate_grid(
 
         D_i = int_{t_i}^{t_{i+1}} (S/S(t_i))^{2n} + (S(t_{i+1})/S(t_i))^{2n} D_{i+1},
 
-    so only D_m is a long (tail) integral.  The past side is the mirror
+    so only D_m runs to the upper support end.  The past side is the mirror
     image: it runs forward from the lower support end with (F/F(t_i))^{2n}
-    and adds t - hi past the support.  The short panels, split at the
-    breakpoints, are integrated together by ``integrate_panels`` on
-    ``sf_array``/``cdf_array``; the tail integral goes to ``integrate``.  Error estimates combine with the same
-    weights, which are at most 1.  Any other grid is evaluated pointwise.
+    and adds t - hi past the support.  The panels, D_m's included, are
+    integrated together by ``integrate_panels`` on ``sf_array``/``cdf_array``.
+    Error estimates combine with the same weights, which are at most 1.  Any
+    other grid is evaluated as ``evaluate`` would, in one batch.
     """
     kinds = [kind_for_t(t) for t in t_grid]
     ages = [kind.t for kind in kinds]
@@ -392,19 +432,19 @@ def evaluate_grid(
         or any((kind.name, kind.n) != (kinds[0].name, kinds[0].n) for kind in kinds)
         or any(b <= a for a, b in zip(ages, ages[1:]))
     ):
-        return [_evaluate_or_degenerate(d, kind) for kind in kinds]
+        return _evaluate_batch(d, kinds)
 
     residual = kinds[0].name.startswith("dcrex")
-    g = d.sf if residual else d.cdf
     p = 2 * kinds[0].n
+    closed_form = _catalog_entry(d, kinds[0].name, kinds[0].n)
     out: list = [None] * len(kinds)
     swept: list[int] = []  # ages left to quadrature
     levels: list[float] = []  # sf or cdf at those ages
     for i, kind in enumerate(kinds):
-        level = g(kind.t)
-        if level <= DEGENERATE_EPS:
-            out[i] = _degenerate_age(d, kind)
-        elif (cf := _closed_form(d, kind)) is not None:
+        level, degenerate = _degenerate_age(d, kind)
+        if degenerate is not None:
+            out[i] = degenerate
+        elif closed_form is not None and (cf := closed_form(kind.t)) is not None:
             out[i] = MeasureValue(cf, "closed-form", 0.0)
         else:
             swept.append(i)
@@ -412,16 +452,17 @@ def evaluate_grid(
     if not swept:
         return out
 
-    hi, pts = d.support.upper, d.breakpoints
+    lo, hi = d.support.lower, d.support.upper
     xs = [min(ages[i], hi) for i in swept]
-    if residual:
-        # panel j is [x_j, x_{j+1}] scaled by level j; the last age's tail alone
-        values, errors = _panels(d.sf_array, xs, levels[:-1], p, pts)
-        tail, tail_err = integrate(lambda y: (g(y) / levels[-1]) ** p, xs[-1], hi, pts)
-        values, errors = np.append(values, tail), np.append(errors, tail_err)
-    else:
-        # panel j is [x_{j-1}, x_j] scaled by level j, from x_0 = lo
-        values, errors = _panels(d.cdf_array, [d.support.lower] + xs, levels, p, pts)
+    # residual: panel j is [x_j, x_{j+1}], the last one [x_m, hi]; past: [x_{j-1}, x_j] from x_0 = lo
+    edges = np.array(xs + [hi] if residual else [lo] + xs)
+    scale = np.array(levels)
+    g = d.sf_array if residual else d.cdf_array
+
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (g(x.ravel()).reshape(x.shape) / scale[rows, None]) ** p
+
+    values, errors = integrate_panels(f, edges[:-1], edges[1:], d.breakpoints)
 
     acc = err = prev_level = 0.0
     for j in reversed(range(len(swept))) if residual else range(len(swept)):
@@ -432,30 +473,6 @@ def evaluate_grid(
         out[swept[j]] = MeasureValue(-0.5 * (acc + beyond), "quadrature", 0.5 * err)
         prev_level = level
     return out
-
-
-def _panels(
-    g: Callable[[np.ndarray], np.ndarray],
-    edges: Sequence[float],
-    levels: Sequence[float],
-    p: int,
-    pts: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """int_{e_j}^{e_{j+1}} (g/levels_j)^p for every j, split at the breakpoints, in one batch.
-
-    ``g`` is ``sf_array`` or ``cdf_array``.
-    """
-    edges = np.asarray(edges, dtype=np.float64)
-    knots = np.union1d(edges, [x for x in pts if edges[0] < x < edges[-1]])
-    panel = np.searchsorted(edges, knots[:-1], side="right") - 1
-    scale = np.asarray(levels, dtype=np.float64)[panel]
-
-    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return (g(x.ravel()).reshape(x.shape) / scale[rows, None]) ** p
-
-    values, errors = integrate_panels(f, knots[:-1], knots[1:])
-    m = len(edges) - 1
-    return np.bincount(panel, values, m), np.bincount(panel, errors, m)
 
 
 def sign_changes(values: tuple[float, ...] | list[float]) -> int:

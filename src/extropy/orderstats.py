@@ -90,7 +90,10 @@ class MinOrder(Distribution):
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
-        return self.parent.quantile(1.0 - _root(1.0 - p, self.n))
+        # 1 - (1 - p)^(1/n) without the cancellation that loses a small p; numpy's
+        # log1p and expm1 for a float too, which round otherwise than the C library's
+        q = -np.expm1(np.log1p(-p) / self.n)
+        return self.parent.quantile(q if isinstance(p, np.ndarray) else float(q))
 
     def hazard_rate(self, t: float) -> float:
         return self.n * self.parent.hazard_rate(t)

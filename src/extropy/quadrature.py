@@ -1,17 +1,22 @@
-"""Thin adaptive-quadrature wrapper used throughout the package.
+"""Adaptive Gauss-Kronrod quadrature: one batched numpy engine and a scalar fallback.
 
-Backed by QUADPACK (adaptive Gauss-Kronrod) via ``scipy.integrate.quad``
-with a relative target of 1e-9 and an absolute floor of 1e-14.  Breakpoints
-(kinks of the integrand) strictly inside the interval go to QUADPACK's QAGP,
-which starts from the pieces between them.  Infinite upper limits go through
-the QAGI transformation; if QUADPACK flags trouble there, we retry on a
-truncated interval and add the truncation remainder to the reported error
+``integrate_panels`` is the engine.  It integrates many independent
+integrals at once with QUADPACK's 21-point Gauss-Kronrod rule (qk21) and
+its error estimate, written in numpy: every integral is cut at the given
+breakpoints (kinks of the integrand), an infinite upper end is mapped to
+(0, 1] as in QUADPACK's QAGI, and each integral is accepted by QUADPACK's
+global rule, its summed error at most max(EPS_ABS, EPS_REL |value|), with a
+relative target of 1e-9 and an absolute floor of 1e-14.  Until then its
+largest-error pieces are bisected in the next batched pass.  An integral's
+result does not depend on what else is in the batch.
+
+``integrate`` is the scalar fallback for an integral the engine leaves open
+(an endpoint singularity it cannot resolve in _MAX_DEPTH passes), and the
+reference in tests.  It is QUADPACK via ``scipy.integrate.quad``: QAGP
+between breakpoints, QAGI for an infinite upper end, and, if QUADPACK flags
+trouble there, a truncated interval whose remainder is added to the error
 estimate.  scipy is imported at the first ``quad`` call, not with this
-module, so a process that never integrates never loads it.
-
-``integrate_panels`` applies QUADPACK's 21-point Gauss-Kronrod rule (qk21)
-to many panels in one numpy pass, with the same error estimate and targets;
-panels it cannot settle by bisection go to ``integrate``.
+module, so a process that never falls back never loads it.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ EPS_ABS = 1e-14
 EPS_REL = 1e-9
 _LIMIT = 256
 
-#: bisections of a panel before it goes to ``integrate``: at most _LIMIT pieces
-_MAX_DEPTH = 8
+#: batched bisection passes before an open integral goes to ``integrate``
+_MAX_DEPTH = 32
+#: equal pieces every segment of an integral starts from
+_START_PIECES = 4
 
 # QUADPACK dqk21: Kronrod nodes on [-1, 1] (xgk, the centre last), their
 # weights (wgk), and the weights (wg) of the 10-point Gauss rule on the
@@ -133,22 +140,66 @@ def _truncated_tail(f: Callable[[float], float], a: float) -> tuple[float, float
     return total, err + abs(piece)
 
 
-def _qk21(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """QUADPACK's dqk21 on every piece [lo_j, hi_j] at once: (values, abs_error_estimates)."""
+#: the start pieces' ends as fractions of their segment
+_START_SPLIT = np.arange(_START_PIECES + 1) / _START_PIECES
+
+
+def _start_pieces(a: np.ndarray, b: np.ndarray, points: Sequence[float]) -> np.ndarray:
+    """The first pieces of every integral with b_i > a_i, as the columns (row, mapped, lo, hi, origin).
+
+    Each integral is cut at the points inside it, and each segment into
+    _START_PIECES equal pieces.  The segment [c, inf)
+    of an infinite upper end is mapped to u in (0, 1] by x = c + (1 - u)/u:
+    its pieces are intervals of u (mapped = 1), with origin c.
+    """
+    cuts = sorted({float(p) for p in points if math.isfinite(p)})
+    lo, hi = a[:, None], b[:, None]
+    # a cut outside [a_i, b_i] is clipped to an end, where it makes an empty segment
+    edges = np.concatenate((lo, np.clip(np.array(cuts), lo, hi), hi), axis=1)
+    nonempty = edges[:, 1:] > edges[:, :-1]
+    rows = np.nonzero(nonempty)[0]
+    seg_lo, seg_hi = edges[:, :-1][nonempty], edges[:, 1:][nonempty]
+    mapped = np.isinf(seg_hi)
+    origin = seg_lo
+    if mapped.any():
+        seg_lo, seg_hi = np.where(mapped, 0.0, seg_lo), np.where(mapped, 1.0, seg_hi)
+    split = seg_lo[:, None] + (seg_hi - seg_lo)[:, None] * _START_SPLIT
+    split[:, -1] = seg_hi
+    pieces = np.empty((5, rows.size, _START_PIECES))
+    pieces[0], pieces[1], pieces[4] = rows[:, None], mapped[:, None], origin[:, None]
+    pieces[2], pieces[3] = split[:, :-1], split[:, 1:]
+    return pieces.reshape(5, -1)
+
+
+def _qk21(f: Callable[[np.ndarray, np.ndarray], np.ndarray], pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's dqk21 on every piece at once: (values, abs_error_estimates).
+
+    A mapped piece is an interval of u and integrates f(origin + (1 - u)/u) / u^2.
+    Row sums multiply and then ``sum`` along the row: a matrix product can
+    round a row differently depending on how many rows it multiplies.
+    """
+    rows, mapped, lo, hi, origin = pieces
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fx = f(centre[:, None] + half[:, None] * _NODES, rows)
-    resk = fx @ _KRONROD
-    resg = fx @ _GAUSS
-    resabs = np.abs(fx) @ _KRONROD * half
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _KRONROD * half
+    x = centre[:, None] + half[:, None] * _NODES
+    mapped = mapped != 0.0
+    if mapped.any():
+        u = x[mapped]
+        x[mapped] = origin[mapped, None] + (1.0 - u) / u
+        fx = f(x, rows.astype(np.intp))
+        fx[mapped] /= u * u
+    else:
+        fx = f(x, rows.astype(np.intp))
+    resk = (fx * _KRONROD).sum(axis=1)
+    resg = (fx * _GAUSS).sum(axis=1)
+    resabs = (np.abs(fx) * _KRONROD).sum(axis=1) * half
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1) * half
     err = np.abs((resk - resg) * half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    err = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum(50.0 * _EPMACH * resabs, err), err)
+    # dqk21's scaling of the Kronrod-Gauss difference, where both are nonzero
+    scale = (resasc != 0.0) & (err != 0.0)
+    err[scale] = resasc[scale] * np.minimum(1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    err[floor] = np.maximum(50.0 * _EPMACH * resabs[floor], err[floor])
     return resk * half, err
 
 
@@ -156,39 +207,71 @@ def integrate_panels(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: Sequence[float],
     b: Sequence[float],
+    points: Sequence[float] = (),
     max_depth: int = _MAX_DEPTH,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate m panels [a_i, b_i] at once; returns per-panel (values, abs_error_estimates).
+    """Integrate f over m intervals [a_i, b_i] at once; returns per-interval (values, abs_error_estimates).
 
     ``f(x, rows)`` evaluates the integrand elementwise on a node array ``x``
-    whose row j lies in panel ``rows[j]``.  Every panel goes through the qk21
-    rule in one batched pass, and is accepted when its error estimate is at
-    most max(EPS_ABS, EPS_REL |value|).  A panel that misses is bisected and
-    its pieces go to the next batched pass: a piece settles once its error
-    is within its length's share of the panel's target, so the settled
-    pieces of a panel never exceed that target.  Panels still open after
-    ``max_depth`` bisections are integrated by ``integrate`` instead.  A
-    panel with b_i <= a_i integrates to 0.
+    whose row j lies in integral ``rows[j]``.  Each integral is cut at the
+    ``points`` inside it, and each segment starts as _START_PIECES equal
+    pieces; an infinite b_i is mapped as in QUADPACK's QAGI.  Every piece
+    goes through the qk21 rule in one batched pass.  An integral is accepted
+    once the summed error of its pieces is at most max(EPS_ABS, EPS_REL
+    |value|); until then each of its pieces whose error exceeds half that
+    target over its piece count is bisected, and the halves go to the next
+    batched pass.  An integral still open after ``max_depth`` bisection
+    passes, or that would need more than _LIMIT pieces, is integrated whole
+    by ``integrate`` instead.  An integral with b_i <= a_i is 0.
+
+    Batch invariance: an integral's result does not depend on the other
+    integrals, because f is elementwise, row sums are taken row by row, each
+    integral's pieces are summed in an order that its own bisections fix, and
+    those bisections depend on its own pieces only.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m = a.size
-    value, error = np.zeros(m), np.zeros(m)
-    rows = np.flatnonzero(b > a)
-    lo, hi = a[rows], b[rows]
+    pieces = _start_pieces(a, b, points)
+    v, e = _qk21(f, pieces)
+    refining = np.ones(m, dtype=bool)
+    fallback: list[int] = []
     for depth in range(max_depth + 1):
-        if not rows.size:
+        rows = pieces[0].astype(np.intp)
+        total, total_err = np.bincount(rows, v, m), np.bincount(rows, e, m)
+        target = np.maximum(EPS_ABS, EPS_REL * np.abs(total))
+        refining &= ~(total_err <= target)  # a NaN error keeps refining, then falls back
+        if not refining.any():
             break
-        v, e = _qk21(f, lo, hi, rows)
-        target = np.maximum(EPS_ABS, EPS_REL * np.abs(value + np.bincount(rows, v, m)))
-        settled = e <= target[rows] * (hi - lo) / (b - a)[rows]
-        value += np.bincount(rows[settled], v[settled], m)
-        error += np.bincount(rows[settled], e[settled], m)
-        rows, lo, hi = rows[~settled], lo[~settled], hi[~settled]
+        count = np.bincount(rows, minlength=m)
+        split = refining[rows] & ~(e <= 0.5 * target[rows] / count[rows])
         if depth < max_depth:
-            mid = 0.5 * (lo + hi)
-            rows, lo, hi = np.concatenate((rows, rows)), np.concatenate((lo, mid)), np.concatenate((mid, hi))
-    for i in np.unique(rows).tolist():
+            give_up = refining & (count + np.bincount(rows[split], minlength=m) > _LIMIT)
+        else:
+            give_up = refining
+        if give_up.any():
+            fallback += np.flatnonzero(give_up).tolist()
+            refining &= ~give_up
+            split &= refining[rows]
+            if not split.any():
+                break
+        # kept pieces, then the halves: an integral's pieces keep an order
+        # that only its own bisections decide, and its sums follow that order
+        halves = np.repeat(pieces[:, split], 2, axis=1)
+        mid = 0.5 * (halves[2, ::2] + halves[3, ::2])
+        halves[3, ::2] = halves[2, 1::2] = mid
+        hv, he = _qk21(f, halves)
+        pieces = np.concatenate((pieces[:, ~split], halves), axis=1)
+        v, e = np.concatenate((v[~split], hv)), np.concatenate((e[~split], he))
+    for i in fallback:
         row = np.array([i])
-        value[i], error[i] = integrate(lambda y: float(f(np.array([[y]]), row)[0, 0]), a[i], b[i])
-    return value, error
+        total[i], total_err[i] = integrate(lambda y: float(f(np.array([[y]]), row)[0, 0]), a[i], b[i], points)
+    return total, total_err
+
+
+def integrate_array(
+    g: Callable[[np.ndarray], np.ndarray], a: float, b: float, points: Sequence[float] = ()
+) -> tuple[float, float]:
+    """Integrate an elementwise numpy function g of a 1-D array over [a, b]; as ``integrate``, through the engine."""
+    values, errors = integrate_panels(lambda x, rows: g(x.ravel()).reshape(x.shape), [a], [b], points)
+    return float(values[0]), float(errors[0])

@@ -307,6 +307,7 @@ def _fake_value(d, kind):
 )
 def test_margin_inside_error_bars_holds(check, monkeypatch):
     monkeypatch.setattr(analysis, "evaluate", _fake_value)
+    monkeypatch.setattr(analysis, "_evaluate_batch", lambda d, kinds: [_fake_value(d, kind) for kind in kinds])
     monkeypatch.setattr(analysis, "evaluate_grid", lambda d, kind_for_t, grid: [_fake_value(d, kind_for_t(t)) for t in grid])
     report = check()
     assert -1e-6 < report.worst_margin < -analysis.BASE_TOL

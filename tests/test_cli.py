@@ -95,6 +95,12 @@ def test_domain_error_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_nan_age_exits_one(exp1, capsys):
+    # an integral over [nan, inf) would otherwise come out empty, as 0
+    assert run(["measure", "--dist", exp1, "--measure", "dcrex", "--t", "nan", "--order", "2:3"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_unbounded_past_measure_exits_one(exp1, capsys):
     assert run(["measure", "--dist", exp1, "--measure", "cpex"]) == 1
 

@@ -453,3 +453,65 @@ def test_support_is_cached_and_equality_unchanged(d):
     assert fresh == d and hash(fresh) == hash(d)
     assert fresh.support == d.support  # caches it on fresh
     assert fresh == d and hash(fresh) == hash(d)
+
+
+# ---------------------------------------------------------------------------
+# conditional_means: mrl and eit with their error estimates
+# ---------------------------------------------------------------------------
+
+
+def _pb_cdf(x):
+    import mpmath as mp
+
+    if x <= 1:
+        return mp.exp(-mp.mpf(1) / 2 - 1 / x)
+    return mp.exp(-2 + x * x / 2) if x < 2 else mp.mpf(1)
+
+
+@pytest.mark.parametrize("t", [0.4, 1.0, 1.3, 1.62, 1.95])
+def test_integrated_means_hold_their_error_bars(t):
+    # the cdf's kink at x = 1 is a breakpoint of both integrals
+    import mpmath as mp
+
+    d = PiecewiseBounded()
+    with mp.workdps(30):
+        eit = mp.quad(_pb_cdf, [0, 1, t] if t > 1 else [0, t]) / _pb_cdf(mp.mpf(t))
+        mrl = mp.quad(lambda x: 1 - _pb_cdf(x), [t, 1, 2] if t < 1 else [t, 2]) / (1 - _pb_cdf(mp.mpf(t)))
+    for side, ref, scalar in (("past", eit, d.expected_inactivity_time), ("residual", mrl, d.mean_residual_life)):
+        (value,), (err,) = d.conditional_means([t], side)
+        assert abs(value - float(ref)) <= err + 1e-15, (side, value, float(ref), err)
+        assert scalar(t) == value
+    assert abs(d.mean() - float(mp.quad(lambda x: 1 - _pb_cdf(x), [0, 1, 2]))) <= 1e-14
+
+
+def test_conditional_means_use_closed_forms_and_batch_the_rest():
+    ts = [0.2, 0.5, 0.9]
+    values, errors = Uniform(0, 1).conditional_means(ts, "residual")
+    assert values.tolist() == [Uniform(0, 1).mean_residual_life(t) for t in ts] and not errors.any()
+    d = MinOrder(PiecewiseBounded(), 2)
+    values, errors = d.conditional_means(ts, "past")
+    assert values.tolist() == [d.expected_inactivity_time(t) for t in ts]
+    assert (errors > 0).all()
+    with pytest.raises(DivergentMean):
+        FoldedCramer(1).conditional_means(ts, "residual")
+    with pytest.raises(DegenerateHead):
+        d.conditional_means([0.0, 0.5], "past")
+    with pytest.raises(ValueError):
+        d.conditional_means(ts, "both")
+
+
+# ---------------------------------------------------------------------------
+# Extreme-order quantiles in the tails
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1e-17, 1e-12, 1e-6, 0.3])
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_min_order_quantile_keeps_small_probabilities(p, n):
+    # 1 - (1 - p)^(1/n) by -expm1(log1p(-p)/n): a small p keeps its digits
+    import mpmath as mp
+
+    with mp.workdps(40):
+        ref = float(-mp.log(1 - (1 - (1 - mp.mpf(p)) ** (mp.mpf(1) / n))))
+    got = MinOrder(Exponential(1), n).quantile(p)
+    assert math.isfinite(got) and got == pytest.approx(ref, rel=4 * np.finfo(float).eps)

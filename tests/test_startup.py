@@ -1,4 +1,4 @@
-"""Start-up cost: scipy is loaded only by a process that integrates.
+"""Start-up cost: scipy is loaded only by a process whose integral falls back to scalar QUADPACK.
 
 Each case runs ``cli.run(argv)`` in a fresh interpreter, because the test
 process has scipy loaded already (``tests/test_orderstats.py`` imports
@@ -33,7 +33,10 @@ CASES = [
     ("measure-closed-form", ["measure", "--dist", "{exp}", "--measure", "crex-min", "--n", "2"], False),
     ("estimate", ["estimate", "--samples", "{samples}", "--measure", "crex", "--n", "2"], False),
     ("characterize-gpd", ["characterize", "--dist", "{gpd}", "--model", "gpd"], False),
-    ("measure-quadrature", ["measure", "--dist", "{weibull}", "--measure", "dcrex-min", "--t", "0.7"], True),
+    ("measure-quadrature", ["measure", "--dist", "{weibull}", "--measure", "dcrex-min", "--t", "0.7"], False),
+    ("measure-order", ["measure", "--dist", "{exp}", "--measure", "dcrex", "--t", "0.7", "--order", "3:7"], False),
+    # pdf^2 ~ x^-1/2 at 0: the batched engine leaves it to the scalar fallback
+    ("measure-fallback", ["measure", "--dist", "{power}", "--measure", "extropy"], True),
 ]
 
 
@@ -43,6 +46,7 @@ def inputs(tmp_path):
         "exp": ("exponential", {"lambda": 1.5}),
         "gpd": ("gpd", {"theta": 1.0, "lambda": 0.5}),
         "weibull": ("weibull", {"lambda": 1.0, "theta": 2.0}),
+        "power": ("power", {"b": 3.0, "c": 0.75}),
     }
     paths = {}
     for name, (family, params) in specs.items():
