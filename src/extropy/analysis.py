@@ -29,6 +29,7 @@ from .measures import (
     GridValue,
     MeasureValue,
     _evaluate_batch,
+    _sweep,
     _values,
     cpen,
     cpex,
@@ -227,28 +228,27 @@ def check_korder_chains(
     side="residual": dynamic residual extropy of X_{k:n} dominates that of
     X_{k+1:n}, X_{k:n-1} and X_{k+1:n+1}.  side="past": the dual chain for
     dynamic past extropy (X_{k-1:n}, X_{k:n+1}, X_{k-1:n-1}).  Pairs with an
-    order outside 1 <= k <= n <= MAX_N are skipped.  Each distinct order's
-    curve is evaluated once, by one sweep over the grid.
+    order outside 1 <= k <= n <= MAX_N are skipped.  The curves of all the
+    distinct orders the chains reach come from one multi-curve sweep over
+    the grid, with one engine call.
     """
     if side not in ("residual", "past"):
         raise ValueError(f"side must be residual|past, got {side!r}")
     chains = _RESIDUAL_CHAIN if side == "residual" else _PAST_CHAIN
-    kind = dcrex if side == "residual" else dcpex
-    curves: dict[tuple[int, int], list] = {}
-
-    def curve_of(order: tuple[int, int]) -> list:
-        if order not in curves:
-            curves[order] = evaluate_grid(kth_order(d, *order), kind, t_grid)
-        return curves[order]
+    pairs = [
+        ((k1, n1), (k2, n2))
+        for (k1, n1), (k2, n2) in (chain(k, n) for chain in chains)
+        if 1 <= k1 <= n1 <= MAX_N and 1 <= k2 <= n2 <= MAX_N
+    ]
+    orders = list(dict.fromkeys(order for pair in pairs for order in pair))
+    name = "dcrex" if side == "residual" else "dcpex"
+    curves = dict(zip(orders, _sweep([(kth_order(d, *order), name, 1) for order in orders], t_grid)))
 
     margins: list[tuple[float, object]] = []
     degenerate = 0
     tol = BASE_TOL
-    for chain in chains:
-        (k1, n1), (k2, n2) = chain(k, n)
-        if not (1 <= k1 <= n1 <= MAX_N and 1 <= k2 <= n2 <= MAX_N):
-            continue
-        for t, a, b in zip(t_grid, curve_of((k1, n1)), curve_of((k2, n2))):
+    for (k1, n1), (k2, n2) in pairs:
+        for t, a, b in zip(t_grid, curves[(k1, n1)], curves[(k2, n2)]):
             if not (isinstance(a, MeasureValue) and isinstance(b, MeasureValue)):
                 degenerate += 1
                 continue
@@ -422,19 +422,14 @@ def check_dcpex_bounds(d: Distribution, n: int, t_grid: Sequence[float]) -> Chec
 
 def _dynamic_bounds(d: Distribution, n: int, t_grid: Sequence[float], side: str) -> CheckReport:
     """The dcrex (side "residual", mean residual life) or dcpex (side "past", expected
-    inactivity time) bound suite.  The mrl or eit of every age comes from one
-    ``conditional_means`` call, and its error estimate joins the tolerance.
+    inactivity time) bound suite.  Its three curves (extreme order at n, the
+    plain measure, extreme order at n + 1) come from one multi-curve sweep.
+    The mrl or eit of every age comes from one ``conditional_means`` call,
+    and its error estimate joins the tolerance.
     """
     residual = side == "residual"
-    plain, extreme = (dcrex, dcrex_min) if residual else (dcpex, dcpex_max)
-    curves = list(
-        zip(
-            t_grid,
-            evaluate_grid(d, lambda t: extreme(n, t), t_grid),
-            evaluate_grid(d, plain, t_grid),
-            evaluate_grid(d, lambda t: extreme(n + 1, t), t_grid),
-        )
-    )
+    plain, extreme = ("dcrex", "dcrex-min") if residual else ("dcpex", "dcpex-max")
+    curves = list(zip(t_grid, *_sweep([(d, extreme, n), (d, plain, 1), (d, extreme, n + 1)], t_grid)))
     means: dict[float, tuple[float, float]] = {}
     if not residual or d.has_finite_mean:
         ages = [t for t, v, base, _ in curves if isinstance(v, MeasureValue) and isinstance(base, MeasureValue)]

@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import BASE_TOL, CheckReport
+from . import analysis
+from .analysis import CheckReport
 from .distributions import Distribution
 from .errors import DivergentMean, ExtropyError, UnboundedSupport
 from .measures import (
@@ -215,5 +216,6 @@ def family_equality_check(
         scale = max(abs(a), abs(b), 1e-12)
         margins.append((tolerance - abs(a - b) / scale, n))
     worst_margin, worst_point = min(margins, key=lambda mp: mp[0])
-    verdict = "Holds" if worst_margin >= -BASE_TOL else "Fails"
+    # read at call time, so a CLI --tol override reaches this check too
+    verdict = "Holds" if worst_margin >= -analysis.BASE_TOL else "Fails"
     return CheckReport(f"family-equality({mode})", verdict, worst_margin, worst_point, len(margins))

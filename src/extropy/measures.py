@@ -8,7 +8,9 @@ derivation; everything else is integrated numerically by the batched engine
 ``evaluate`` is a batch of one of ``_evaluate_batch``, which integrates many
 kinds in one engine call and gives each the bits ``evaluate`` gives it.
 ``evaluate_grid`` gives a dynamic measure on a whole increasing age grid from
-one sweep of short panels.
+one sweep of short panels.  It is one curve of ``_sweep``, which sweeps
+several curves (distribution, dynamic kind, n) on one age grid in one engine
+call, with every curve's levels from one ``sf_array``/``cdf_array`` call.
 
 Sign conventions: the extropy family (extropy, crex, cpex and the dynamic
 versions) is always <= 0; the entropy analogues (cren, cpen) are >= 0.
@@ -411,67 +413,146 @@ def evaluate_grid(
 ) -> list[GridValue]:
     """A dynamic measure at every age of a grid: what ``evaluate`` returns or raises there.
 
-    Closed forms win pointwise.  On a strictly increasing grid the remaining
-    ages t_1 < ... < t_m share one sweep of short panels.  Residual side, with
-    D_i = int_{t_i}^{hi} (S/S(t_i))^{2n}:
+    A grid of one dynamic kind at one order is a single curve of the
+    multi-curve sweep ``_sweep``: levels from one ``sf_array``/``cdf_array``
+    call, closed forms pointwise, and on a strictly increasing grid one
+    engine call for the short panels between neighbouring ages.  Any other
+    grid (mixed kinds or orders, or a static kind) is evaluated as
+    ``evaluate`` would, in one batch.
+    """
+    kinds = [kind_for_t(t) for t in t_grid]
+    if (
+        not kinds
+        or kinds[0].name not in DYNAMIC_KINDS
+        or any((kind.name, kind.n) != (kinds[0].name, kinds[0].n) for kind in kinds)
+    ):
+        return _evaluate_batch(d, kinds)
+    return _sweep([(d, kinds[0].name, kinds[0].n)], [kind.t for kind in kinds])[0]
+
+
+def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float]) -> list[list[GridValue]]:
+    """Several dynamic-measure curves on one age grid, in one engine call.
+
+    A curve is (distribution, dynamic kind name, n).  Element [c][i] is what
+    ``evaluate`` returns or raises for curve c at ages[i].  Each curve's
+    levels (sf or cdf at every age, which also decide the degenerate ages)
+    come from one ``sf_array``/``cdf_array`` call per distinct
+    (distribution, side), and its closed form is looked up once; closed
+    forms win pointwise.  On a strictly increasing grid the remaining
+    ages t_1 < ... < t_m of a curve share one sweep of short panels.
+    Residual side, with D_i = int_{t_i}^{hi} (S/S(t_i))^{2n}:
 
         D_i = int_{t_i}^{t_{i+1}} (S/S(t_i))^{2n} + (S(t_{i+1})/S(t_i))^{2n} D_{i+1},
 
     so only D_m runs to the upper support end.  The past side is the mirror
     image: it runs forward from the lower support end with (F/F(t_i))^{2n}
-    and adds t - hi past the support.  The panels, D_m's included, are
-    integrated together by ``integrate_panels`` on ``sf_array``/``cdf_array``.
-    Error estimates combine with the same weights, which are at most 1.  Any
-    other grid is evaluated as ``evaluate`` would, in one batch.
-    """
-    kinds = [kind_for_t(t) for t in t_grid]
-    ages = [kind.t for kind in kinds]
-    if (
-        not kinds
-        or kinds[0].name not in DYNAMIC_KINDS
-        or any((kind.name, kind.n) != (kinds[0].name, kinds[0].n) for kind in kinds)
-        or any(b <= a for a, b in zip(ages, ages[1:]))
-    ):
-        return _evaluate_batch(d, kinds)
+    and adds t - hi past the support.  Error estimates combine with the same
+    weights, which are at most 1.
 
-    residual = kinds[0].name.startswith("dcrex")
-    p = 2 * kinds[0].n
-    closed_form = _catalog_entry(d, kinds[0].name, kinds[0].n)
-    out: list = [None] * len(kinds)
-    swept: list[int] = []  # ages left to quadrature
-    levels: list[float] = []  # sf or cdf at those ages
-    for i, kind in enumerate(kinds):
-        level, degenerate = _degenerate_age(d, kind)
-        if degenerate is not None:
-            out[i] = degenerate
-        elif closed_form is not None and (cf := closed_form(kind.t)) is not None:
-            out[i] = MeasureValue(cf, "closed-form", 0.0)
-        else:
-            swept.append(i)
-            levels.append(level)
-    if not swept:
+    The panels of every curve go to one ``integrate_panels`` call, so the
+    curves must share breakpoints (an order statistic forwards its
+    parent's).  Each pass calls every distinct (distribution, side) once and
+    raises each curve's rows to that curve's own int power, so a curve gets
+    the bits it gets when swept alone.  A grid that is not strictly
+    increasing, or holds a nan, is evaluated curve by curve as ``evaluate``
+    would, in one batch each.
+    """
+    ages = list(ages)
+    if any(math.isnan(t) for t in ages) or any(b <= a for a, b in zip(ages, ages[1:])):
+        return [_evaluate_batch(d, [MeasureKind(name, n, t) for t in ages]) for d, name, n in curves]
+    if not ages:
+        return [[] for _ in curves]
+    grid = np.array(ages, dtype=np.float64)
+    # by (id of the distribution, residual side): sf_array or cdf_array, its
+    # levels at every age, and the powers that swept curves raise it to
+    sources: dict[tuple[int, bool], tuple[Callable[[np.ndarray], np.ndarray], list[float], list[int]]] = {}
+    out: list[list] = []
+    jobs: list[tuple[int, list[int], list[float], int, bool, float]] = []  # the curves with swept ages
+    a: list[np.ndarray] = []
+    b: list[np.ndarray] = []
+    row_source: list[int] = []  # per panel: its source, power and level
+    row_power: list[int] = []
+    row_level: list[float] = []
+    points = None
+    for c, (d, name, n) in enumerate(curves):
+        MeasureKind(name, n, ages[0])  # the kind and order are valid
+        residual = name.startswith("dcrex")
+        key = (id(d), residual)
+        if key not in sources:
+            g = d.sf_array if residual else d.cdf_array
+            sources[key] = (g, g(grid).tolist(), [])
+        level, powers = sources[key][1:]
+        closed_form = _catalog_entry(d, name, n)
+        values: list = [None] * len(ages)
+        swept: list[int] = []
+        for i, (t, lv) in enumerate(zip(ages, level)):
+            if lv <= DEGENERATE_EPS:
+                values[i] = DegenerateTail(f"sf({t}) is zero") if residual else DegenerateHead(f"cdf({t}) is zero")
+            elif closed_form is not None and (cf := closed_form(t)) is not None:
+                values[i] = MeasureValue(cf, "closed-form", 0.0)
+            else:
+                swept.append(i)
+        out.append(values)
+        if not swept:
+            continue
+        if points is None:
+            points = d.breakpoints
+        elif d.breakpoints != points:
+            raise ValueError("the curves of one sweep must share breakpoints")
+        p = 2 * n
+        lo, hi = d.support.lower, d.support.upper
+        xs = np.minimum(grid[swept], hi)
+        # residual: panel j is [x_j, x_{j+1}], the last one [x_m, hi]; past: [x_{j-1}, x_j] from x_0 = lo
+        edges = np.concatenate((xs, [hi]) if residual else ([lo], xs))
+        if p not in powers:
+            powers.append(p)
+        jobs.append((c, swept, level, p, residual, hi))
+        a.append(edges[:-1])
+        b.append(edges[1:])
+        row_source += [list(sources).index(key)] * len(swept)
+        row_power += [p] * len(swept)
+        row_level += [level[i] for i in swept]
+    if not jobs:
         return out
 
-    lo, hi = d.support.lower, d.support.upper
-    xs = [min(ages[i], hi) for i in swept]
-    # residual: panel j is [x_j, x_{j+1}], the last one [x_m, hi]; past: [x_{j-1}, x_j] from x_0 = lo
-    edges = np.array(xs + [hi] if residual else [lo] + xs)
-    scale = np.array(levels)
-    g = d.sf_array if residual else d.cdf_array
+    uses = [(g, powers) for g, _, powers in sources.values()]
+    of_source, of_power, scale = np.array(row_source), np.array(row_power), np.array(row_level)
+
+    def part(g: Callable[[np.ndarray], np.ndarray], powers: list[int], x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        h = g(x.ravel()).reshape(x.shape) / scale[rows, None]
+        if len(powers) == 1:
+            return h ** powers[0]
+        power = of_power[rows]
+        for p in powers:
+            sel = power == p
+            h[sel] = h[sel] ** p
+        return h
 
     def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return (g(x.ravel()).reshape(x.shape) / scale[rows, None]) ** p
+        if len(uses) == 1:
+            return part(*uses[0], x, rows)
+        fx = np.empty_like(x)
+        source = of_source[rows]
+        for s, use in enumerate(uses):
+            sel = source == s
+            if sel.any():
+                fx[sel] = part(*use, x[sel], rows[sel])
+        return fx
 
-    values, errors = integrate_panels(f, edges[:-1], edges[1:], d.breakpoints)
-
-    acc = err = prev_level = 0.0
-    for j in reversed(range(len(swept))) if residual else range(len(swept)):
-        t, level = ages[swept[j]], levels[j]
-        w = (prev_level / level) ** p
-        acc, err = float(values[j]) + w * acc, float(errors[j]) + w * err
-        beyond = t - hi if t > hi else 0.0  # past side: cdf stays 1 beyond the support
-        out[swept[j]] = MeasureValue(-0.5 * (acc + beyond), "quadrature", 0.5 * err)
-        prev_level = level
+    values, errors = integrate_panels(f, np.concatenate(a), np.concatenate(b), points)
+    values, errors = values.tolist(), errors.tolist()
+    start = 0
+    for c, swept, level, p, residual, hi in jobs:
+        acc = err = prev_level = 0.0
+        for j in reversed(range(len(swept))) if residual else range(len(swept)):
+            i = swept[j]
+            t, lv = ages[i], level[i]
+            w = (prev_level / lv) ** p
+            acc, err = values[start + j] + w * acc, errors[start + j] + w * err
+            beyond = t - hi if t > hi else 0.0  # past side: cdf stays 1 beyond the support
+            out[c][i] = MeasureValue(-0.5 * (acc + beyond), "quadrature", 0.5 * err)
+            prev_level = lv
+        start += len(swept)
     return out
 
 

@@ -39,7 +39,7 @@ from extropy.distributions import (
 )
 from extropy import analysis
 from extropy.errors import BadWeights, UnboundedSupport
-from extropy.measures import MeasureValue
+from extropy.measures import MeasureKind, MeasureValue
 from extropy.orderstats import max_order
 
 from conftest import BOUNDED, FINITE_MEAN, ALL_FAMILIES, MONOTONE_BOUNDED, ids
@@ -309,6 +309,11 @@ def test_margin_inside_error_bars_holds(check, monkeypatch):
     monkeypatch.setattr(analysis, "evaluate", _fake_value)
     monkeypatch.setattr(analysis, "_evaluate_batch", lambda d, kinds: [_fake_value(d, kind) for kind in kinds])
     monkeypatch.setattr(analysis, "evaluate_grid", lambda d, kind_for_t, grid: [_fake_value(d, kind_for_t(t)) for t in grid])
+    monkeypatch.setattr(
+        analysis,
+        "_sweep",
+        lambda curves, ages: [[_fake_value(d, MeasureKind(name, n, t)) for t in ages] for d, name, n in curves],
+    )
     report = check()
     assert -1e-6 < report.worst_margin < -analysis.BASE_TOL
     assert report.verdict == "Holds"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from extropy import analysis
 from extropy.analysis import default_grid
 from extropy.characterize import (
     CheckSchedule,
@@ -195,6 +196,15 @@ def test_location_scale_family_uniform():
 def test_location_check_fails_across_families():
     r = family_equality_check(Uniform(0, 1), Exponential(1), mode="Location")
     assert r.verdict == "Fails"
+
+
+def test_family_equality_reads_base_tol_at_call_time(monkeypatch):
+    fails = family_equality_check(Uniform(0, 1), Exponential(1), mode="Location")
+    assert fails.verdict == "Fails"
+    monkeypatch.setattr(analysis, "BASE_TOL", 1.0 - fails.worst_margin)
+    loose = family_equality_check(Uniform(0, 1), Exponential(1), mode="Location")
+    assert loose.verdict == "Holds"
+    assert loose.worst_margin == fails.worst_margin
 
 
 def test_location_check_holds_under_pure_shift():

@@ -5,10 +5,11 @@ import math
 import mpmath as mp
 import pytest
 
-from extropy.analysis import default_grid
-from extropy.distributions import Exponential, Mixture, PiecewiseBounded, Uniform
-from extropy.errors import DegenerateHead, DegenerateTail
-from extropy.measures import MeasureValue, dcpex, dcrex, dcrex_min, evaluate, evaluate_grid
+from extropy import analysis
+from extropy.analysis import check_dcpex_bounds, check_dcrex_bounds, check_korder_chains, default_grid
+from extropy.distributions import Exponential, Mixture, PiecewiseBounded, Uniform, Weibull
+from extropy.errors import DegenerateHead, DegenerateTail, ExtropyError
+from extropy.measures import MeasureKind, MeasureValue, _sweep, dcpex, dcrex, dcrex_min, evaluate, evaluate_grid
 from extropy.orderstats import kth_order
 from extropy.quadrature import integrate
 
@@ -69,6 +70,89 @@ def test_unordered_grid_falls_back_to_pointwise():
     d = kth_order(Exponential(1), 2, 4)
     grid = [1.0, 0.5, 0.5, 2.0]
     assert evaluate_grid(d, dcrex, grid) == [evaluate(d, dcrex(t)) for t in grid]
+
+
+# ---------------------------------------------------------------------------
+# Several curves in one sweep
+# ---------------------------------------------------------------------------
+
+
+def _same(got, want):
+    """Bit for bit: equal values and error estimates, or the same degenerate-age error."""
+    if isinstance(want, MeasureValue):
+        return got == want
+    return type(got) is type(want) and str(got) == str(want)
+
+
+def _assert_each_curve_swept_alone(curves, grid):
+    swept = _sweep(curves, grid)
+    assert len(swept) == len(curves)
+    for (d, name, n), got in zip(curves, swept):
+        alone = evaluate_grid(d, lambda t: MeasureKind(name, n, t), grid)
+        assert all(_same(g, w) for g, w in zip(got, alone)), (d, name, n)
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_multi_curve_sweep_equals_each_curve_alone(d):
+    grid = default_grid(d)
+    names = ("dcrex", "dcpex") if d.support.bounded else ("dcrex",)
+    _assert_each_curve_swept_alone([(kth_order(d, k, n), name, 1) for name in names for k, n in CHAIN_ORDERS], grid)
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+@pytest.mark.parametrize("n", [1, 4])
+def test_bound_triple_sweep_equals_each_curve_alone(d, n):
+    grid = default_grid(d)
+    sides = [("dcrex", "dcrex-min"), ("dcpex", "dcpex-max")] if d.support.bounded else [("dcrex", "dcrex-min")]
+    for plain, extreme in sides:
+        _assert_each_curve_swept_alone([(d, extreme, n), (d, plain, 1), (d, extreme, n + 1)], grid)
+
+
+def test_sweep_levels_mark_degenerate_ages():
+    d = Uniform(0, 1)
+    grid = [-0.5, 0.0, 0.5, 1.0, 1.5]
+    resid, past = _sweep([(d, "dcrex", 1), (d, "dcpex-max", 2)], grid)
+    assert [type(v) for v in resid[-2:]] == [DegenerateTail, DegenerateTail]
+    assert str(resid[-1]) == "sf(1.5) is zero"
+    assert [type(v) for v in past[:2]] == [DegenerateHead, DegenerateHead]
+    assert all(isinstance(v, MeasureValue) for v in resid[:3] + past[2:])
+
+
+def test_sweep_curves_must_share_breakpoints():
+    with pytest.raises(ValueError):
+        _sweep([(PiecewiseBounded(), "dcrex", 1), (Weibull(1, 2), "dcrex", 1)], [0.5, 1.5])
+
+
+def _pointwise_sweep(curves, ages):
+    return [_pointwise(d, lambda t: MeasureKind(name, n, t), ages) for d, name, n in curves]
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_checks_on_unordered_grid_fall_back_to_pointwise(d, monkeypatch):
+    up = default_grid(d, points=6)
+    grid = up[::-1] + [up[2]]  # decreasing, then a repeated age
+    checks = [lambda: check_korder_chains(d, 2, 4, grid, "residual"), lambda: check_dcrex_bounds(d, 2, grid)]
+    if d.support.bounded:
+        checks += [lambda: check_korder_chains(d, 2, 4, grid, "past"), lambda: check_dcpex_bounds(d, 2, grid)]
+    got = [check() for check in checks]
+    # what every check reports when each value is what evaluate gives at that age
+    monkeypatch.setattr(analysis, "_sweep", _pointwise_sweep)
+    assert got == [check() for check in checks]
+
+
+def test_nan_age_raises():
+    d = kth_order(Exponential(1), 2, 4)
+    for grid in ([math.nan], [0.5, math.nan, 1.0]):
+        with pytest.raises(ExtropyError):
+            evaluate_grid(d, dcrex, grid)
+        with pytest.raises(ExtropyError):
+            _sweep([(d, "dcrex", 1)], grid)
+        with pytest.raises(ExtropyError):
+            check_korder_chains(Exponential(1), 2, 4, grid, "residual")
+        with pytest.raises(ExtropyError):
+            check_dcrex_bounds(Exponential(1), 2, grid)
+        with pytest.raises(ExtropyError):
+            check_dcpex_bounds(Uniform(0, 1), 2, grid)
 
 
 # ---------------------------------------------------------------------------
