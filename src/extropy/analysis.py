@@ -39,7 +39,6 @@ from .measures import (
     dcpex,
     dcpex_max,
     dcrex,
-    dcrex_min,
     evaluate,
     evaluate_grid,
 )
@@ -131,30 +130,26 @@ def _value(v: GridValue) -> MeasureValue:
 
 def check_dcrex_order(d1: Distribution, d2: Distribution, t_grid: Sequence[float]) -> OrderVerdict:
     """d1 precedes d2 in the dynamic residual-extropy order on the grid."""
-    for t in t_grid:
-        try:
-            a = evaluate(d1, dcrex(t))
-            b = evaluate(d2, dcrex(t))
-        except (DegenerateTail, DegenerateHead):
-            continue
-        margin, tol = _pair(a, b)
-        if margin < -tol:
-            return OrderVerdict("DCRExLeq", False, counterexample_t=t)
-    return OrderVerdict("DCRExLeq", True)
+    return _dynamic_order(d1, d2, t_grid, "residual")
 
 
 def check_dcpex_order(d1: Distribution, d2: Distribution, t_grid: Sequence[float]) -> OrderVerdict:
     """d1 dominates d2 in the dynamic past-extropy order on the grid."""
-    for t in t_grid:
-        try:
-            a = evaluate(d1, dcpex(t))
-            b = evaluate(d2, dcpex(t))
-        except (DegenerateTail, DegenerateHead):
+    return _dynamic_order(d1, d2, t_grid, "past")
+
+
+def _dynamic_order(d1: Distribution, d2: Distribution, t_grid: Sequence[float], side: str) -> OrderVerdict:
+    """dcrex (side "residual") or dcpex (side "past") of d1 >= that of d2 at every
+    nondegenerate age; the first age, in grid order, that fails is the counterexample."""
+    name, relation = ("dcrex", "DCRExLeq") if side == "residual" else ("dcpex", "DCPExGeq")
+    # one sweep per distribution: their breakpoints may differ
+    for t, a, b in zip(t_grid, *(_sweep([(d, name, 1)], t_grid)[0] for d in (d1, d2))):
+        if not (isinstance(a, MeasureValue) and isinstance(b, MeasureValue)):
             continue
         margin, tol = _pair(a, b)
         if margin < -tol:
-            return OrderVerdict("DCPExGeq", False, counterexample_t=t)
-    return OrderVerdict("DCPExGeq", True)
+            return OrderVerdict(relation, False, counterexample_t=t)
+    return OrderVerdict(relation, True)
 
 
 def check_hr_implies_dcrex(
@@ -166,43 +161,40 @@ def check_hr_implies_dcrex(
     fails anywhere on the grid the report is Inconclusive (the conclusion is
     only claimed under the premise).
     """
-    check_id = f"hr-implies-dcrex(n={n})"
-    margins: list[tuple[float, object]] = []
-    degenerate = 0
-    tol = BASE_TOL
-    for t in t_grid:
-        try:
-            if d1.hazard_rate(t) < d2.hazard_rate(t) - BASE_TOL:
-                return CheckReport(check_id, "Inconclusive", math.nan, t, 0)
-            a = evaluate(d1, dcrex_min(n, t))
-            b = evaluate(d2, dcrex_min(n, t))
-        except (DegenerateTail, DegenerateHead):
-            degenerate += 1
-            continue
-        margin, pt_tol = _pair(a, b)
-        tol = max(tol, pt_tol)
-        margins.append((margin, t))
-    return _margins_report(check_id, margins, degenerate, tol)
+    return _premise_transfer(d1, d2, n, t_grid, "residual")
 
 
 def check_rh_implies_dcpex(
     d1: Distribution, d2: Distribution, n: int, t_grid: Sequence[float]
 ) -> CheckReport:
     """Reversed-hazard dominance transfers to maxima past-extropy curves."""
-    check_id = f"rh-implies-dcpex(n={n})"
+    return _premise_transfer(d1, d2, n, t_grid, "past")
+
+
+def _premise_transfer(d1: Distribution, d2: Distribution, n: int, t_grid: Sequence[float], side: str) -> CheckReport:
+    """Hazard (side "residual") or reversed-hazard (side "past") dominance of d1 over
+    d2 transfers to the dynamic extropy of minima or maxima.
+
+    The first age, in grid order, where the premise fails makes the report
+    Inconclusive with 0 points.  An age where a rate or a measure is
+    degenerate is counted as degenerate.
+    """
+    residual = side == "residual"
+    check_id = f"{'hr-implies-dcrex' if residual else 'rh-implies-dcpex'}(n={n})"
+    rate = "hazard_rate" if residual else "reversed_hazard"
+    name = "dcrex-min" if residual else "dcpex-max"
     margins: list[tuple[float, object]] = []
     degenerate = 0
     tol = BASE_TOL
-    for t in t_grid:
+    # one sweep per distribution: their breakpoints may differ
+    for t, a, b in zip(t_grid, *(_sweep([(d, name, n)], t_grid)[0] for d in (d1, d2))):
         try:
-            if d1.reversed_hazard(t) < d2.reversed_hazard(t) - BASE_TOL:
+            if getattr(d1, rate)(t) < getattr(d2, rate)(t) - BASE_TOL:
                 return CheckReport(check_id, "Inconclusive", math.nan, t, 0)
-            a = evaluate(d1, dcpex_max(n, t))
-            b = evaluate(d2, dcpex_max(n, t))
+            margin, pt_tol = _pair(_value(a), _value(b))
         except (DegenerateTail, DegenerateHead):
             degenerate += 1
             continue
-        margin, pt_tol = _pair(a, b)
         tol = max(tol, pt_tol)
         margins.append((margin, t))
     return _margins_report(check_id, margins, degenerate, tol)
@@ -263,26 +255,14 @@ def check_korder_chains(
 # ---------------------------------------------------------------------------
 
 
-def _cpex_on_window(d: Distribution, upper: float) -> tuple[float, float]:
-    """-1/2 * int_0^upper cdf^2, extending cdf = 1 beyond the support.
-
-    Past extropy is window dependent; comparing variables with different
-    supports is only meaningful on a common window.
-    """
-    hi = d.support.upper
-    value, err = integrate_array(lambda x: d.cdf_array(x) ** 2, d.support.lower, min(upper, hi), d.breakpoints)
-    if upper > hi:
-        value += upper - hi
-    return -0.5 * value, 0.5 * err
-
-
 def check_convolution_inequality(d1: Distribution, d2: Distribution) -> CheckReport:
     """Past extropy of an independent sum dominates each summand's.
 
-    Both sides are evaluated on the sum's support window [0, b1 + b2]; the
-    sum's cdf comes from a discrete convolution of exact cell masses on a
-    uniform grid (deterministic, CONV_CELLS cells), so components much
-    narrower than a cell are still carried in full.
+    Both sides are evaluated on the sum's support window [0, b1 + b2], each
+    summand as dcpex at b1 + b2 (its cdf is 1 there); the sum's cdf comes
+    from a discrete convolution of exact cell masses on a uniform grid
+    (deterministic, CONV_CELLS cells), so components much narrower than a
+    cell are still carried in full.
     """
     if not (d1.support.bounded and d2.support.bounded):
         raise UnboundedSupport("convolution inequality requires bounded supports")
@@ -294,7 +274,7 @@ def check_convolution_inequality(d1: Distribution, d2: Distribution) -> CheckRep
     mass_sum = np.convolve(m1, m2)[:CONV_CELLS]
     cdf_sum = np.clip(np.cumsum(mass_sum), 0.0, 1.0)
     lhs = -0.5 * float(np.sum(cdf_sum**2) * dx)
-    rhs = max(_cpex_on_window(d1, b_sum)[0], _cpex_on_window(d2, b_sum)[0])
+    rhs = max(evaluate(d1, dcpex(b_sum)).value, evaluate(d2, dcpex(b_sum)).value)
     margin = lhs - rhs
     verdict = "Holds" if margin >= -CONV_TOL else "Fails"
     return CheckReport("convolution-cpex", verdict, margin, None, CONV_CELLS)
@@ -303,22 +283,23 @@ def check_convolution_inequality(d1: Distribution, d2: Distribution) -> CheckRep
 def check_conditioning(mixture: list[tuple[float, Distribution]]) -> CheckReport:
     """Mixing can only raise past extropy above the mixed components' average.
 
-    Component past extropies are taken over the mixture's own support window
-    (conditional past extropy integrates over the unconditional support).
+    Component past extropies are taken over the mixture's own support window,
+    as dcpex at its upper end (conditional past extropy integrates over the
+    unconditional support).
     """
     mix = Mixture(mixture)  # validates weights
     if not mix.support.bounded:
         raise UnboundedSupport("conditioning inequality requires bounded supports")
     b = mix.support.upper
-    lhs, lhs_err = _cpex_on_window(mix, b)
+    lhs = evaluate(mix, dcpex(b))
     rhs = 0.0
     rhs_err = 0.0
     for w, comp in mix.components:
-        v, e = _cpex_on_window(comp, b)
-        rhs += w * v
-        rhs_err += w * e
-    margin = lhs - rhs
-    tol = BASE_TOL + lhs_err + rhs_err
+        v = evaluate(comp, dcpex(b))
+        rhs += w * v.value
+        rhs_err += w * v.abs_error_estimate
+    margin = lhs.value - rhs
+    tol = BASE_TOL + lhs.abs_error_estimate + rhs_err
     verdict = "Holds" if margin >= -tol else "Fails"
     return CheckReport("conditioning-cpex", verdict, margin, None, len(mix.components))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,20 +103,27 @@ def _ratios(d: Distribution, kinds: list[MeasureKind], side: str) -> list[float]
     return [v.value / mean for (_, v), mean in zip(live, means.tolist())]
 
 
+def _constancy_gate(ratios: list[float], sign: float) -> tuple[float, float, Optional[CharacterizationResult]]:
+    """sign * the ratios' median, their dispersion (max - min), and the NotConstant
+    result when there are none or the dispersion exceeds the constancy tolerance."""
+    if not ratios:
+        return math.nan, math.nan, CharacterizationResult("NotConstant", math.nan, math.nan)
+    arr = np.asarray(ratios)
+    med = float(np.median(arr))
+    c_hat, dispersion = sign * med, float(arr.max() - arr.min())
+    constant = dispersion <= _constancy_tolerance(med)
+    return c_hat, dispersion, None if constant else CharacterizationResult("NotConstant", c_hat, dispersion)
+
+
 def gpd_ratio_test(d: Distribution, n: int, t_grid: Sequence[float]) -> CharacterizationResult:
     """Constant ratio of minima residual extropy to mean residual life => GPD."""
     try:
         ratios = _ratios(d, [dcrex_min(n, t) for t in t_grid], "residual")
     except DivergentMean:
         ratios = []
-    if not ratios:
-        return CharacterizationResult("NotConstant", math.nan, math.nan)
-    arr = np.asarray(ratios)
-    med = float(np.median(arr))
-    dispersion = float(arr.max() - arr.min())
-    c_hat = -med
-    if dispersion > _constancy_tolerance(med):
-        return CharacterizationResult("NotConstant", c_hat, dispersion)
+    c_hat, dispersion, rejected = _constancy_gate(ratios, -1.0)
+    if rejected is not None:
+        return rejected
     model = _classify_ratio(c_hat, n)
     params: dict = {}
     if model != "NotConstant":
@@ -159,14 +166,9 @@ def power_ratio_test(d: Distribution, n: int, t_grid: Sequence[float]) -> Charac
     if not d.support.bounded:
         raise UnboundedSupport("power characterization requires bounded support")
     ratios = _ratios(d, [dcpex_max(n, t) for t in t_grid], "past")
-    if not ratios:
-        return CharacterizationResult("NotConstant", math.nan, math.nan)
-    arr = np.asarray(ratios)
-    med = float(np.median(arr))
-    dispersion = float(arr.max() - arr.min())
-    k_hat = med
-    if dispersion > _constancy_tolerance(med):
-        return CharacterizationResult("NotConstant", k_hat, dispersion)
+    k_hat, dispersion, rejected = _constancy_gate(ratios, 1.0)
+    if rejected is not None:
+        return rejected
     # invert k = -(c+1) / (2 (2nc + 1))
     denom = 4.0 * n * k_hat + 1.0
     if denom == 0.0:

@@ -5,12 +5,18 @@ closed forms from the catalog when the (family, kind) pair has one, adaptive
 quadrature otherwise.  The catalog contains only formulas with an exact
 derivation; everything else is integrated numerically by the batched engine
 ``quadrature.integrate_panels``, split at the distribution's breakpoints.
+
 ``evaluate`` is a batch of one of ``_evaluate_batch``, which integrates many
-kinds in one engine call and gives each the bits ``evaluate`` gives it.
+kinds at once and gives each the bits ``evaluate`` gives it.
 ``evaluate_grid`` gives a dynamic measure on a whole increasing age grid from
 one sweep of short panels.  It is one curve of ``_sweep``, which sweeps
-several curves (distribution, dynamic kind, n) on one age grid in one engine
-call, with every curve's levels from one ``sf_array``/``cdf_array`` call.
+several curves (distribution, dynamic kind, n) on one age grid at once.
+Both take their levels, sf(t) or cdf(t), and degenerate ages from
+``_levels``, one ``sf_array``/``cdf_array`` call per (distribution, side),
+and integrate in one ``_integrate`` call, whose integrand calls each
+distinct (distribution, source) once per engine pass and raises every
+integral to its own Python int power, so an integral's bits do not depend
+on the rest of the call.
 
 Sign conventions: the extropy family (extropy, crex, cpex and the dynamic
 versions) is always <= 0; the entropy analogues (cren, cpen) are >= 0.
@@ -224,13 +230,26 @@ def _require_bounded(d: Distribution, kind: str) -> None:
         raise UnboundedSupport(f"{kind} requires a finite upper support endpoint")
 
 
-def _degenerate_age(d: Distribution, kind: MeasureKind) -> tuple[float, Optional[ExtropyError]]:
-    """A dynamic measure's conditioning level (sf or cdf at t), and the error it raises if that is zero."""
-    if kind.name.startswith("dcrex"):
-        level = d.sf(kind.t)
-        return level, DegenerateTail(f"sf({kind.t}) is zero") if level <= DEGENERATE_EPS else None
-    level = d.cdf(kind.t)
-    return level, DegenerateHead(f"cdf({kind.t}) is zero") if level <= DEGENERATE_EPS else None
+def _levels(
+    d: Distribution, residual: bool, ages: Sequence[float]
+) -> tuple[list[float], list[Optional[ExtropyError]], list[float]]:
+    """What a dynamic measure of d conditions on at every age, from one array call.
+
+    Returns the levels (sf(t) on the residual side, cdf(t) on the past
+    side), the error each age raises (``DegenerateTail`` or
+    ``DegenerateHead`` where its level is zero, None elsewhere), and the
+    term t - hi that the past side adds beyond the upper support end hi,
+    where the cdf stays 1.
+    """
+    # far out in a tail an intermediate power can overflow (Weibull's t**theta); the level is its limit 0
+    with np.errstate(over="ignore"):
+        level = (d.sf_array if residual else d.cdf_array)(np.array(ages, dtype=np.float64)).tolist()
+    if residual:
+        errors = [DegenerateTail(f"sf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
+        return level, errors, [0.0] * len(ages)
+    hi = d.support.upper
+    errors = [DegenerateHead(f"cdf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
+    return level, errors, [t - hi if t > hi else 0.0 for t in ages]
 
 
 def _entropy_density(g: np.ndarray) -> np.ndarray:
@@ -239,29 +258,90 @@ def _entropy_density(g: np.ndarray) -> np.ndarray:
     return np.where(positive, -g * np.log(np.where(positive, g, 1.0)), 0.0)
 
 
+#: integrals that share a distribution d, a source and a power p: (d, source, p, levels, a, b)
+_Block = tuple[Distribution, str, int, Sequence[float], Sequence[float], Sequence[float]]
+
+
+def _integrate(blocks: Sequence[_Block]) -> tuple[list[float], list[float]]:
+    """Every integral of every block in one ``integrate_panels`` call: (values, abs_error_estimates).
+
+    A block (d, source, p, levels, a, b) holds the integrals over [a_i, b_i]
+    of (g/level_i)^p, g = getattr(d, source), or of -(g/level_i) log(g/level_i)
+    where p is 0.  The distributions must share breakpoints (an order
+    statistic forwards its parent's); a ValueError otherwise.
+    """
+    points = blocks[0][0].breakpoints
+    uses: dict[tuple[int, str], int] = {}  # (id of the distribution, source) -> its index in sources
+    sources: list[Callable[[np.ndarray], np.ndarray]] = []
+    of_use: list[int] = []
+    of_power: list[int] = []
+    for d, source, p, levels, _, _ in blocks:
+        if (id(d), source) not in uses:
+            if d.breakpoints != points:
+                raise ValueError("the distributions of one engine call must share breakpoints")
+            uses[(id(d), source)] = len(sources)
+            sources.append(getattr(d, source))
+        of_use += [uses[(id(d), source)]] * len(levels)
+        of_power += [p] * len(levels)
+    use, power = np.array(of_use), np.array(of_power)
+    scale, a, b = (np.concatenate([block[k] for block in blocks]) for k in (3, 4, 5))
+    powers = sorted(set(of_power))
+
+    def raised(h: np.ndarray, p: int) -> np.ndarray:
+        return _entropy_density(h) if p == 0 else h**p
+
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if len(sources) == 1:
+            fx = sources[0](x.ravel()).reshape(x.shape)
+        else:
+            fx = np.empty_like(x)
+            of_rows = use[rows]
+            for k, g in enumerate(sources):
+                sel = of_rows == k
+                if sel.any():
+                    fx[sel] = g(x[sel].ravel()).reshape(-1, x.shape[1])
+        fx = fx / scale[rows, None]
+        if len(powers) == 1:
+            return raised(fx, powers[0])
+        # rows sorted by power: each power is raised on one contiguous slice
+        of_rows = power[rows]
+        order = np.argsort(of_rows)
+        ends = np.searchsorted(of_rows[order], powers, side="right").tolist()
+        h = fx[order]
+        for p, start, end in zip(powers, [0] + ends, ends):
+            h[start:end] = raised(h[start:end], p)
+        fx[order] = h
+        return fx
+
+    values, errors = integrate_panels(f, a, b, points)
+    return values.tolist(), errors.tolist()
+
+
 def _evaluate_batch(
     d: Distribution, kinds: Sequence[MeasureKind], force_quadrature: bool = False
 ) -> list[GridValue]:
     """``evaluate`` of every kind on d, the degenerate-age errors returned rather than raised.
 
     Closed forms win where the catalog has one.  Every other kind is one
-    integral, and all of them go to one ``integrate_panels`` call; since the
+    integral, and all of them go to one ``_integrate`` call; since the
     engine's results do not depend on the batch, each element equals what
     ``evaluate`` gives for that kind alone, bit for bit.  Any other error
     (a past measure of an unbounded support) is raised.
     """
     out: list = [None] * len(kinds)
+    level, beyond = [1.0] * len(kinds), [0.0] * len(kinds)
+    for residual in (True, False):
+        side = [i for i, k in enumerate(kinds) if k.name in DYNAMIC_KINDS and (k.name in RESIDUAL_KINDS) == residual]
+        if side:
+            for i, lv, error, past_end in zip(side, *_levels(d, residual, [kinds[i].t for i in side])):
+                level[i], out[i], beyond[i] = lv, error, past_end
     entries: dict[tuple[str, int], Optional[Callable[[Optional[float]], Optional[float]]]] = {}
     lo, hi = d.support.lower, d.support.upper
-    jobs: list[tuple[int, float, float, str, int, float, float, float]] = []
+    rows: dict[tuple[str, int], list[tuple[int, float, float, float]]] = {}  # by (source, p): (i, level, a, b)
     for i, kind in enumerate(kinds):
+        if out[i] is not None:
+            continue
         name, t = kind.name, kind.t
-        level = 1.0
-        if name in DYNAMIC_KINDS:
-            level, degenerate = _degenerate_age(d, kind)
-            if degenerate is not None:
-                out[i] = degenerate
-                continue
         if not force_quadrature:
             key = (name, kind.n)
             if key not in entries:
@@ -269,51 +349,30 @@ def _evaluate_batch(
             if entries[key] is not None and (cf := entries[key](t)) is not None:
                 out[i] = MeasureValue(cf, "closed-form", 0.0)
                 continue
-        # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b], times factor
-        a, b, beyond = lo, hi, 0.0
+        # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b]
+        a, b = lo, hi
         if name == "extropy":
-            source, p, factor = "pdf_array", 2, -0.5
+            source, p = "pdf_array", 2
         elif name in ("cren", "cpen"):
-            source, p, factor = ("sf_array" if name == "cren" else "cdf_array"), 0, 1.0
+            source, p = ("sf_array" if name == "cren" else "cdf_array"), 0
         else:
-            source, p, factor = ("sf_array" if name in RESIDUAL_KINDS else "cdf_array"), 2 * kind.n, -0.5
+            source, p = ("sf_array" if name in RESIDUAL_KINDS else "cdf_array"), 2 * kind.n
         if name in ("cpen", "cpex", "cpex-max"):
             _require_bounded(d, name)
         elif name in ("dcrex", "dcrex-min"):
             a = t
         elif name in ("dcpex", "dcpex-max"):
             b = min(t, hi)
-            beyond = t - hi if t > hi else 0.0  # cdf stays 1 beyond the support
-        jobs.append((i, a, b, source, p, level, factor, beyond))
-    if not jobs:
+        rows.setdefault((source, p), []).append((i, level[i], a, b))
+    if not rows:
         return out
-
-    index, a, b, sources, exponents, levels, factors, beyonds = zip(*jobs)
-    # integrals with the same g and the same use of it (a power, or -g log g) share one call of g
-    uses = list(zip(sources, (p == 0 for p in exponents)))
-    groups = sorted(set(uses))
-    group = np.array([groups.index(use) for use in uses])
-    scale = np.array(levels)
-    powers = np.array(exponents, dtype=np.float64)
-
-    def part(k: int, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        source, entropy = groups[k]
-        g = getattr(d, source)(x.ravel()).reshape(x.shape) / scale[rows, None]
-        return _entropy_density(g) if entropy else g ** powers[rows, None]
-
-    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if len(groups) == 1:
-            return part(0, x, rows)
-        fx = np.empty_like(x)
-        of_rows = group[rows]
-        for k in range(len(groups)):
-            sel = of_rows == k
-            fx[sel] = part(k, x[sel], rows[sel])
-        return fx
-
-    values, errors = integrate_panels(f, a, b, d.breakpoints)
-    for i, factor, beyond, value, err in zip(index, factors, beyonds, values.tolist(), errors.tolist()):
-        out[i] = MeasureValue(factor * (value + beyond), "quadrature", abs(factor) * err)
+    # the kinds that share a source and a power form one block
+    columns = {use: list(zip(*group)) for use, group in rows.items()}  # (source, p): index, levels, a, b
+    values, errors = _integrate([(d, source, p, *cols[1:]) for (source, p), cols in columns.items()])
+    index = [i for cols in columns.values() for i in cols[0]]
+    for i, value, err in zip(index, values, errors):
+        factor = 1.0 if kinds[i].name in ("cren", "cpen") else -0.5
+        out[i] = MeasureValue(factor * (value + beyond[i]), "quadrature", abs(factor) * err)
     return out
 
 
@@ -414,9 +473,9 @@ def evaluate_grid(
     """A dynamic measure at every age of a grid: what ``evaluate`` returns or raises there.
 
     A grid of one dynamic kind at one order is a single curve of the
-    multi-curve sweep ``_sweep``: levels from one ``sf_array``/``cdf_array``
-    call, closed forms pointwise, and on a strictly increasing grid one
-    engine call for the short panels between neighbouring ages.  Any other
+    multi-curve sweep ``_sweep``: levels from one array call, closed forms
+    pointwise, and on a strictly increasing grid one engine call for the
+    short panels between neighbouring ages.  Any other
     grid (mixed kinds or orders, or a static kind) is evaluated as
     ``evaluate`` would, in one batch.
     """
@@ -434,11 +493,10 @@ def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float
     """Several dynamic-measure curves on one age grid, in one engine call.
 
     A curve is (distribution, dynamic kind name, n).  Element [c][i] is what
-    ``evaluate`` returns or raises for curve c at ages[i].  Each curve's
-    levels (sf or cdf at every age, which also decide the degenerate ages)
-    come from one ``sf_array``/``cdf_array`` call per distinct
-    (distribution, side), and its closed form is looked up once; closed
-    forms win pointwise.  On a strictly increasing grid the remaining
+    ``evaluate`` returns or raises for curve c at ages[i].  The levels and
+    degenerate ages come from one ``_levels`` call per distinct
+    (distribution, side), as in ``_evaluate_batch``, and each curve's
+    closed form is looked up once; closed forms win pointwise.  On a strictly increasing grid the remaining
     ages t_1 < ... < t_m of a curve share one sweep of short panels.
     Residual side, with D_i = int_{t_i}^{hi} (S/S(t_i))^{2n}:
 
@@ -449,13 +507,10 @@ def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float
     and adds t - hi past the support.  Error estimates combine with the same
     weights, which are at most 1.
 
-    The panels of every curve go to one ``integrate_panels`` call, so the
-    curves must share breakpoints (an order statistic forwards its
-    parent's).  Each pass calls every distinct (distribution, side) once and
-    raises each curve's rows to that curve's own int power, so a curve gets
-    the bits it gets when swept alone.  A grid that is not strictly
-    increasing, or holds a nan, is evaluated curve by curve as ``evaluate``
-    would, in one batch each.
+    The panels of every curve go to one ``_integrate`` call, so the curves
+    must share breakpoints, and a curve gets the bits it gets when swept
+    alone.  A grid that is not strictly increasing, or holds a nan, is
+    evaluated curve by curve as ``evaluate`` would, in one batch each.
     """
     ages = list(ages)
     if any(math.isnan(t) for t in ages) or any(b <= a for a, b in zip(ages, ages[1:])):
@@ -463,95 +518,50 @@ def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float
     if not ages:
         return [[] for _ in curves]
     grid = np.array(ages, dtype=np.float64)
-    # by (id of the distribution, residual side): sf_array or cdf_array, its
-    # levels at every age, and the powers that swept curves raise it to
-    sources: dict[tuple[int, bool], tuple[Callable[[np.ndarray], np.ndarray], list[float], list[int]]] = {}
+    sides: dict[tuple[int, bool], tuple[list[float], list[Optional[ExtropyError]], list[float]]] = {}
     out: list[list] = []
-    jobs: list[tuple[int, list[int], list[float], int, bool, float]] = []  # the curves with swept ages
-    a: list[np.ndarray] = []
-    b: list[np.ndarray] = []
-    row_source: list[int] = []  # per panel: its source, power and level
-    row_power: list[int] = []
-    row_level: list[float] = []
-    points = None
+    blocks: list[_Block] = []
+    jobs: list[tuple[int, list[int], list[float], list[float], int, bool]] = []  # the curves with swept ages
     for c, (d, name, n) in enumerate(curves):
         MeasureKind(name, n, ages[0])  # the kind and order are valid
-        residual = name.startswith("dcrex")
+        residual = name in RESIDUAL_KINDS
         key = (id(d), residual)
-        if key not in sources:
-            g = d.sf_array if residual else d.cdf_array
-            sources[key] = (g, g(grid).tolist(), [])
-        level, powers = sources[key][1:]
+        if key not in sides:
+            sides[key] = _levels(d, residual, ages)
+        level, degenerate, beyond = sides[key]
         closed_form = _catalog_entry(d, name, n)
-        values: list = [None] * len(ages)
+        values: list = list(degenerate)
         swept: list[int] = []
-        for i, (t, lv) in enumerate(zip(ages, level)):
-            if lv <= DEGENERATE_EPS:
-                values[i] = DegenerateTail(f"sf({t}) is zero") if residual else DegenerateHead(f"cdf({t}) is zero")
-            elif closed_form is not None and (cf := closed_form(t)) is not None:
+        for i, t in enumerate(ages):
+            if values[i] is not None:
+                continue
+            if closed_form is not None and (cf := closed_form(t)) is not None:
                 values[i] = MeasureValue(cf, "closed-form", 0.0)
             else:
                 swept.append(i)
         out.append(values)
         if not swept:
             continue
-        if points is None:
-            points = d.breakpoints
-        elif d.breakpoints != points:
-            raise ValueError("the curves of one sweep must share breakpoints")
-        p = 2 * n
         lo, hi = d.support.lower, d.support.upper
         xs = np.minimum(grid[swept], hi)
         # residual: panel j is [x_j, x_{j+1}], the last one [x_m, hi]; past: [x_{j-1}, x_j] from x_0 = lo
         edges = np.concatenate((xs, [hi]) if residual else ([lo], xs))
-        if p not in powers:
-            powers.append(p)
-        jobs.append((c, swept, level, p, residual, hi))
-        a.append(edges[:-1])
-        b.append(edges[1:])
-        row_source += [list(sources).index(key)] * len(swept)
-        row_power += [p] * len(swept)
-        row_level += [level[i] for i in swept]
+        source = "sf_array" if residual else "cdf_array"
+        blocks.append((d, source, 2 * n, [level[i] for i in swept], edges[:-1], edges[1:]))
+        jobs.append((c, swept, level, beyond, 2 * n, residual))
     if not jobs:
         return out
 
-    uses = [(g, powers) for g, _, powers in sources.values()]
-    of_source, of_power, scale = np.array(row_source), np.array(row_power), np.array(row_level)
-
-    def part(g: Callable[[np.ndarray], np.ndarray], powers: list[int], x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        h = g(x.ravel()).reshape(x.shape) / scale[rows, None]
-        if len(powers) == 1:
-            return h ** powers[0]
-        power = of_power[rows]
-        for p in powers:
-            sel = power == p
-            h[sel] = h[sel] ** p
-        return h
-
-    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if len(uses) == 1:
-            return part(*uses[0], x, rows)
-        fx = np.empty_like(x)
-        source = of_source[rows]
-        for s, use in enumerate(uses):
-            sel = source == s
-            if sel.any():
-                fx[sel] = part(*use, x[sel], rows[sel])
-        return fx
-
-    values, errors = integrate_panels(f, np.concatenate(a), np.concatenate(b), points)
-    values, errors = values.tolist(), errors.tolist()
+    values, errors = _integrate(blocks)
     start = 0
-    for c, swept, level, p, residual, hi in jobs:
+    for c, swept, level, beyond, p, residual in jobs:
         acc = err = prev_level = 0.0
         for j in reversed(range(len(swept))) if residual else range(len(swept)):
             i = swept[j]
-            t, lv = ages[i], level[i]
-            w = (prev_level / lv) ** p
+            w = (prev_level / level[i]) ** p
             acc, err = values[start + j] + w * acc, errors[start + j] + w * err
-            beyond = t - hi if t > hi else 0.0  # past side: cdf stays 1 beyond the support
-            out[c][i] = MeasureValue(-0.5 * (acc + beyond), "quadrature", 0.5 * err)
-            prev_level = lv
+            out[c][i] = MeasureValue(-0.5 * (acc + beyond[i]), "quadrature", 0.5 * err)
+            prev_level = level[i]
         start += len(swept)
     return out
 

@@ -38,8 +38,8 @@ from extropy.distributions import (
     Weibull,
 )
 from extropy import analysis
-from extropy.errors import BadWeights, UnboundedSupport
-from extropy.measures import MeasureKind, MeasureValue
+from extropy.errors import BadWeights, DegenerateHead, DegenerateTail, UnboundedSupport
+from extropy.measures import MeasureKind, MeasureValue, dcpex, dcpex_max, dcrex, dcrex_min, evaluate
 from extropy.orderstats import max_order
 
 from conftest import BOUNDED, FINITE_MEAN, ALL_FAMILIES, MONOTONE_BOUNDED, ids
@@ -134,6 +134,78 @@ def test_rh_transfer_parallel_system_dominates_parent():
     g = list(np.linspace(0.1, 0.95, 12))
     r = check_rh_implies_dcpex(max_order(d, 3), d, 1, g)
     assert r.verdict == "Holds"
+
+
+# ---------------------------------------------------------------------------
+# The folded order and transfer checks against pointwise evaluate
+# ---------------------------------------------------------------------------
+
+TWIN_PAIRS = [
+    (Weibull(1, 3), Weibull(1, 2)),
+    (Exponential(2), Exponential(1)),
+    (Pareto(1, 3), Pareto(1, 2)),
+    (Pareto(1, 2), Pareto(1, 3)),
+    (Power(1, 3), Power(1, 2)),
+    (Power(1, 2), Power(1, 3)),
+    (max_order(Power(1, 2), 3), Power(1, 2)),
+    (PiecewiseBounded(), Uniform(0, 2)),  # different breakpoints
+    (Uniform(0, 2), PiecewiseBounded()),
+]
+
+
+def _twin_grids(d1, d2):
+    up = default_grid(d1, points=10)
+    grids = [up, up[::-1] + [up[3]]]  # increasing; decreasing, then a repeated age
+    if d1.support.bounded and d2.support.bounded:
+        # ages degenerate on the past side (below) and on the residual side (above): one
+        # each, then two each, which is more than the 10% that makes a report Inconclusive
+        lo, hi = d1.support.lower, max(d1.support.upper, d2.support.upper)
+        grids = [[lo] + grid + [hi + 0.5] for grid in grids] + [[lo - 0.5, lo] + up + [hi + 0.5, hi + 1.0]]
+    return grids
+
+
+def _pointwise_order(d1, d2, kind, grid):
+    """The first age, in grid order, where kind(d1) >= kind(d2) fails beyond the error bars."""
+    for t in grid:
+        try:
+            a, b = evaluate(d1, kind(t)), evaluate(d2, kind(t))
+        except (DegenerateTail, DegenerateHead):
+            continue
+        if a.value - b.value < -(analysis.BASE_TOL + a.abs_error_estimate + b.abs_error_estimate):
+            return t
+    return None
+
+
+def _pointwise_transfer(d1, d2, n, grid, side):
+    """The hazard (or reversed-hazard) transfer check, one evaluate per distribution and age."""
+    rate, kind = ("hazard_rate", dcrex_min) if side == "residual" else ("reversed_hazard", dcpex_max)
+    margins, degenerate, tol = [], 0, analysis.BASE_TOL
+    for t in grid:
+        try:
+            if getattr(d1, rate)(t) < getattr(d2, rate)(t) - analysis.BASE_TOL:
+                return "Inconclusive", t, 0
+            a, b = evaluate(d1, kind(n, t)), evaluate(d2, kind(n, t))
+        except (DegenerateTail, DegenerateHead):
+            degenerate += 1
+            continue
+        tol = max(tol, analysis.BASE_TOL + a.abs_error_estimate + b.abs_error_estimate)
+        margins.append((a.value - b.value, t))
+    report = analysis._margins_report("reference", margins, degenerate, tol)
+    return report.verdict, report.worst_point, report.points_tested
+
+
+@pytest.mark.parametrize("d1,d2", TWIN_PAIRS, ids=[f"{a!r}-{b!r}" for a, b in TWIN_PAIRS])
+def test_folded_twin_checks_match_pointwise_evaluate(d1, d2):
+    sides = [("residual", dcrex, check_dcrex_order, check_hr_implies_dcrex)]
+    if d1.support.bounded and d2.support.bounded:
+        sides.append(("past", dcpex, check_dcpex_order, check_rh_implies_dcpex))
+    for grid in _twin_grids(d1, d2):
+        for side, kind, order, transfer in sides:
+            verdict = order(d1, d2, grid)
+            assert verdict.counterexample_t == _pointwise_order(d1, d2, kind, grid), (side, grid)
+            for n in (1, 2):
+                r = transfer(d1, d2, n, grid)
+                assert (r.verdict, r.worst_point, r.points_tested) == _pointwise_transfer(d1, d2, n, grid, side)
 
 
 # ---------------------------------------------------------------------------

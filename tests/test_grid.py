@@ -1,6 +1,7 @@
 """Grid evaluation of dynamic measures: the panel sweep against pointwise evaluate and mpmath."""
 
 import math
+import warnings
 
 import mpmath as mp
 import pytest
@@ -57,6 +58,30 @@ def test_sweep_reports_degenerate_ages():
     # beyond the support the cdf stays 1, as in evaluate
     beyond = evaluate(kth_order(d, 2, 3), dcpex(1.5))
     assert past[-1].value == pytest.approx(beyond.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_evaluate_and_grid_agree_on_degenerate_ages(d):
+    lo, hi = d.support.lower, d.support.upper
+    inside = [d.quantile(p) for p in (0.5, 0.999)]
+    # inside the support, at its ends and beyond them (far out in an unbounded tail)
+    ages = [lo - 1.0, lo, *inside, hi, hi + 1.0] if d.support.bounded else [lo - 1.0, lo, *inside, 1e6]
+    for name in ("dcrex", "dcrex-min", "dcpex", "dcpex-max"):
+        kind = lambda t: MeasureKind(name, 2, t)  # noqa: E731
+        for t, got, want in zip(ages, evaluate_grid(d, kind, ages), _pointwise(d, kind, ages)):
+            assert isinstance(got, MeasureValue) == isinstance(want, MeasureValue), (name, t)
+            if not isinstance(want, MeasureValue):
+                assert type(got) is type(want) and str(got) == str(want), (name, t)
+
+
+def test_far_tail_age_is_degenerate_without_warnings():
+    # Weibull's t**theta overflows at t = 1e300; the level is its limit 0
+    d = Weibull(1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTail, match=r"sf\(1e\+300\) is zero"):
+            evaluate(d, dcrex(1e300))
+        assert str(evaluate_grid(d, dcrex, [1.0, 1e300])[1]) == "sf(1e+300) is zero"
 
 
 def test_closed_forms_win_pointwise():
