@@ -4,11 +4,12 @@ Every family exposes the same small surface: ``cdf``, ``sf``, ``pdf``,
 ``quantile``, ``hazard_rate``, ``reversed_hazard``, ``mean``,
 ``mean_residual_life`` and ``expected_inactivity_time``.  Closed forms are
 used wherever the family admits one; the base class falls back to adaptive
-quadrature and bracketed bisection.  ``cdf_array`` and ``sf_array`` evaluate
-cdf and sf at every element of a float64 array, by the same formulas written
-with numpy; ``quantile`` takes a float or an array.  ``cdf`` and ``sf`` stay
-scalar: they run once per quadrature node, where a type test would cost a
-sizeable share of each call.
+quadrature and bracketed bisection.  ``cdf``, ``sf``, ``pdf`` and
+``quantile`` take a float or a 1-D float64 array, and each formula is
+written once: a float goes through ``math`` and gets a Python float back,
+an array goes through numpy and gets an array of the same shape.
+``cdf_array``, ``sf_array`` and ``pdf_array`` are aliases of ``cdf``, ``sf``
+and ``pdf``.
 
 All objects are immutable and all methods are pure, so instances can be
 shared freely across threads.
@@ -20,8 +21,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from math import exp, inf
-from typing import Any, Mapping, Sequence, Union
+from math import inf
+from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     DegenerateHead,
     DegenerateTail,
     DivergentMean,
+    ExtropyError,
     InvalidScale,
     ParamDomainError,
     QuantileOutOfRange,
@@ -45,16 +47,44 @@ _QUANTILE_ATOL = 1e-12
 FloatOrArray = Union[float, np.ndarray]
 
 
-def _piecewise(x: np.ndarray, lower: float, upper: float, below: float, above: float, f) -> np.ndarray:
+def _xp(x: FloatOrArray):
+    """``math`` for a float and ``numpy`` for an array, so a formula is written once."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _piecewise(x: FloatOrArray, lower: float, upper: float, below: float, above: float, f) -> FloatOrArray:
     """``below`` where x <= lower, ``above`` where x >= upper, and ``f`` strictly between.
 
-    The array form of the scalar methods' early returns at the ends of a
-    range; ``f`` only sees the points inside, so it raises no domain warnings.
+    ``f`` only sees the points inside, so it raises no domain errors or warnings.
     """
+    if not isinstance(x, np.ndarray):
+        return below if x <= lower else above if x >= upper else f(x)
     out = np.where(x <= lower, below, above)
     inside = (x > lower) & (x < upper)
     out[inside] = f(x[inside])
     return out
+
+
+def _density(x: FloatOrArray, lower: float, upper: float, f) -> FloatOrArray:
+    """0 outside the closed interval [lower, upper] and ``f`` on it, its ends included."""
+    # x <= nextafter(lower, -inf) is x < lower for every float, and likewise at the upper end
+    return _piecewise(x, math.nextafter(lower, -inf), math.nextafter(upper, inf), 0.0, 0.0, f)
+
+
+def _split(x: FloatOrArray, at: float, head, tail) -> FloatOrArray:
+    """``head`` where x <= at and ``tail`` elsewhere; each sees only its own points."""
+    if not isinstance(x, np.ndarray):
+        return head(x) if x <= at else tail(x)
+    out = np.empty_like(x)
+    low = x <= at
+    out[low], out[~low] = head(x[low]), tail(x[~low])
+    return out
+
+
+def _power(u: FloatOrArray, e: float) -> FloatOrArray:
+    """u**e for u >= 0, and at u = 0 its limit from above: inf for e < 0, where a density diverges."""
+    at_zero = 1.0 if e == 0.0 else (inf if e < 0 else 0.0)
+    return _piecewise(u, 0.0, inf, at_zero, inf**e, lambda v: v**e)
 
 
 @dataclass(frozen=True)
@@ -76,32 +106,33 @@ class Support:
 
 
 class Distribution(ABC):
-    """Abstract lifetime distribution."""
+    """Abstract lifetime distribution.
+
+    ``cdf``, ``sf`` and ``pdf`` take a float, and give a Python float, or a
+    1-D float64 array, and give an array of the same shape.
+    """
 
     @property
     @abstractmethod
     def support(self) -> Support: ...
 
     @abstractmethod
-    def cdf(self, x: float) -> float: ...
+    def cdf(self, x: FloatOrArray) -> FloatOrArray: ...
 
     @abstractmethod
-    def pdf(self, x: float) -> float: ...
+    def pdf(self, x: FloatOrArray) -> FloatOrArray: ...
 
-    def sf(self, x: float) -> float:
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
         return 1.0 - self.cdf(x)
 
     def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        """``cdf`` at every element of a float64 array; families override this with numpy."""
-        return np.array([self.cdf(v) for v in x.tolist()], dtype=np.float64)
+        return self.cdf(x)
 
     def sf_array(self, x: np.ndarray) -> np.ndarray:
-        """``sf`` at every element of a float64 array; a family that overrides ``sf`` overrides this."""
-        return 1.0 - self.cdf_array(x)
+        return self.sf(x)
 
     def pdf_array(self, x: np.ndarray) -> np.ndarray:
-        """``pdf`` at every element of a float64 array."""
-        return np.array([self.pdf(v) for v in x.tolist()], dtype=np.float64)
+        return self.pdf(x)
 
     #: True when the mean integral converges.
     has_finite_mean: bool = True
@@ -109,23 +140,17 @@ class Distribution(ABC):
     #: Interior points where cdf/sf are not smooth; integrals split there.
     breakpoints: tuple[float, ...] = ()
 
-    #: True when ``quantile`` bisects an array of probabilities as a whole.
-    array_cdf: bool = False
-
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         """Inverse cdf by bracketed bisection; subclasses override with closed forms.
 
-        An array of probabilities is bisected as a whole through ``cdf_array``
-        when ``array_cdf`` is set, and mapped through the scalar bisection
-        otherwise.  (Where the array cdf rounds otherwise than the scalar one,
-        as for ``KthOrder``, the whole-array bisection can end up to its
-        tolerance away.)
+        An array of probabilities is bisected as a whole through ``cdf``.
+        Where the array cdf rounds otherwise than the float one, an element
+        can end up to the bisection's tolerance away from the quantile of the
+        same float, and further where the cdf is flat (see ``KthOrder``).
         """
         _check_p(p)
         if isinstance(p, np.ndarray):
-            if self.array_cdf:
-                return self._bisect_array(p)
-            return np.array([self.quantile(q) for q in p.tolist()], dtype=np.float64)
+            return self._bisect_array(p)
         lo = self.support.lower
         hi = self.support.upper
         if not math.isfinite(hi):
@@ -150,17 +175,17 @@ class Distribution(ABC):
             hi = np.full_like(p, upper)
         else:
             hi = np.full_like(p, max(lower + 1.0, 1.0))
-            grow = self.cdf_array(hi) < p
+            grow = self.cdf(hi) < p
             while grow.any():
                 hi = np.where(grow, lower + 2.0 * (hi - lower), hi)
                 if (hi > 1e300).any():  # pragma: no cover - guards pathological tails
                     raise QuantileOutOfRange(f"failed to bracket quantile at p={p[hi > 1e300][0]}")
-                grow &= self.cdf_array(hi) < p
+                grow &= self.cdf(hi) < p
         # whole-array steps; an element whose bracket is narrow enough stops moving
         active = hi - lo > _QUANTILE_ATOL
         while active.any():
             mid = 0.5 * (lo + hi)
-            below = self.cdf_array(mid) < p
+            below = self.cdf(mid) < p
             lo = np.where(active & below, mid, lo)
             hi = np.where(active & ~below, mid, hi)
             active = hi - lo > _QUANTILE_ATOL
@@ -182,7 +207,7 @@ class Distribution(ABC):
         if not self.has_finite_mean:
             raise DivergentMean(f"{self!r} has no finite mean")
         lo = self.support.lower
-        value, _ = integrate_array(self.sf_array, lo, self.support.upper, self.breakpoints)
+        value, _ = integrate_array(self.sf, lo, self.support.upper, self.breakpoints)
         return lo + value
 
     def mean_residual_life(self, t: float) -> float:
@@ -198,7 +223,7 @@ class Distribution(ABC):
         A family's own closed form is used where it has one, with error 0.
         Otherwise every age is one integral, int_t^hi sf / sf(t) or
         int_lo^t cdf / cdf(t), split at the breakpoints, and all of them
-        go to one ``integrate_panels`` call.
+        go to one ``integrate_panels`` call; the first degenerate age raises.
         """
         if side not in ("residual", "past"):
             raise ValueError(f"side must be residual|past, got {side!r}")
@@ -209,20 +234,40 @@ class Distribution(ABC):
             return np.array([scalar(self, t) for t in ts], dtype=np.float64), np.zeros(len(ts))
         if residual and not self.has_finite_mean:
             raise DivergentMean(f"{self!r} has no finite mean")
-        levels = []
-        for t in ts:
-            level = self.sf(t) if residual else self.cdf(t)
-            if level <= DEGENERATE_EPS:
-                raise DegenerateTail(f"sf({t}) is zero") if residual else DegenerateHead(f"cdf({t}) is zero")
-            levels.append(level)
+        levels, errors, _ = _levels(self, residual, ts)
+        for error in errors:
+            if error is not None:
+                raise error
         lo, hi = self.support.lower, self.support.upper
-        g = self.sf_array if residual else self.cdf_array
+        g = self.sf if residual else self.cdf
         a, b = (ts, [hi] * len(ts)) if residual else ([lo] * len(ts), ts)
         values, errors = integrate_panels(lambda x, rows: g(x.ravel()).reshape(x.shape), a, b, self.breakpoints)
         return values / levels, errors / levels
 
     def affine(self, scale: float, shift: float) -> "Affine":
         return Affine(self, scale, shift)
+
+
+def _levels(
+    d: Distribution, residual: bool, ages: Sequence[float]
+) -> tuple[list[float], list[Optional[ExtropyError]], list[float]]:
+    """What a dynamic measure of d conditions on at every age, from one array call.
+
+    Returns the levels (sf(t) on the residual side, cdf(t) on the past
+    side), the error each age raises (``DegenerateTail`` or
+    ``DegenerateHead`` where its level is at most ``DEGENERATE_EPS``, None
+    elsewhere), and the term t - hi that the past side adds beyond the upper
+    support end hi, where the cdf stays 1.
+    """
+    # far out in a tail an intermediate power can overflow (Weibull's t**theta); the level is its limit 0
+    with np.errstate(over="ignore"):
+        level = (d.sf if residual else d.cdf)(np.array(ages, dtype=np.float64)).tolist()
+    if residual:
+        errors = [DegenerateTail(f"sf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
+        return level, errors, [0.0] * len(ages)
+    hi = d.support.upper
+    errors = [DegenerateHead(f"cdf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
+    return level, errors, [t - hi if t > hi else 0.0 for t in ages]
 
 
 def _check_p(p: FloatOrArray) -> None:
@@ -232,11 +277,6 @@ def _check_p(p: FloatOrArray) -> None:
             raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p[outside][0]}")
     elif not (0.0 < p < 1.0):
         raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p}")
-
-
-def _xp(p: FloatOrArray):
-    """``math`` for a float and ``numpy`` for an array, so a formula is written once."""
-    return np if isinstance(p, np.ndarray) else math
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -260,18 +300,11 @@ class Uniform(Distribution):
     def support(self) -> Support:
         return Support(self.a, self.b)
 
-    def cdf(self, x: float) -> float:
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x - self.a) / (self.b - self.a)
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
         return _piecewise(x, self.a, self.b, 0.0, 1.0, lambda y: (y - self.a) / (self.b - self.a))
 
-    def pdf(self, x: float) -> float:
-        return 1.0 / (self.b - self.a) if self.a <= x <= self.b else 0.0
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(x, self.a, self.b, lambda y: 1.0 / (self.b - self.a))
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -308,26 +341,14 @@ class FiniteRange(Distribution):
     def support(self) -> Support:
         return Support(0.0, 1.0 / self.a)
 
-    def sf(self, x: float) -> float:
-        if x <= 0:
-            return 1.0
-        if x >= 1.0 / self.a:
-            return 0.0
-        return (1.0 - self.a * x) ** self.b
-
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
         return _piecewise(x, 0.0, 1.0 / self.a, 1.0, 0.0, lambda y: (1.0 - self.a * y) ** self.b)
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
         return 1.0 - self.sf(x)
 
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 - self.sf_array(x)
-
-    def pdf(self, x: float) -> float:
-        if not (0 <= x <= 1.0 / self.a):
-            return 0.0
-        return self.a * self.b * (1.0 - self.a * x) ** (self.b - 1.0)
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(x, 0.0, 1.0 / self.a, lambda y: self.a * self.b * _power(1.0 - self.a * y, self.b - 1.0))
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -357,25 +378,14 @@ class Weibull(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: float) -> float:
-        return 1.0 if x <= 0 else exp(-self.lam * x**self.theta)
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: _xp(y).exp(-self.lam * y**self.theta))
 
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-self.lam * y**self.theta))
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -_xp(y).expm1(-self.lam * y**self.theta))
 
-    def cdf(self, x: float) -> float:
-        return 0.0 if x <= 0 else -math.expm1(-self.lam * x**self.theta)
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-self.lam * y**self.theta))
-
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        if x == 0:
-            # theta < 1 diverges at 0, theta > 1 vanishes; report the limit where defined
-            return self.lam if self.theta == 1.0 else (inf if self.theta < 1 else 0.0)
-        return self.lam * self.theta * x ** (self.theta - 1.0) * self.sf(x)
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(x, 0.0, inf, lambda y: self.lam * self.theta * _power(y, self.theta - 1.0) * self.sf(y))
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -398,20 +408,14 @@ class Exponential(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: float) -> float:
-        return 1.0 if x <= 0 else exp(-self.lam * x)
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: _xp(y).exp(-self.lam * y))
 
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-self.lam * y))
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -_xp(y).expm1(-self.lam * y))
 
-    def cdf(self, x: float) -> float:
-        return 0.0 if x <= 0 else -math.expm1(-self.lam * x)
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-self.lam * y))
-
-    def pdf(self, x: float) -> float:
-        return 0.0 if x < 0 else self.lam * exp(-self.lam * x)
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(x, 0.0, inf, lambda y: self.lam * _xp(y).exp(-self.lam * y))
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -441,22 +445,14 @@ class FoldedCramer(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: float) -> float:
-        return 1.0 if x <= 0 else 1.0 / (1.0 + self.theta * x)
-
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
         return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: 1.0 / (1.0 + self.theta * y))
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return 1.0 if x == inf else self.theta * x / (1.0 + self.theta * x)
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
         return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: self.theta * y / (1.0 + self.theta * y))
 
-    def pdf(self, x: float) -> float:
-        return 0.0 if x < 0 else self.theta / (1.0 + self.theta * x) ** 2
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(x, 0.0, inf, lambda y: self.theta / (1.0 + self.theta * y) ** 2)
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -479,22 +475,15 @@ class Pareto(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: float) -> float:
-        return 1.0 if x <= 0 else (self.lam / (x + self.lam)) ** self.theta
-
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
         return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: (self.lam / (y + self.lam)) ** self.theta)
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
         return 1.0 - self.sf(x)
 
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 - self.sf_array(x)
-
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return self.theta / self.lam * (self.lam / (x + self.lam)) ** (self.theta + 1.0)
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        c = self.theta / self.lam
+        return _density(x, 0.0, inf, lambda y: c * (self.lam / (y + self.lam)) ** (self.theta + 1.0))
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -537,42 +526,31 @@ class GPD(Distribution):
             return Support(0.0, -self.theta / self.lam)
         return Support(0.0, inf)
 
-    def _log_sf(self, x: float) -> float:
+    def _log_sf(self, x: FloatOrArray) -> FloatOrArray:
         """log sf(x) for x > 0; log1p keeps the digits of a small lam * x."""
         if self._exponential_limit:
             return -x / self.theta
-        z = self.lam * x / self.theta
-        if z <= -1.0:
-            return -inf
-        return -(1.0 + self.lam) / self.lam * math.log1p(z)
+        return _piecewise(
+            self.lam * x / self.theta, -1.0, inf, -inf, -inf, lambda z: -(1.0 + self.lam) / self.lam * _xp(z).log1p(z)
+        )
 
-    def _log_sf_array(self, x: np.ndarray) -> np.ndarray:
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: _xp(y).exp(self._log_sf(y)))
+
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -_xp(y).expm1(self._log_sf(y)))
+
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
         if self._exponential_limit:
-            return -x / self.theta
-        z = self.lam * x / self.theta
-        return _piecewise(z, -1.0, inf, -inf, -inf, lambda w: -(1.0 + self.lam) / self.lam * np.log1p(w))
+            return _density(x, 0.0, inf, lambda y: _xp(y).exp(-y / self.theta) / self.theta)
+        c, e = (1.0 + self.lam) / self.theta, -(1.0 + 2.0 * self.lam) / self.lam
 
-    def sf(self, x: float) -> float:
-        return 1.0 if x <= 0 else exp(self._log_sf(x))
+        def inside(y: FloatOrArray) -> FloatOrArray:
+            # c (1 + z)^e with z = lam x / theta; 0 where z reaches -1, at the bounded upper end
+            z = self.lam * y / self.theta
+            return _piecewise(z, -1.0, inf, 0.0, 0.0, lambda w: c * _xp(w).exp(e * _xp(w).log1p(w)))
 
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(self._log_sf_array(y)))
-
-    def cdf(self, x: float) -> float:
-        return 0.0 if x <= 0 else -math.expm1(self._log_sf(x))
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(self._log_sf_array(y)))
-
-    def pdf(self, x: float) -> float:
-        if x < 0 or x > self.support.upper:
-            return 0.0
-        if self._exponential_limit:
-            return exp(-x / self.theta) / self.theta
-        z = self.lam * x / self.theta
-        if z <= -1.0:
-            return 0.0
-        return (1.0 + self.lam) / self.theta * exp(-(1.0 + 2.0 * self.lam) / self.lam * math.log1p(z))
+        return _density(x, 0.0, self.support.upper, inside)
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -610,22 +588,11 @@ class Power(Distribution):
     def support(self) -> Support:
         return Support(0.0, self.b)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x / self.b) ** self.c
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
         return _piecewise(x, 0.0, self.b, 0.0, 1.0, lambda y: (y / self.b) ** self.c)
 
-    def pdf(self, x: float) -> float:
-        if not (0 <= x <= self.b):
-            return 0.0
-        if x == 0:
-            return self.c / self.b if self.c == 1.0 else (inf if self.c < 1 else 0.0)
-        return self.c / self.b * (x / self.b) ** (self.c - 1.0)
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(x, 0.0, self.b, lambda y: self.c / self.b * _power(y / self.b, self.c - 1.0))
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
@@ -658,28 +625,16 @@ class TwoExpMax(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: float) -> float:
-        if x <= 0:
-            return 1.0
-        return exp(-x) + exp(-2.0 * x) - exp(-3.0 * x)
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: (xp := _xp(y)).exp(-y) + xp.exp(-2.0 * y) - xp.exp(-3.0 * y))
 
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-y) + np.exp(-2.0 * y) - np.exp(-3.0 * y))
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -(xp := _xp(y)).expm1(-y) * -xp.expm1(-2.0 * y))
 
-    array_cdf = True
-
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-x) * -math.expm1(-2.0 * x)
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-y) * -np.expm1(-2.0 * y))
-
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return exp(-x) + 2.0 * exp(-2.0 * x) - 3.0 * exp(-3.0 * x)
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(
+            x, 0.0, inf, lambda y: (xp := _xp(y)).exp(-y) + 2.0 * xp.exp(-2.0 * y) - 3.0 * xp.exp(-3.0 * y)
+        )
 
     def mean(self) -> float:
         return 1.0 + 0.5 - 1.0 / 3.0
@@ -694,7 +649,10 @@ class TwoExpMax(Distribution):
         return hash("TwoExpMax")
 
 
-_PB_BREAK = exp(-1.5)  # cdf value at the junction x = 1
+_PB_BREAK = math.exp(-1.5)  # cdf value at the junction x = 1
+
+#: PiecewiseBounded's cdf exp(-1/2 - 1/x), and so its density, is 0 in double precision for x <= 1e-3
+_PB_ZERO = 1e-3
 
 
 class PiecewiseBounded(Distribution):
@@ -712,46 +670,26 @@ class PiecewiseBounded(Distribution):
     def support(self) -> Support:
         return Support(0.0, 2.0)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        if x <= 1.0:
-            return exp(-0.5 - 1.0 / x)
-        if x <= 2.0:
-            return exp(-2.0 + 0.5 * x * x)
-        return 1.0
+    @staticmethod
+    def _head(x: FloatOrArray) -> FloatOrArray:
+        return _xp(x).exp(-0.5 - 1.0 / x)
 
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        def inside(y: np.ndarray) -> np.ndarray:
-            # 1/y overflows to inf for a subnormal y; exp(-inf) = 0, as on the scalar path
-            with np.errstate(over="ignore"):
-                return np.where(y <= 1.0, np.exp(-0.5 - 1.0 / y), np.exp(-2.0 + 0.5 * y * y))
+    @staticmethod
+    def _tail(x: FloatOrArray) -> FloatOrArray:
+        return _xp(x).exp(-2.0 + 0.5 * x * x)
 
-        return _piecewise(x, 0.0, 2.0, 0.0, 1.0, inside)
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _piecewise(x, _PB_ZERO, 2.0, 0.0, 1.0, lambda y: _split(y, 1.0, self._head, self._tail))
 
-    def pdf(self, x: float) -> float:
-        if x <= 0 or x > 2.0:
-            return 0.0
-        if x <= 1.0:
-            return exp(-0.5 - 1.0 / x) / (x * x)
-        return x * exp(-2.0 + 0.5 * x * x)
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+        return _density(
+            x, _PB_ZERO, 2.0, lambda y: _split(y, 1.0, lambda u: self._head(u) / (u * u), lambda u: u * self._tail(u))
+        )
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
         _check_p(p)
         xp = _xp(p)
-
-        def head(q):
-            return 1.0 / (-xp.log(q) - 0.5)
-
-        def tail(q):
-            return xp.sqrt(4.0 + 2.0 * xp.log(q))
-
-        if xp is math:
-            return head(p) if p <= _PB_BREAK else tail(p)
-        x = np.empty_like(p)
-        low = p <= _PB_BREAK
-        x[low], x[~low] = head(p[low]), tail(p[~low])
-        return x
+        return _split(p, _PB_BREAK, lambda q: 1.0 / (-xp.log(q) - 0.5), lambda q: xp.sqrt(4.0 + 2.0 * xp.log(q)))
 
     def __repr__(self) -> str:
         return "PiecewiseBounded()"
@@ -791,19 +729,13 @@ class Affine(Distribution):
     def _pull(self, x: FloatOrArray) -> FloatOrArray:
         return (x - self.shift) / self.scale
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
         return self.base.cdf(self._pull(x))
 
-    def sf(self, x: float) -> float:
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
         return self.base.sf(self._pull(x))
 
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return self.base.cdf_array(self._pull(x))
-
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
-        return self.base.sf_array(self._pull(x))
-
-    def pdf(self, x: float) -> float:
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
         return self.base.pdf(self._pull(x)) / self.scale
 
     def quantile(self, p: FloatOrArray) -> FloatOrArray:
@@ -867,13 +799,10 @@ class Mixture(Distribution):
             points.update(x for x in (d.support.lower, d.support.upper) if math.isfinite(x))
         return tuple(sorted(points))
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
         return sum(w * d.cdf(x) for w, d in self.components)
 
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return sum(w * d.cdf_array(x) for w, d in self.components)
-
-    def pdf(self, x: float) -> float:
+    def pdf(self, x: FloatOrArray) -> FloatOrArray:
         return sum(w * d.pdf(x) for w, d in self.components)
 
     def mean(self) -> float:

@@ -12,8 +12,8 @@ kinds at once and gives each the bits ``evaluate`` gives it.
 one sweep of short panels.  It is one curve of ``_sweep``, which sweeps
 several curves (distribution, dynamic kind, n) on one age grid at once.
 Both take their levels, sf(t) or cdf(t), and degenerate ages from
-``_levels``, one ``sf_array``/``cdf_array`` call per (distribution, side),
-and integrate in one ``_integrate`` call, whose integrand calls each
+``distributions._levels``, one array ``sf``/``cdf`` call per (distribution,
+side), and integrate in one ``_integrate`` call, whose integrand calls each
 distinct (distribution, source) once per engine pass and raises every
 integral to its own Python int power, so an integral's bits do not depend
 on the rest of the call.
@@ -35,7 +35,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .distributions import (
-    DEGENERATE_EPS,
     Distribution,
     Exponential,
     FiniteRange,
@@ -45,6 +44,7 @@ from .distributions import (
     Power,
     Uniform,
     Weibull,
+    _levels,
 )
 from .errors import (
     DegenerateHead,
@@ -230,28 +230,6 @@ def _require_bounded(d: Distribution, kind: str) -> None:
         raise UnboundedSupport(f"{kind} requires a finite upper support endpoint")
 
 
-def _levels(
-    d: Distribution, residual: bool, ages: Sequence[float]
-) -> tuple[list[float], list[Optional[ExtropyError]], list[float]]:
-    """What a dynamic measure of d conditions on at every age, from one array call.
-
-    Returns the levels (sf(t) on the residual side, cdf(t) on the past
-    side), the error each age raises (``DegenerateTail`` or
-    ``DegenerateHead`` where its level is zero, None elsewhere), and the
-    term t - hi that the past side adds beyond the upper support end hi,
-    where the cdf stays 1.
-    """
-    # far out in a tail an intermediate power can overflow (Weibull's t**theta); the level is its limit 0
-    with np.errstate(over="ignore"):
-        level = (d.sf_array if residual else d.cdf_array)(np.array(ages, dtype=np.float64)).tolist()
-    if residual:
-        errors = [DegenerateTail(f"sf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
-        return level, errors, [0.0] * len(ages)
-    hi = d.support.upper
-    errors = [DegenerateHead(f"cdf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
-    return level, errors, [t - hi if t > hi else 0.0 for t in ages]
-
-
 def _entropy_density(g: np.ndarray) -> np.ndarray:
     """-g log g, and 0 where g is 0."""
     positive = g > 0.0
@@ -352,11 +330,11 @@ def _evaluate_batch(
         # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b]
         a, b = lo, hi
         if name == "extropy":
-            source, p = "pdf_array", 2
+            source, p = "pdf", 2
         elif name in ("cren", "cpen"):
-            source, p = ("sf_array" if name == "cren" else "cdf_array"), 0
+            source, p = ("sf" if name == "cren" else "cdf"), 0
         else:
-            source, p = ("sf_array" if name in RESIDUAL_KINDS else "cdf_array"), 2 * kind.n
+            source, p = ("sf" if name in RESIDUAL_KINDS else "cdf"), 2 * kind.n
         if name in ("cpen", "cpex", "cpex-max"):
             _require_bounded(d, name)
         elif name in ("dcrex", "dcrex-min"):
@@ -401,7 +379,7 @@ def crex_min_quantile_form(d: Distribution, n: int) -> MeasureValue:
         # the scalar fallback's deep subdivision can round q to 0: the lower support end
         x = np.full_like(u, d.support.lower)
         x[q > 0.0] = d.quantile(q[q > 0.0])
-        f = d.pdf_array(x)
+        f = d.pdf(x)
         bad = ~((f > 0.0) & np.isfinite(f))
         if bad.any():
             raise VanishingDensity(f"density degenerate at quantile(1-{u[bad][0]})")
@@ -546,7 +524,7 @@ def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float
         xs = np.minimum(grid[swept], hi)
         # residual: panel j is [x_j, x_{j+1}], the last one [x_m, hi]; past: [x_{j-1}, x_j] from x_0 = lo
         edges = np.concatenate((xs, [hi]) if residual else ([lo], xs))
-        source = "sf_array" if residual else "cdf_array"
+        source = "sf" if residual else "cdf"
         blocks.append((d, source, 2 * n, [level[i] for i in swept], edges[:-1], edges[1:]))
         jobs.append((c, swept, level, beyond, 2 * n, residual))
     if not jobs:

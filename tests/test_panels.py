@@ -1,10 +1,11 @@
-"""sf_array/cdf_array and the batched qk21 panel rule, with the scalar paths as references.
+"""sf/cdf/pdf of an array and the batched qk21 panel rule, with the scalar paths as references.
 
 Bounds:
 
-- sf_array/cdf_array against scalar sf/cdf at the same point: 8 eps relative
-  or 1e-15 absolute (numpy's exp/log/power may round the last bit otherwise
-  than the C library, and an order statistic sums a few such terms);
+- sf/cdf/pdf of an array against sf/cdf/pdf of each float at the same point:
+  8 eps relative or 1e-15 absolute (numpy's exp/log/power may round the last
+  bit otherwise than the C library, and an order statistic sums a few such
+  terms); an infinite value (a density at 0 with shape < 1) exactly;
 - ``integrate_panels`` against a 30-digit mpmath integral of the same panel:
   |value - reference| <= abs_error_estimate + 1e-12.
 """
@@ -54,33 +55,38 @@ def _ages(d):
 
 
 @pytest.mark.parametrize("d", EVERY, ids=ids(EVERY))
-@pytest.mark.parametrize("method", ["sf", "cdf"])
+@pytest.mark.parametrize("method", ["sf", "cdf", "pdf"])
 def test_array_sf_cdf_match_scalar(d, method):
     x = _ages(d)
     got = getattr(d, method + "_array")(x)
-    want = np.array([getattr(d, method)(float(v)) for v in x])
+    scalars = [getattr(d, method)(v) for v in x.tolist()]
+    assert all(type(v) is float for v in scalars)
+    want = np.array(scalars)
     assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == x.shape
-    excess = np.abs(got - want) - np.maximum(8.0 * EPS * np.abs(want), 1e-15)
-    assert np.all(excess <= 0.0), (x[np.argmax(excess)], np.max(excess))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    excess = np.abs(got[finite] - want[finite]) - np.maximum(8.0 * EPS * np.abs(want[finite]), 1e-15)
+    assert np.all(excess <= 0.0), (x[finite][np.argmax(excess)], np.max(excess))
 
 
 class _Triangular(Distribution):
-    """A family with scalar methods only: the base class maps them over arrays."""
+    """A family whose cdf and pdf are each written once, in numpy, over a float or an array."""
 
     support = Support(0.0, 2.0)
 
     def cdf(self, x):
-        y = min(max(x, 0.0), 2.0)
-        return 0.5 * y * y if y <= 1.0 else 1.0 - 0.5 * (2.0 - y) ** 2
+        y = np.clip(x, 0.0, 2.0)
+        out = np.where(y <= 1.0, 0.5 * y * y, 1.0 - 0.5 * (2.0 - y) ** 2)
+        return out if isinstance(x, np.ndarray) else float(out)
 
     def pdf(self, x):
-        return max(0.0, 1.0 - abs(x - 1.0))
+        out = np.maximum(0.0, 1.0 - np.abs(x - 1.0))
+        return out if isinstance(x, np.ndarray) else float(out)
 
 
-def test_scalar_only_family_maps_over_arrays_and_sweeps():
+def test_family_written_once_sweeps():
     d = _Triangular()
     x = _ages(d)
-    assert d.cdf_array(x).tolist() == [d.cdf(v) for v in x.tolist()]
     assert d.sf_array(x).tolist() == [d.sf(v) for v in x.tolist()]
     grid = [0.2, 0.7, 1.0, 1.4, 1.9]
     for t, got in zip(grid, evaluate_grid(d, dcrex, grid)):
