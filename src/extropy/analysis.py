@@ -30,6 +30,7 @@ from .measures import (
     MeasureValue,
     _evaluate_batch,
     _sweep,
+    _sweep_arrays,
     _values,
     cpen,
     cpex,
@@ -100,15 +101,27 @@ def _margins_report(
     tol: Optional[float] = None,
     premise_failed: bool = False,
 ) -> CheckReport:
+    worst_margin, worst_point = min(margins, key=lambda mp: mp[0], default=(math.nan, None))
+    return _report(check_id, worst_margin, worst_point, len(margins), degenerate, tol, premise_failed)
+
+
+def _report(
+    check_id: str,
+    worst_margin: float,
+    worst_point: Optional[object],
+    points: int,
+    degenerate: int = 0,
+    tol: Optional[float] = None,
+    premise_failed: bool = False,
+) -> CheckReport:
+    """The report of a check whose first smallest margin of ``points`` is ``worst_margin``."""
     if tol is None:  # read at call time, so a CLI --tol override reaches every check
         tol = BASE_TOL
-    total = len(margins) + degenerate
-    if premise_failed or (total > 0 and degenerate > _INCONCLUSIVE_FRACTION * total) or not margins:
-        worst = min(margins, default=(math.nan, None))
-        return CheckReport(check_id, "Inconclusive", worst[0], worst[1], len(margins))
-    worst_margin, worst_point = min(margins, key=lambda mp: mp[0])
+    total = points + degenerate
+    if premise_failed or (total > 0 and degenerate > _INCONCLUSIVE_FRACTION * total) or not points:
+        return CheckReport(check_id, "Inconclusive", worst_margin, worst_point, points)
     verdict = "Holds" if worst_margin >= -tol else "Fails"
-    return CheckReport(check_id, verdict, worst_margin, worst_point, len(margins))
+    return CheckReport(check_id, verdict, worst_margin, worst_point, points)
 
 
 def _pair(a: MeasureValue, b: MeasureValue) -> tuple[float, float]:
@@ -234,20 +247,37 @@ def check_korder_chains(
     ]
     orders = list(dict.fromkeys(order for pair in pairs for order in pair))
     name = "dcrex" if side == "residual" else "dcpex"
-    curves = dict(zip(orders, _sweep([(kth_order(d, *order), name, 1) for order in orders], t_grid)))
+    curves = dict(zip(orders, _sweep_arrays([(kth_order(d, *order), name, 1) for order in orders], t_grid)))
 
-    margins: list[tuple[float, object]] = []
-    degenerate = 0
-    tol = BASE_TOL
-    for (k1, n1), (k2, n2) in pairs:
-        for t, a, b in zip(t_grid, curves[(k1, n1)], curves[(k2, n2)]):
-            if not (isinstance(a, MeasureValue) and isinstance(b, MeasureValue)):
-                degenerate += 1
-                continue
-            margin, pt_tol = _pair(a, b)
-            tol = max(tol, pt_tol)
-            margins.append((margin, (t, (k1, n1), (k2, n2))))
-    return _margins_report(f"korder-chain({side},k={k},n={n})", margins, degenerate, tol)
+    # every pair's margins and tolerances as _pair gives them, in the order of the pairs and then of the ages
+    margins, tols, ages, of_pair = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for j, (first, second) in enumerate(pairs):
+        a, b = curves[first], curves[second]
+        ok = np.flatnonzero(~(a.degenerate | b.degenerate))
+        margins.append(a.value[ok] - b.value[ok])
+        tols.append(BASE_TOL + a.error[ok] + b.error[ok])
+        ages.append(ok)
+        of_pair.append(np.full(ok.size, j))
+    margin, pt_tol, age, pair = map(np.concatenate, (margins, tols, ages, of_pair))
+    # max and min as the builtins take them over the points in order: a nan tolerance is passed over
+    tol = max(BASE_TOL, float(np.fmax.reduce(pt_tol, initial=-math.inf)))
+    worst_margin, worst_point = math.nan, None
+    if margin.size:
+        w = _first_min(margin)
+        worst_margin, worst_point = float(margin[w]), (t_grid[int(age[w])], *pairs[int(pair[w])])
+    degenerate = len(pairs) * len(t_grid) - margin.size
+    return _report(f"korder-chain({side},k={k},n={n})", worst_margin, worst_point, margin.size, degenerate, tol)
+
+
+def _first_min(values: np.ndarray) -> int:
+    """The index ``min`` picks from a nonempty float sequence: the first smallest value.
+
+    ``min`` keeps a nan that comes first (nothing compares smaller) and
+    passes over any later one.
+    """
+    if math.isnan(values[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(values), math.inf, values)))
 
 
 # ---------------------------------------------------------------------------

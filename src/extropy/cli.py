@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, characterize as chz, distributions, estimators, measures
 from .distributions import Distribution, PiecewiseBounded, TwoExpMax, from_spec
 from .errors import ExtropyError, UsageError
-from .measures import Curve, MeasureKind, _evaluate_batch, _values, curve as eval_curve, dcpex, dcrex, evaluate
+from .measures import Curve, MeasureKind, _values_at, curve as eval_curve, evaluate
 from .orderstats import kth_order, max_order, min_order
 
 _MEASURE_NAMES = sorted(measures.ALL_KINDS)
@@ -244,13 +244,11 @@ def reproduce_figure(figure: str, points: int = FIGURE_POINTS) -> tuple[list[flo
     the kinked bounded cdf on t in (1, 2).
     """
     if figure == "2.1":
-        d = TwoExpMax()
         us = list(np.linspace(0.0, 1.0, points + 2)[1:-1])
-        return us, [v.value for v in _values(_evaluate_batch(d, [dcrex(-math.log(u)) for u in us]))]
+        return us, _values_at(TwoExpMax(), "dcrex", 1, [-math.log(u) for u in us])
     if figure == "3.1":
-        d = PiecewiseBounded()
         ts = list(np.linspace(1.0, 2.0, points + 2)[1:-1])
-        return ts, [v.value for v in _values(_evaluate_batch(d, [dcpex(t) for t in ts]))]
+        return ts, _values_at(PiecewiseBounded(), "dcpex", 1, ts)
     raise UsageError(f"unknown figure {figure!r}; expected 2.1 or 3.1")
 
 

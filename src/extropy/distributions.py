@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -53,15 +53,17 @@ def _xp(x: FloatOrArray):
 
 
 def _piecewise(x: FloatOrArray, lower: float, upper: float, below: float, above: float, f) -> FloatOrArray:
-    """``below`` where x <= lower, ``above`` where x >= upper, and ``f`` strictly between.
+    """``below`` where x <= lower, ``above`` where x >= upper, ``f`` strictly between, and nan at nan.
 
     ``f`` only sees the points inside, so it raises no domain errors or warnings.
     """
     if not isinstance(x, np.ndarray):
-        return below if x <= lower else above if x >= upper else f(x)
+        # nan fails every comparison
+        return below if x <= lower else above if x >= upper else f(x) if x < upper else math.nan
     out = np.where(x <= lower, below, above)
     inside = (x > lower) & (x < upper)
     out[inside] = f(x[inside])
+    out[np.isnan(x)] = math.nan
     return out
 
 
@@ -234,10 +236,9 @@ class Distribution(ABC):
             return np.array([scalar(self, t) for t in ts], dtype=np.float64), np.zeros(len(ts))
         if residual and not self.has_finite_mean:
             raise DivergentMean(f"{self!r} has no finite mean")
-        levels, errors, _ = _levels(self, residual, ts)
-        for error in errors:
-            if error is not None:
-                raise error
+        levels, degenerate, _ = _levels(self, residual, ts)
+        if degenerate.any():
+            raise _degenerate(residual, ts[int(np.argmax(degenerate))])
         lo, hi = self.support.lower, self.support.upper
         g = self.sf if residual else self.cdf
         a, b = (ts, [hi] * len(ts)) if residual else ([lo] * len(ts), ts)
@@ -248,26 +249,29 @@ class Distribution(ABC):
         return Affine(self, scale, shift)
 
 
-def _levels(
-    d: Distribution, residual: bool, ages: Sequence[float]
-) -> tuple[list[float], list[Optional[ExtropyError]], list[float]]:
+def _levels(d: Distribution, residual: bool, ages: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a dynamic measure of d conditions on at every age, from one array call.
 
-    Returns the levels (sf(t) on the residual side, cdf(t) on the past
-    side), the error each age raises (``DegenerateTail`` or
-    ``DegenerateHead`` where its level is at most ``DEGENERATE_EPS``, None
-    elsewhere), and the term t - hi that the past side adds beyond the upper
-    support end hi, where the cdf stays 1.
+    Returns three arrays: the levels (sf(t) on the residual side, cdf(t) on
+    the past side), whether each age is degenerate (its level is at most
+    ``DEGENERATE_EPS``, or nan: ``_degenerate`` is what it raises), and the
+    term t - hi that the past side adds beyond the upper support end hi,
+    where the cdf stays 1.
     """
+    ages = np.asarray(ages, dtype=np.float64)
     # far out in a tail an intermediate power can overflow (Weibull's t**theta); the level is its limit 0
     with np.errstate(over="ignore"):
-        level = (d.sf if residual else d.cdf)(np.array(ages, dtype=np.float64)).tolist()
+        level = (d.sf if residual else d.cdf)(ages)
+    degenerate = ~(level > DEGENERATE_EPS)
     if residual:
-        errors = [DegenerateTail(f"sf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
-        return level, errors, [0.0] * len(ages)
+        return level, degenerate, np.zeros(ages.size)
     hi = d.support.upper
-    errors = [DegenerateHead(f"cdf({t}) is zero") if lv <= DEGENERATE_EPS else None for t, lv in zip(ages, level)]
-    return level, errors, [t - hi if t > hi else 0.0 for t in ages]
+    return level, degenerate, np.where(ages > hi, ages - hi, 0.0)
+
+
+def _degenerate(residual: bool, t: float) -> ExtropyError:
+    """The error a dynamic measure raises at an age whose level is degenerate."""
+    return DegenerateTail(f"sf({t}) is zero") if residual else DegenerateHead(f"cdf({t}) is zero")
 
 
 def _check_p(p: FloatOrArray) -> None:

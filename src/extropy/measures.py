@@ -28,9 +28,10 @@ location-family equality checks meaningful).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .distributions import (
     Power,
     Uniform,
     Weibull,
+    _degenerate,
     _levels,
 )
 from .errors import (
@@ -237,10 +239,10 @@ def _entropy_density(g: np.ndarray) -> np.ndarray:
 
 
 #: integrals that share a distribution d, a source and a power p: (d, source, p, levels, a, b)
-_Block = tuple[Distribution, str, int, Sequence[float], Sequence[float], Sequence[float]]
+_Block = tuple[Distribution, str, int, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _integrate(blocks: Sequence[_Block]) -> tuple[list[float], list[float]]:
+def _integrate(blocks: Sequence[_Block]) -> tuple[np.ndarray, np.ndarray]:
     """Every integral of every block in one ``integrate_panels`` call: (values, abs_error_estimates).
 
     A block (d, source, p, levels, a, b) holds the integrals over [a_i, b_i]
@@ -252,18 +254,19 @@ def _integrate(blocks: Sequence[_Block]) -> tuple[list[float], list[float]]:
     uses: dict[tuple[int, str], int] = {}  # (id of the distribution, source) -> its index in sources
     sources: list[Callable[[np.ndarray], np.ndarray]] = []
     of_use: list[int] = []
-    of_power: list[int] = []
-    for d, source, p, levels, _, _ in blocks:
+    for d, source, *_ in blocks:
         if (id(d), source) not in uses:
             if d.breakpoints != points:
                 raise ValueError("the distributions of one engine call must share breakpoints")
             uses[(id(d), source)] = len(sources)
             sources.append(getattr(d, source))
-        of_use += [uses[(id(d), source)]] * len(levels)
-        of_power += [p] * len(levels)
-    use, power = np.array(of_use), np.array(of_power)
+        of_use.append(uses[(id(d), source)])
     scale, a, b = (np.concatenate([block[k] for block in blocks]) for k in (3, 4, 5))
-    powers = sorted(set(of_power))
+    powers = sorted({block[2] for block in blocks})
+    # each integral's source and power, read only where the call mixes sources or powers
+    sizes = [len(block[3]) for block in blocks]
+    use = np.repeat(of_use, sizes) if len(sources) > 1 else None
+    power = np.repeat([block[2] for block in blocks], sizes) if len(powers) > 1 else None
 
     def raised(h: np.ndarray, p: int) -> np.ndarray:
         return _entropy_density(h) if p == 0 else h**p
@@ -291,8 +294,146 @@ def _integrate(blocks: Sequence[_Block]) -> tuple[list[float], list[float]]:
         fx[order] = h
         return fx
 
-    values, errors = integrate_panels(f, a, b, points)
-    return values.tolist(), errors.tolist()
+    return integrate_panels(f, a, b, points)
+
+
+class _Arrays(NamedTuple):
+    """A measure at an array of ages: what ``evaluate`` gives or raises at each.
+
+    ``closed`` marks the values of a closed form (error 0), the others are
+    quadrature; ``degenerate`` marks the ages where ``evaluate`` raises
+    ``distributions._degenerate`` (value and error 0 there).
+    """
+
+    value: np.ndarray
+    error: np.ndarray
+    closed: np.ndarray
+    degenerate: np.ndarray
+
+
+def _zeros(size: int) -> _Arrays:
+    return _Arrays(np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool))
+
+
+def _closed_forms(
+    d: Distribution, name: str, n: int, ts: list, degenerate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The catalog's closed form of (name, n) on d at every age of ts that is not degenerate.
+
+    Returns the values and where the closed form holds.  The entry is
+    decided once; the closed form is called per age on a Python float (None
+    for a static kind), so its bits are those of ``evaluate``.
+    """
+    value = np.zeros(len(ts))
+    entry = _catalog_entry(d, name, n)
+    if entry is None:
+        return value, np.zeros(len(ts), dtype=bool)
+    cfs = [None if dg else entry(t) for t, dg in zip(ts, degenerate.tolist())]
+    closed = np.array([cf is not None for cf in cfs], dtype=bool)
+    value[closed] = [cf for cf in cfs if cf is not None]
+    return value, closed
+
+
+#: one kind at order n: (name, n, ages), ages a float64 array for a dynamic kind and None for a static one
+_Group = tuple[str, int, Optional[np.ndarray]]
+
+
+def _evaluate_arrays(d: Distribution, groups: Sequence[_Group], force_quadrature: bool = False) -> list[_Arrays]:
+    """``evaluate`` of every group's kind at every age of it, as arrays; a static kind is one value.
+
+    The names and orders must be valid and the ages numbers.  The levels of
+    each side come from one ``_levels`` call; each group's catalog entry is
+    decided once and wins where it holds.  Every other value is one
+    integral, and all of them go to one ``_integrate`` call; since the
+    engine's results do not depend on the batch, each value and error
+    estimate is what ``evaluate`` gives alone, bit for bit: -1/2 (integral +
+    beyond), or the integral itself for cren and cpen, is the same IEEE
+    arithmetic elementwise as on floats.  Any error other than a degenerate
+    age (a past measure of an unbounded support) is raised.
+    """
+    sizes = [1 if ages is None else ages.size for _, _, ages in groups]
+    # a static kind conditions on nothing: level 1, never degenerate, nothing beyond
+    level = [np.ones(size) for size in sizes]
+    degenerate = [np.zeros(size, dtype=bool) for size in sizes]
+    beyond = [np.zeros(size) for size in sizes]
+    for residual in (True, False):
+        side = [
+            g for g, (name, _, ages) in enumerate(groups) if ages is not None and (name in RESIDUAL_KINDS) == residual
+        ]
+        if side:
+            parts = _levels(d, residual, np.concatenate([groups[g][2] for g in side]))
+            start = 0
+            for g in side:
+                level[g], degenerate[g], beyond[g] = (part[start : start + sizes[g]] for part in parts)
+                start += sizes[g]
+    lo, hi = d.support.lower, d.support.upper
+    out: list[_Arrays] = []
+    blocks: list[_Block] = []
+    jobs: list[tuple[int, np.ndarray, float]] = []  # (group, its integrated ages, factor)
+    for g, (name, n, ages) in enumerate(groups):
+        if force_quadrature:
+            value, closed = np.zeros(sizes[g]), np.zeros(sizes[g], dtype=bool)
+        else:
+            value, closed = _closed_forms(d, name, n, [None] if ages is None else ages.tolist(), degenerate[g])
+        out.append(_Arrays(value, np.zeros(sizes[g]), closed, degenerate[g]))
+        todo = np.flatnonzero(~(closed | degenerate[g]))
+        if not todo.size:
+            continue
+        # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b]
+        if name == "extropy":
+            source, p = "pdf", 2
+        elif name in ("cren", "cpen"):
+            source, p = ("sf" if name == "cren" else "cdf"), 0
+        else:
+            source, p = ("sf" if name in RESIDUAL_KINDS else "cdf"), 2 * n
+        if name in ("cpen", "cpex", "cpex-max"):
+            _require_bounded(d, name)
+        if name in ("dcrex", "dcrex-min"):
+            a, b = ages[todo], np.full(todo.size, hi)
+        elif name in ("dcpex", "dcpex-max"):
+            a, b = np.full(todo.size, lo), np.minimum(ages[todo], hi)
+        else:
+            a, b = np.full(todo.size, lo), np.full(todo.size, hi)
+        blocks.append((d, source, p, level[g][todo], a, b))
+        jobs.append((g, todo, 1.0 if name in ("cren", "cpen") else -0.5))
+    if not blocks:
+        return out
+    values, errors = _integrate(blocks)
+    start = 0
+    for g, todo, factor in jobs:
+        stop = start + todo.size
+        out[g].value[todo] = factor * (values[start:stop] + beyond[g][todo])
+        out[g].error[todo] = abs(factor) * errors[start:stop]
+        start = stop
+    return out
+
+
+def _grid_values(results: _Arrays, ts: Sequence, residual: Sequence[bool]) -> list[GridValue]:
+    """The ``MeasureValue`` at every age of ts, or the error a degenerate age raises there."""
+    value, error, closed, degenerate = (field.tolist() for field in results)
+    return [
+        _degenerate(res, t) if dg else MeasureValue(v, "closed-form" if cf else "quadrature", e)
+        for v, e, cf, dg, t, res in zip(value, error, closed, degenerate, ts, residual)
+    ]
+
+
+def _batch_arrays(d: Distribution, kinds: Sequence[MeasureKind], force_quadrature: bool = False) -> _Arrays:
+    """``evaluate`` of every kind on d, as arrays in the order of kinds: the kinds grouped by (name, n)."""
+    index: dict[tuple[str, int], list[int]] = {}
+    for i, kind in enumerate(kinds):
+        index.setdefault((kind.name, kind.n), []).append(i)
+    groups = [
+        (name, n, np.array([kinds[i].t for i in idx], dtype=np.float64) if name in DYNAMIC_KINDS else None)
+        for (name, n), idx in index.items()
+    ]
+    parts = _evaluate_arrays(d, groups, force_quadrature)
+    if len(parts) == 1 and parts[0].value.size == len(kinds):
+        return parts[0]
+    out = _zeros(len(kinds))
+    for idx, part in zip(index.values(), parts):
+        for field, values in zip(out, part):
+            field[idx] = values  # a static kind's one value goes to each of its places
+    return out
 
 
 def _evaluate_batch(
@@ -306,52 +447,8 @@ def _evaluate_batch(
     ``evaluate`` gives for that kind alone, bit for bit.  Any other error
     (a past measure of an unbounded support) is raised.
     """
-    out: list = [None] * len(kinds)
-    level, beyond = [1.0] * len(kinds), [0.0] * len(kinds)
-    for residual in (True, False):
-        side = [i for i, k in enumerate(kinds) if k.name in DYNAMIC_KINDS and (k.name in RESIDUAL_KINDS) == residual]
-        if side:
-            for i, lv, error, past_end in zip(side, *_levels(d, residual, [kinds[i].t for i in side])):
-                level[i], out[i], beyond[i] = lv, error, past_end
-    entries: dict[tuple[str, int], Optional[Callable[[Optional[float]], Optional[float]]]] = {}
-    lo, hi = d.support.lower, d.support.upper
-    rows: dict[tuple[str, int], list[tuple[int, float, float, float]]] = {}  # by (source, p): (i, level, a, b)
-    for i, kind in enumerate(kinds):
-        if out[i] is not None:
-            continue
-        name, t = kind.name, kind.t
-        if not force_quadrature:
-            key = (name, kind.n)
-            if key not in entries:
-                entries[key] = _catalog_entry(d, name, kind.n)
-            if entries[key] is not None and (cf := entries[key](t)) is not None:
-                out[i] = MeasureValue(cf, "closed-form", 0.0)
-                continue
-        # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b]
-        a, b = lo, hi
-        if name == "extropy":
-            source, p = "pdf", 2
-        elif name in ("cren", "cpen"):
-            source, p = ("sf" if name == "cren" else "cdf"), 0
-        else:
-            source, p = ("sf" if name in RESIDUAL_KINDS else "cdf"), 2 * kind.n
-        if name in ("cpen", "cpex", "cpex-max"):
-            _require_bounded(d, name)
-        elif name in ("dcrex", "dcrex-min"):
-            a = t
-        elif name in ("dcpex", "dcpex-max"):
-            b = min(t, hi)
-        rows.setdefault((source, p), []).append((i, level[i], a, b))
-    if not rows:
-        return out
-    # the kinds that share a source and a power form one block
-    columns = {use: list(zip(*group)) for use, group in rows.items()}  # (source, p): index, levels, a, b
-    values, errors = _integrate([(d, source, p, *cols[1:]) for (source, p), cols in columns.items()])
-    index = [i for cols in columns.values() for i in cols[0]]
-    for i, value, err in zip(index, values, errors):
-        factor = 1.0 if kinds[i].name in ("cren", "cpen") else -0.5
-        out[i] = MeasureValue(factor * (value + beyond[i]), "quadrature", abs(factor) * err)
-    return out
+    results = _batch_arrays(d, kinds, force_quadrature)
+    return _grid_values(results, [kind.t for kind in kinds], [kind.name in RESIDUAL_KINDS for kind in kinds])
 
 
 def _values(results: Sequence[GridValue]) -> list[MeasureValue]:
@@ -360,6 +457,17 @@ def _values(results: Sequence[GridValue]) -> list[MeasureValue]:
         if not isinstance(result, MeasureValue):
             raise result
     return list(results)
+
+
+def _values_at(d: Distribution, name: str, n: int, ages: Sequence[float]) -> list[float]:
+    """The values ``evaluate`` gives for the dynamic kind (name, n) on d at every age.
+
+    The first degenerate age raises, as ``evaluate`` raises there.
+    """
+    (results,) = _evaluate_arrays(d, [(name, n, np.array(ages, dtype=np.float64))])
+    if results.degenerate.any():
+        raise _degenerate(name in RESIDUAL_KINDS, ages[int(np.argmax(results.degenerate))])
+    return results.value.tolist()
 
 
 def evaluate(d: Distribution, kind: MeasureKind, *, force_quadrature: bool = False) -> MeasureValue:
@@ -428,16 +536,13 @@ def curve(
     """A dynamic measure over a strictly increasing grid: ``evaluate`` at every age, in one batch."""
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ExtropyError("t_grid must be strictly increasing")
-    ts: list[float] = []
-    values: list[float] = []
-    skipped: list[float] = []
-    for t, result in zip(t_grid, _evaluate_batch(d, [kind_for_t(t) for t in t_grid])):
-        if isinstance(result, MeasureValue):
-            values.append(result.value)
-            ts.append(t)
-        else:
-            skipped.append(t)
-    return Curve(tuple(ts), tuple(values), tuple(skipped))
+    results = _batch_arrays(d, [kind_for_t(t) for t in t_grid])
+    degenerate = results.degenerate.tolist()
+    return Curve(
+        tuple(t for t, dg in zip(t_grid, degenerate) if not dg),
+        tuple(results.value[~results.degenerate].tolist()),
+        tuple(t for t, dg in zip(t_grid, degenerate) if dg),
+    )
 
 
 GridValue = Union[MeasureValue, DegenerateTail, DegenerateHead]
@@ -468,13 +573,25 @@ def evaluate_grid(
 
 
 def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float]) -> list[list[GridValue]]:
-    """Several dynamic-measure curves on one age grid, in one engine call.
+    """Several dynamic-measure curves on one age grid, by ``_sweep_arrays``.
 
-    A curve is (distribution, dynamic kind name, n).  Element [c][i] is what
-    ``evaluate`` returns or raises for curve c at ages[i].  The levels and
+    Element [c][i] is what ``evaluate`` returns or raises for curve c at
+    ages[i], within the error estimates.
+    """
+    ages = list(ages)
+    return [
+        _grid_values(results, ages, itertools.repeat(name in RESIDUAL_KINDS))
+        for (_, name, _), results in zip(curves, _sweep_arrays(curves, ages))
+    ]
+
+
+def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float]) -> list[_Arrays]:
+    """Several dynamic-measure curves on one age grid, in one engine call, as arrays.
+
+    A curve is (distribution, dynamic kind name, n).  The levels and
     degenerate ages come from one ``_levels`` call per distinct
-    (distribution, side), as in ``_evaluate_batch``, and each curve's
-    closed form is looked up once; closed forms win pointwise.  On a strictly increasing grid the remaining
+    (distribution, side), and each curve's closed form is looked up once;
+    closed forms win pointwise.  On a strictly increasing grid the remaining
     ages t_1 < ... < t_m of a curve share one sweep of short panels.
     Residual side, with D_i = int_{t_i}^{hi} (S/S(t_i))^{2n}:
 
@@ -492,56 +609,65 @@ def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float
     """
     ages = list(ages)
     if any(math.isnan(t) for t in ages) or any(b <= a for a, b in zip(ages, ages[1:])):
-        return [_evaluate_batch(d, [MeasureKind(name, n, t) for t in ages]) for d, name, n in curves]
-    if not ages:
-        return [[] for _ in curves]
+        return [_batch_arrays(d, [MeasureKind(name, n, t) for t in ages]) for d, name, n in curves]
+    m = len(ages)
+    if not m:
+        return [_zeros(0) for _ in curves]
     grid = np.array(ages, dtype=np.float64)
-    sides: dict[tuple[int, bool], tuple[list[float], list[Optional[ExtropyError]], list[float]]] = {}
-    out: list[list] = []
+    ts = grid.tolist()
+    sides: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    out: list[_Arrays] = []
     blocks: list[_Block] = []
-    jobs: list[tuple[int, list[int], list[float], list[float], int, bool]] = []  # the curves with swept ages
+    jobs: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, int, bool]] = []  # the curves with swept ages
     for c, (d, name, n) in enumerate(curves):
-        MeasureKind(name, n, ages[0])  # the kind and order are valid
+        MeasureKind(name, n, ts[0])  # the kind and order are valid
         residual = name in RESIDUAL_KINDS
         key = (id(d), residual)
         if key not in sides:
-            sides[key] = _levels(d, residual, ages)
+            sides[key] = _levels(d, residual, grid)
         level, degenerate, beyond = sides[key]
-        closed_form = _catalog_entry(d, name, n)
-        values: list = list(degenerate)
-        swept: list[int] = []
-        for i, t in enumerate(ages):
-            if values[i] is not None:
-                continue
-            if closed_form is not None and (cf := closed_form(t)) is not None:
-                values[i] = MeasureValue(cf, "closed-form", 0.0)
-            else:
-                swept.append(i)
-        out.append(values)
-        if not swept:
+        value, closed = _closed_forms(d, name, n, ts, degenerate)
+        out.append(_Arrays(value, np.zeros(m), closed, degenerate))
+        swept = np.flatnonzero(~(closed | degenerate))
+        if not swept.size:
             continue
         lo, hi = d.support.lower, d.support.upper
         xs = np.minimum(grid[swept], hi)
         # residual: panel j is [x_j, x_{j+1}], the last one [x_m, hi]; past: [x_{j-1}, x_j] from x_0 = lo
         edges = np.concatenate((xs, [hi]) if residual else ([lo], xs))
-        source = "sf" if residual else "cdf"
-        blocks.append((d, source, 2 * n, [level[i] for i in swept], edges[:-1], edges[1:]))
-        jobs.append((c, swept, level, beyond, 2 * n, residual))
+        blocks.append((d, "sf" if residual else "cdf", 2 * n, level[swept], edges[:-1], edges[1:]))
+        jobs.append((c, swept, level[swept], beyond[swept], 2 * n, residual))
     if not jobs:
         return out
 
     values, errors = _integrate(blocks)
     start = 0
-    for c, swept, level, beyond, p, residual in jobs:
-        acc = err = prev_level = 0.0
-        for j in reversed(range(len(swept))) if residual else range(len(swept)):
-            i = swept[j]
-            w = (prev_level / level[i]) ** p
-            acc, err = values[start + j] + w * acc, errors[start + j] + w * err
-            out[c][i] = MeasureValue(-0.5 * (acc + beyond[i]), "quadrature", 0.5 * err)
-            prev_level = level[i]
-        start += len(swept)
+    for c, swept, levels, past_end, p, residual in jobs:
+        stop = start + swept.size
+        acc, err = _recurrence(values[start:stop].tolist(), errors[start:stop].tolist(), levels.tolist(), p, residual)
+        out[c].value[swept] = -0.5 * (np.array(acc) + past_end)
+        out[c].error[swept] = 0.5 * np.array(err)
+        start = stop
     return out
+
+
+def _recurrence(
+    values: list[float], errors: list[float], levels: list[float], p: int, residual: bool
+) -> tuple[list[float], list[float]]:
+    """The sweep's running sums D_j = v_j + (level_prev/level_j)^p D_prev and their error estimates.
+
+    The residual side runs backwards from the last panel, the past side
+    forwards from the first.  Python floats and int powers, as a scalar
+    ``**`` rounds: a float exponent array could round otherwise.
+    """
+    acc, err = [0.0] * len(values), [0.0] * len(values)
+    a = e = prev_level = 0.0
+    for j in reversed(range(len(values))) if residual else range(len(values)):
+        w = (prev_level / levels[j]) ** p
+        a, e = values[j] + w * a, errors[j] + w * e
+        acc[j], err[j] = a, e
+        prev_level = levels[j]
+    return acc, err
 
 
 def sign_changes(values: tuple[float, ...] | list[float]) -> int:

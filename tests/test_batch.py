@@ -35,6 +35,7 @@ from extropy.distributions import (
 )
 from extropy.errors import DegenerateHead, DegenerateTail
 from extropy.measures import (
+    Curve,
     MeasureValue,
     _evaluate_batch,
     cpen,
@@ -113,15 +114,48 @@ def test_batch_elements_equal_evaluate_bit_for_bit(d, order):
             assert _same(again, want), (kind, again, want)
 
 
+def _pointwise_curve(d, kind_for_t, grid):
+    """The ``Curve`` that ``evaluate`` at every age gives: its values, and the ages where it raises."""
+    ts, values, skipped = [], [], []
+    for t in grid:
+        result = _alone(d, kind_for_t(t))
+        if isinstance(result, MeasureValue):
+            ts.append(t)
+            values.append(result.value)
+        else:
+            skipped.append(t)
+    return Curve(tuple(ts), tuple(values), tuple(skipped))
+
+
+def _curve_grid(d):
+    """Ages below, inside and beyond the support: degenerate on one side or the other, closed form or not."""
+    lo, hi = d.support.lower, d.support.upper
+    inside = [d.quantile(p) for p in (0.05, 0.3, 0.5, 0.7, 0.95)]
+    beyond = [hi, hi + 0.5] if d.support.bounded else [1e15]
+    return sorted({lo - 0.5, lo, *inside, *beyond})
+
+
 def test_curve_and_figures_equal_evaluate_bit_for_bit():
     d = kth_order(Weibull(1.3, 1.6), 2, 3)
     grid = list(np.linspace(0.05, 3.0, 60))
     cv = curve(d, dcrex, grid)
     assert cv.values == tuple(evaluate(d, dcrex(t)).value for t in grid)
+    for family in ALL_FAMILIES:
+        grid = _curve_grid(family)
+        kinds = [dcrex, lambda t: dcrex_min(2, t)]
+        if family.support.bounded:
+            kinds += [dcpex, lambda t: dcpex_max(2, t)]
+        for od in (family, kth_order(family, 2, 4)):
+            for kind_for_t in kinds:
+                got, want = curve(od, kind_for_t, grid), _pointwise_curve(od, kind_for_t, grid)
+                assert got == want and [v.hex() for v in got.values] == [v.hex() for v in want.values], (od, grid)
     us, values = reproduce_figure("2.1", points=40)
     assert values == [evaluate(TwoExpMax(), dcrex(-math.log(u))).value for u in us]
     ts, values = reproduce_figure("3.1", points=40)
     assert values == [evaluate(PiecewiseBounded(), dcpex(t)).value for t in ts]
+    # the figures' values raise at the first degenerate age, as evaluate does
+    with pytest.raises(DegenerateTail, match=r"^sf\(1\.0\) is zero$"):
+        measures._values_at(Uniform(0, 1), "dcrex", 1, [0.5, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,15 @@ def test_cdf_and_sf_at_infinity(d):
     assert d.sf(math.inf) == 0.0 == d.sf_array(x)[0]
 
 
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+@pytest.mark.parametrize("method", ["sf", "cdf", "pdf"])
+def test_nan_argument_gives_nan_for_a_float_and_an_array(d, method):
+    f = getattr(d, method)
+    assert math.isnan(f(math.nan))
+    got = f(np.array([math.nan, d.quantile(0.5)]))
+    assert math.isnan(got[0]) and got[1] == f(np.array([d.quantile(0.5)]))[0]
+
+
 def test_quantile_out_of_range():
     for p in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(QuantileOutOfRange):

@@ -4,11 +4,12 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from extropy import analysis
 from extropy.analysis import check_dcpex_bounds, check_dcrex_bounds, check_korder_chains, default_grid
-from extropy.distributions import Exponential, Mixture, PiecewiseBounded, Uniform, Weibull
+from extropy.distributions import Exponential, Mixture, Pareto, PiecewiseBounded, Power, TwoExpMax, Uniform, Weibull
 from extropy.errors import DegenerateHead, DegenerateTail, ExtropyError
 from extropy.measures import MeasureKind, MeasureValue, _sweep, dcpex, dcrex, dcrex_min, evaluate, evaluate_grid
 from extropy.orderstats import kth_order
@@ -163,6 +164,63 @@ def test_checks_on_unordered_grid_fall_back_to_pointwise(d, monkeypatch):
     # what every check reports when each value is what evaluate gives at that age
     monkeypatch.setattr(analysis, "_sweep", _pointwise_sweep)
     assert got == [check() for check in checks]
+
+
+#: six bundle families: bounded (one kinked), and unbounded with light, heavy and closed-form tails
+CHAIN_FAMILIES = [Uniform(0, 1), Power(3, 0.5), PiecewiseBounded(), Exponential(1), Pareto(1, 2), TwoExpMax()]
+
+
+def _chain_reference(d, k, n, t_grid, side):
+    """check_korder_chains's margins, degenerate count and tolerance from ``_sweep``'s objects, pair by pair."""
+    chains = analysis._RESIDUAL_CHAIN if side == "residual" else analysis._PAST_CHAIN
+    pairs = [
+        ((k1, n1), (k2, n2))
+        for (k1, n1), (k2, n2) in (chain(k, n) for chain in chains)
+        if 1 <= k1 <= n1 <= analysis.MAX_N and 1 <= k2 <= n2 <= analysis.MAX_N
+    ]
+    orders = list(dict.fromkeys(order for pair in pairs for order in pair))
+    name = "dcrex" if side == "residual" else "dcpex"
+    curves = dict(zip(orders, _sweep([(kth_order(d, *order), name, 1) for order in orders], t_grid)))
+    margins, degenerate, tol = [], 0, analysis.BASE_TOL
+    for (k1, n1), (k2, n2) in pairs:
+        for t, a, b in zip(t_grid, curves[(k1, n1)], curves[(k2, n2)]):
+            if not (isinstance(a, MeasureValue) and isinstance(b, MeasureValue)):
+                degenerate += 1
+                continue
+            margin, pt_tol = analysis._pair(a, b)
+            tol = max(tol, pt_tol)
+            margins.append((margin, (t, (k1, n1), (k2, n2))))
+    return margins, degenerate, tol
+
+
+@pytest.mark.parametrize("d", CHAIN_FAMILIES, ids=ids(CHAIN_FAMILIES))
+@pytest.mark.parametrize("side", ["residual", "past"])
+def test_korder_chains_equal_the_pair_by_pair_reference(d, side, monkeypatch):
+    lo, hi = d.support.lower, d.support.upper
+    ends = [lo - 0.5, lo] + ([hi, hi + 0.5] if d.support.bounded else [1e15])
+    long = sorted(default_grid(d) + ends)
+    short = sorted(default_grid(d, points=6) + ends)  # more than a tenth of its points degenerate
+    grids = [long, short, short[::-1]]  # and one that is not increasing
+    passed = []
+    real = analysis._report
+    monkeypatch.setattr(analysis, "_report", lambda *args: passed.append(args) or real(*args))
+    for grid in grids:
+        for k in range(1, 5):
+            got = check_korder_chains(d, k, 4, grid, side)
+            *_, got_degenerate, got_tol = passed[-1]
+            margins, degenerate, tol = _chain_reference(d, k, 4, grid, side)
+            want = analysis._margins_report(f"korder-chain({side},k={k},n=4)", margins, degenerate, tol)
+            assert (got_degenerate, got_tol) == (degenerate, tol), (k, grid)
+            assert got == want and got.worst_margin.hex() == want.worst_margin.hex(), (k, grid)
+
+
+def test_first_min_picks_what_min_picks():
+    # ties, signed zeros and nans, first or later: the index of the margin min(margins, key=...) returns
+    cases = [[2.0, 1.0, 1.0], [0.0, -0.0, -1.0, -1.0], [-0.0, 0.0], [math.nan, -1.0], [1.0, math.nan, 0.5, 0.5]]
+    cases += [[3.0, math.nan, math.inf], [math.inf, math.nan, math.inf], [math.nan, math.nan]]
+    for values in cases:
+        want = min(range(len(values)), key=values.__getitem__)
+        assert analysis._first_min(np.array(values)) == want, values
 
 
 def test_nan_age_raises():

@@ -179,3 +179,40 @@ def test_open_panels_fall_back_to_scalar_integrate(monkeypatch):
     calls.clear()
     integrate_panels(_elementwise(lambda x: np.exp(-x)), a, b)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# qk21 batch invariance: a row alone gets the bits it gets in a batch
+# ---------------------------------------------------------------------------
+
+
+def _random_pieces(m, rng):
+    """m qk21 pieces (row, mapped, lo, hi, origin) over several scales; about a fifth of them mapped."""
+    lo = rng.uniform(0.0, 5.0, m) * 10.0 ** rng.integers(-3, 3, m)
+    hi = lo + rng.uniform(1e-3, 3.0, m)
+    mapped = rng.random(m) < 0.2
+    origin = np.where(mapped, lo, 0.0)
+    lo, hi = np.where(mapped, rng.uniform(0.0, 0.5, m), lo), np.where(mapped, rng.uniform(0.5, 1.0, m), hi)
+    return np.stack([np.arange(m, dtype=np.float64), mapped.astype(np.float64), lo, hi, origin])
+
+
+def _bumpy(x, rows):
+    return np.exp(-x) * (1.0 + np.sin(3.0 * x + rows[:, None])) + 1e-3 * x
+
+
+INTEGRANDS = {
+    "c-order": _bumpy,
+    "fortran-order": lambda x, rows: np.asfortranarray(_bumpy(x, rows)),
+    "transposed": lambda x, rows: np.ascontiguousarray(_bumpy(x, rows).T).T,
+}
+
+
+@pytest.mark.parametrize("layout", list(INTEGRANDS))
+@pytest.mark.parametrize("m", [1, 2, 7, 640, 3000])
+def test_qk21_rows_alone_equal_rows_in_a_batch(m, layout):
+    f = INTEGRANDS[layout]
+    pieces = _random_pieces(m, np.random.default_rng(m))
+    values, errors = quadrature._qk21(f, pieces)
+    for j in range(m):
+        value, error = quadrature._qk21(f, pieces[:, j : j + 1])
+        assert (value[0], error[0]) == (values[j], errors[j]), (j, value[0] - values[j], error[0] - errors[j])
