@@ -2,60 +2,53 @@
 
 Measures, bounds, stochastic orderings, characterizations (generalized
 Pareto and power families), plug-in estimators, and a CLI front end.
+
+``import extropy`` loads no submodule: each one, and each name below, is
+imported on first use (PEP 562), so a process pays only for what it uses.
 """
 
-from . import analysis, characterize, distributions, estimators, measures, orderstats
-from .distributions import (
-    Affine,
-    Distribution,
-    Exponential,
-    FiniteRange,
-    FoldedCramer,
-    GPD,
-    Mixture,
-    Pareto,
-    PiecewiseBounded,
-    Power,
-    Support,
-    TwoExpMax,
-    Uniform,
-    Weibull,
-    from_spec,
-)
-from .measures import Curve, MeasureKind, MeasureValue, evaluate
-from .orderstats import OrderSpec, kth_order, kth_order_sf, max_order, min_order
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Affine",
-    "Curve",
-    "Distribution",
-    "Exponential",
-    "FiniteRange",
-    "FoldedCramer",
-    "GPD",
-    "MeasureKind",
-    "MeasureValue",
-    "Mixture",
-    "OrderSpec",
-    "Pareto",
-    "PiecewiseBounded",
-    "Power",
-    "Support",
-    "TwoExpMax",
-    "Uniform",
-    "Weibull",
-    "analysis",
-    "characterize",
-    "distributions",
-    "estimators",
-    "evaluate",
-    "from_spec",
-    "kth_order",
-    "kth_order_sf",
-    "max_order",
-    "measures",
-    "min_order",
-    "orderstats",
-]
+#: public name -> the submodule that defines it
+_ORIGIN = {
+    **{
+        name: "distributions"
+        for name in (
+            "Affine",
+            "Distribution",
+            "Exponential",
+            "FiniteRange",
+            "FoldedCramer",
+            "GPD",
+            "Mixture",
+            "Pareto",
+            "PiecewiseBounded",
+            "Power",
+            "Support",
+            "TwoExpMax",
+            "Uniform",
+            "Weibull",
+            "from_spec",
+        )
+    },
+    **{name: "measures" for name in ("Curve", "MeasureKind", "MeasureValue", "evaluate")},
+    **{name: "orderstats" for name in ("OrderSpec", "kth_order", "kth_order_sf", "max_order", "min_order")},
+}
+
+_SUBMODULES = ("analysis", "characterize", "distributions", "estimators", "measures", "orderstats")
+
+__all__ = sorted([*_ORIGIN, *_SUBMODULES])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name in _ORIGIN:
+        return getattr(_import_module(f".{_ORIGIN[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -253,7 +253,7 @@ def check_korder_chains(
     margins, tols, ages, of_pair = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for j, (first, second) in enumerate(pairs):
         a, b = curves[first], curves[second]
-        ok = np.flatnonzero(~(a.degenerate | b.degenerate))
+        ok = (~(a.degenerate | b.degenerate)).nonzero()[0]
         margins.append(a.value[ok] - b.value[ok])
         tols.append(BASE_TOL + a.error[ok] + b.error[ok])
         ages.append(ok)

@@ -19,11 +19,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, characterize as chz, distributions, estimators, measures
+from . import distributions, measures
 from .distributions import Distribution, PiecewiseBounded, TwoExpMax, from_spec
 from .errors import ExtropyError, UsageError
 from .measures import Curve, MeasureKind, _values_at, curve as eval_curve, evaluate
-from .orderstats import kth_order, max_order, min_order
+
+# analysis, characterize, estimators and orderstats are imported by the verbs
+# and flags that use them, so that a process loads only what its argv needs
 
 _MEASURE_NAMES = sorted(measures.ALL_KINDS)
 
@@ -87,18 +89,20 @@ def _apply_order_flags(d: Distribution, args: argparse.Namespace) -> Distributio
     given = [f for f in ("order_min", "order_max", "order") if getattr(args, f, None)]
     if len(given) > 1:
         raise UsageError("at most one of --order-min/--order-max/--order may be given")
-    if getattr(args, "order_min", None):
+    if not given:
+        return d
+    from .orderstats import kth_order, max_order, min_order
+
+    if given[0] == "order_min":
         return min_order(d, args.order_min)
-    if getattr(args, "order_max", None):
+    if given[0] == "order_max":
         return max_order(d, args.order_max)
-    if getattr(args, "order", None):
-        try:
-            k_str, n_str = args.order.split(":")
-            k, n = int(k_str), int(n_str)
-        except ValueError as exc:
-            raise UsageError(f"--order expects k:n, got {args.order!r}") from exc
-        return kth_order(d, k, n)
-    return d
+    try:
+        k_str, n_str = args.order.split(":")
+        k, n = int(k_str), int(n_str)
+    except ValueError as exc:
+        raise UsageError(f"--order expects k:n, got {args.order!r}") from exc
+    return kth_order(d, k, n)
 
 
 def _measure_kind(args: argparse.Namespace) -> MeasureKind:
@@ -113,7 +117,9 @@ def _t_grid(d: Distribution, args: argparse.Namespace) -> list[float]:
         if not (args.t_min < args.t_max):
             raise UsageError("--t-min must be < --t-max")
         return list(np.linspace(args.t_min, args.t_max, args.steps))
-    return analysis.default_grid(d, points=args.steps)
+    from .analysis import default_grid
+
+    return default_grid(d, points=args.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +147,8 @@ def _cmd_curve(args: argparse.Namespace) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> str:
+    from . import analysis
+
     d = _load_dist(args.dist)
     d2 = _load_dist(args.dist2) if args.dist2 else None
     n = args.n
@@ -200,6 +208,8 @@ def _cmd_check(args: argparse.Namespace) -> str:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> str:
+    from . import characterize as chz
+
     if args.curve:
         cv = _read_curve_csv(args.curve)
         if args.model != "gpd":
@@ -218,6 +228,8 @@ def _cmd_characterize(args: argparse.Namespace) -> str:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> str:
+    from . import estimators
+
     sample = estimators.read_sample_file(args.samples, args.bound)
     if args.measure == "crex":
         value = estimators.empirical_crex(sample, args.n)
@@ -347,6 +359,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError:
                 raise UsageError(f"EXTROPY_TOL must be a number, got {tol!r}") from None
         if args.tol is not None:
+            from . import analysis
+
             analysis.BASE_TOL = args.tol  # module-level default used by the checks
         text = args.func(args)
         _emit(text, args.output)

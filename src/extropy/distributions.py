@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +46,9 @@ _QUANTILE_ATOL = 1e-12
 #: a float, or a 1-D float64 array evaluated elementwise into the same shape
 FloatOrArray = Union[float, np.ndarray]
 
+#: values(g, source): distribution g's "sf" or "cdf" at some fixed points (see ``Distribution._level``)
+Values = Callable[["Distribution", str], FloatOrArray]
+
 
 def _xp(x: FloatOrArray):
     """``math`` for a float and ``numpy`` for an array, so a formula is written once."""
@@ -56,15 +59,33 @@ def _piecewise(x: FloatOrArray, lower: float, upper: float, below: float, above:
     """``below`` where x <= lower, ``above`` where x >= upper, ``f`` strictly between, and nan at nan.
 
     ``f`` only sees the points inside, so it raises no domain errors or warnings.
+
+    Fast path: when every element of an array lies strictly inside (then
+    none is nan, since the min and max of an array with a nan are nan), the
+    result is ``f`` of the whole array, with no masks, scatters or nan pass;
+    a constant ``f`` is broadcast to the array's shape.  The bits are those
+    of the masked path: numpy's elementwise functions give an element the
+    same bits wherever it sits in a C-contiguous array, and the masked path
+    hands ``f`` a C-contiguous copy of the inside points, so a
+    non-contiguous array is copied before ``f`` sees it.  ``f`` computes a
+    new array, so the result never aliases x.
     """
     if not isinstance(x, np.ndarray):
         # nan fails every comparison
         return below if x <= lower else above if x >= upper else f(x) if x < upper else math.nan
+    if x.size and lower < np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < upper:
+        out = f(_contiguous(x))
+        return np.full(x.shape, out) if np.ndim(out) == 0 else out
     out = np.where(x <= lower, below, above)
     inside = (x > lower) & (x < upper)
     out[inside] = f(x[inside])
     out[np.isnan(x)] = math.nan
     return out
+
+
+def _contiguous(x: np.ndarray) -> np.ndarray:
+    """x itself if it is C-contiguous, else a C-contiguous copy of it."""
+    return x if x.flags.c_contiguous else x.copy()
 
 
 def _density(x: FloatOrArray, lower: float, upper: float, f) -> FloatOrArray:
@@ -74,9 +95,17 @@ def _density(x: FloatOrArray, lower: float, upper: float, f) -> FloatOrArray:
 
 
 def _split(x: FloatOrArray, at: float, head, tail) -> FloatOrArray:
-    """``head`` where x <= at and ``tail`` elsewhere; each sees only its own points."""
+    """``head`` where x <= at and ``tail`` elsewhere; each sees only its own points.
+
+    An array that lies on one side only, with no nan, goes whole to that
+    side's formula, with the bits of the masked path (see ``_piecewise``).
+    """
     if not isinstance(x, np.ndarray):
         return head(x) if x <= at else tail(x)
+    if x.size and np.maximum.reduce(x, axis=None) <= at:
+        return head(_contiguous(x))
+    if x.size and at < np.minimum.reduce(x, axis=None):
+        return tail(_contiguous(x))
     out = np.empty_like(x)
     low = x <= at
     out[low], out[~low] = head(x[low]), tail(x[~low])
@@ -126,6 +155,16 @@ class Distribution(ABC):
 
     def sf(self, x: FloatOrArray) -> FloatOrArray:
         return 1.0 - self.cdf(x)
+
+    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+        """sf (residual) or cdf at the points that ``values`` gives functionals at.
+
+        An order statistic overrides this with its sf and cdf written as a
+        formula of its parent's values, which its own ``sf`` and ``cdf`` run
+        too.  So ``_levels`` with one shared ``values`` calls a parent once
+        for all of its orders, and each order gets the bits of its own call.
+        """
+        return values(self, "sf" if residual else "cdf")
 
     def cdf_array(self, x: np.ndarray) -> np.ndarray:
         return self.cdf(x)
@@ -249,24 +288,47 @@ class Distribution(ABC):
         return Affine(self, scale, shift)
 
 
-def _levels(d: Distribution, residual: bool, ages: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _levels(
+    d: Distribution, residual: bool, ages: Sequence[float], values: Optional[Values] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a dynamic measure of d conditions on at every age, from one array call.
 
     Returns three arrays: the levels (sf(t) on the residual side, cdf(t) on
     the past side), whether each age is degenerate (its level is at most
     ``DEGENERATE_EPS``, or nan: ``_degenerate`` is what it raises), and the
     term t - hi that the past side adds beyond the upper support end hi,
-    where the cdf stays 1.
+    where the cdf stays 1.  ``values`` gives the functionals at the ages
+    (``_at(ages)`` by default); a ``_shared_values(ages)`` passed to the
+    calls for several distributions calls each (distribution, functional)
+    once between them, with the same bits.
     """
     ages = np.asarray(ages, dtype=np.float64)
     # far out in a tail an intermediate power can overflow (Weibull's t**theta); the level is its limit 0
     with np.errstate(over="ignore"):
-        level = (d.sf if residual else d.cdf)(ages)
+        level = d._level(values or _at(ages), residual)
     degenerate = ~(level > DEGENERATE_EPS)
     if residual:
         return level, degenerate, np.zeros(ages.size)
     hi = d.support.upper
     return level, degenerate, np.where(ages > hi, ages - hi, 0.0)
+
+
+def _at(x: FloatOrArray) -> Values:
+    """The ``values`` that calls g's sf or cdf at x."""
+    return lambda g, source: getattr(g, source)(x)
+
+
+def _shared_values(ages: np.ndarray) -> Values:
+    """The ``values`` that calls each (distribution, functional) at the ages once, however often asked."""
+    memo: dict[tuple[int, str], np.ndarray] = {}
+
+    def values(g: Distribution, source: str) -> np.ndarray:
+        key = (id(g), source)
+        if key not in memo:
+            memo[key] = getattr(g, source)(ages)
+        return memo[key]
+
+    return values
 
 
 def _degenerate(residual: bool, t: float) -> ExtropyError:

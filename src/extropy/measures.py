@@ -47,6 +47,7 @@ from .distributions import (
     Weibull,
     _degenerate,
     _levels,
+    _shared_values,
 )
 from .errors import (
     DegenerateHead,
@@ -279,7 +280,7 @@ def _integrate(blocks: Sequence[_Block]) -> tuple[np.ndarray, np.ndarray]:
             of_rows = use[rows]
             for k, g in enumerate(sources):
                 sel = of_rows == k
-                if sel.any():
+                if np.count_nonzero(sel):
                     fx[sel] = g(x[sel].ravel()).reshape(-1, x.shape[1])
         fx = fx / scale[rows, None]
         if len(powers) == 1:
@@ -376,7 +377,7 @@ def _evaluate_arrays(d: Distribution, groups: Sequence[_Group], force_quadrature
         else:
             value, closed = _closed_forms(d, name, n, [None] if ages is None else ages.tolist(), degenerate[g])
         out.append(_Arrays(value, np.zeros(sizes[g]), closed, degenerate[g]))
-        todo = np.flatnonzero(~(closed | degenerate[g]))
+        todo = (~(closed | degenerate[g])).nonzero()[0]
         if not todo.size:
             continue
         # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b]
@@ -472,6 +473,12 @@ def _values_at(d: Distribution, name: str, n: int, ages: Sequence[float]) -> lis
 
 def evaluate(d: Distribution, kind: MeasureKind, *, force_quadrature: bool = False) -> MeasureValue:
     """Evaluate one measure; closed form when cataloged, quadrature otherwise."""
+    if not force_quadrature and kind.name not in DYNAMIC_KINDS:
+        # a static kind's closed form, before any array is built; the batch gives the same
+        entry = _catalog_entry(d, kind.name, kind.n)
+        value = None if entry is None else entry(None)
+        if value is not None:
+            return MeasureValue(float(value), "closed-form", 0.0)
     return _values(_evaluate_batch(d, [kind], force_quadrature))[0]
 
 
@@ -590,7 +597,9 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
 
     A curve is (distribution, dynamic kind name, n).  The levels and
     degenerate ages come from one ``_levels`` call per distinct
-    (distribution, side), and each curve's closed form is looked up once;
+    (distribution, side), which share one array call per (distribution,
+    functional): the orders of one parent all take their levels from the
+    parent's cdf and sf at the grid.  Each curve's closed form is looked up once;
     closed forms win pointwise.  On a strictly increasing grid the remaining
     ages t_1 < ... < t_m of a curve share one sweep of short panels.
     Residual side, with D_i = int_{t_i}^{hi} (S/S(t_i))^{2n}:
@@ -615,6 +624,7 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
         return [_zeros(0) for _ in curves]
     grid = np.array(ages, dtype=np.float64)
     ts = grid.tolist()
+    values = _shared_values(grid)
     sides: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     out: list[_Arrays] = []
     blocks: list[_Block] = []
@@ -624,11 +634,11 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
         residual = name in RESIDUAL_KINDS
         key = (id(d), residual)
         if key not in sides:
-            sides[key] = _levels(d, residual, grid)
+            sides[key] = _levels(d, residual, grid, values)
         level, degenerate, beyond = sides[key]
         value, closed = _closed_forms(d, name, n, ts, degenerate)
         out.append(_Arrays(value, np.zeros(m), closed, degenerate))
-        swept = np.flatnonzero(~(closed | degenerate))
+        swept = (~(closed | degenerate)).nonzero()[0]
         if not swept.size:
             continue
         lo, hi = d.support.lower, d.support.upper

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import Distribution, FloatOrArray, Support, _check_p, _piecewise, _xp
+from .distributions import Distribution, FloatOrArray, Support, Values, _at, _check_p, _piecewise, _xp
 from .errors import InvalidOrder
 
 #: largest sample size of an order statistic
@@ -74,11 +74,16 @@ class MinOrder(Distribution):
         # tail 1/(1+tx)^n also integrates for n >= 2
         return self.parent.has_finite_mean or self.n >= 2
 
+    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+        if residual:
+            return values(self.parent, "sf") ** self.n
+        return _one_minus_power(values(self.parent, "cdf"), self.n)
+
     def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return self.parent.sf(x) ** self.n
+        return self._level(_at(x), True)
 
     def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return _one_minus_power(self.parent.cdf(x), self.n)
+        return self._level(_at(x), False)
 
     def pdf(self, x: FloatOrArray) -> FloatOrArray:
         return _weighted_density(self.n * self.parent.sf(x) ** (self.n - 1), self.parent.pdf(x))
@@ -116,11 +121,16 @@ class MaxOrder(Distribution):
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return self.parent.has_finite_mean
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return self.parent.cdf(x) ** self.n
+    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+        if residual:
+            return _one_minus_power(values(self.parent, "sf"), self.n)
+        return values(self.parent, "cdf") ** self.n
 
     def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return _one_minus_power(self.parent.sf(x), self.n)
+        return self._level(_at(x), True)
+
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return self._level(_at(x), False)
 
     def pdf(self, x: FloatOrArray) -> FloatOrArray:
         return _weighted_density(self.n * self.parent.cdf(x) ** (self.n - 1), self.parent.pdf(x))
@@ -152,14 +162,20 @@ class KthOrder(Distribution):
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return self.parent.has_finite_mean or self.spec.n - self.spec.k + 1 >= 2
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return _lower_binomial_sum(self.spec.n, self.spec.k, self.parent.cdf(x), self.parent.sf(x))
-
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+        k, n = self.spec.k, self.spec.n
+        F, S = values(self.parent, "cdf"), values(self.parent, "sf")
+        if residual:
+            return _lower_binomial_sum(n, k, F, S)
         # the terms i >= k of the binomial sum, i.e. the terms j = n - i < n - k + 1
         # with the roles of F and S swapped
-        k, n = self.spec.k, self.spec.n
-        return _lower_binomial_sum(n, n - k + 1, self.parent.sf(x), self.parent.cdf(x))
+        return _lower_binomial_sum(n, n - k + 1, S, F)
+
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
+        return self._level(_at(x), True)
+
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return self._level(_at(x), False)
 
     def pdf(self, x: FloatOrArray) -> FloatOrArray:
         k, n = self.spec.k, self.spec.n

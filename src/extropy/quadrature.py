@@ -159,13 +159,13 @@ def _start_pieces(a: np.ndarray, b: np.ndarray, points: Sequence[float]) -> np.n
     cuts = sorted({float(p) for p in points if math.isfinite(p)})
     lo, hi = a[:, None], b[:, None]
     # a cut outside [a_i, b_i] is clipped to an end, where it makes an empty segment
-    edges = np.concatenate((lo, np.clip(np.array(cuts), lo, hi), hi), axis=1)
+    edges = np.concatenate((lo, np.array(cuts).clip(lo, hi), hi) if cuts else (lo, hi), axis=1)
     nonempty = edges[:, 1:] > edges[:, :-1]
     rows = np.nonzero(nonempty)[0]
     seg_lo, seg_hi = edges[:, :-1][nonempty], edges[:, 1:][nonempty]
     mapped = np.isinf(seg_hi)
     origin = seg_lo
-    if mapped.any():
+    if np.count_nonzero(mapped):
         seg_lo, seg_hi = np.where(mapped, 0.0, seg_lo), np.where(mapped, 1.0, seg_hi)
     split = seg_lo[:, None] + (seg_hi - seg_lo)[:, None] * _START_SPLIT
     split[:, -1] = seg_hi
@@ -190,9 +190,10 @@ def _qk21(f: Callable[[np.ndarray, np.ndarray], np.ndarray], pieces: np.ndarray)
     rows, mapped, lo, hi, origin = pieces
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = centre[:, None] + half[:, None] * _NODES
-    mapped = mapped != 0.0
-    if mapped.any():
+    x = np.multiply.outer(half, _NODES)
+    x += centre[:, None]  # centre + half * node, in place
+    if np.count_nonzero(mapped):
+        mapped = mapped != 0.0
         u = x[mapped]
         x[mapped] = origin[mapped, None] + (1.0 - u) / u
         fx = np.ascontiguousarray(f(x, rows.astype(np.intp)))
@@ -202,13 +203,17 @@ def _qk21(f: Callable[[np.ndarray, np.ndarray], np.ndarray], pieces: np.ndarray)
     resk = np.einsum("ij,j->i", fx, _KRONROD)
     resg = np.einsum("ij,j->i", fx, _GAUSS)
     resabs = np.einsum("ij,j->i", np.abs(fx), _KRONROD) * half
-    resasc = np.einsum("ij,j->i", np.abs(fx - 0.5 * resk[:, None]), _KRONROD) * half
+    dev = fx - 0.5 * resk[:, None]
+    resasc = np.einsum("ij,j->i", np.abs(dev, out=dev), _KRONROD) * half
     err = np.abs((resk - resg) * half)
     # dqk21's scaling of the Kronrod-Gauss difference, where both are nonzero
+    # (mostly everywhere: then no masks), and its floor of 50 eps |f|
     scale = (resasc != 0.0) & (err != 0.0)
-    err[scale] = resasc[scale] * np.minimum(1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
-    floor = resabs > _UFLOW / (50.0 * _EPMACH)
-    err[floor] = np.maximum(50.0 * _EPMACH * resabs[floor], err[floor])
+    if np.count_nonzero(scale) == scale.size:
+        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    else:
+        err[scale] = resasc[scale] * np.minimum(1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
+    err = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum(50.0 * _EPMACH * resabs, err), err)
     return resk * half, err
 
 
@@ -243,35 +248,42 @@ def integrate_panels(
     m = a.size
     pieces = _start_pieces(a, b, points)
     v, e = _qk21(f, pieces)
+    total, total_err = np.zeros(m), np.zeros(m)
     refining = np.ones(m, dtype=bool)
     fallback: list[int] = []
     for depth in range(max_depth + 1):
+        # pieces holds the pieces of the open integrals only: an accepted
+        # integral's pieces never change, so its sums are final
         rows = pieces[0].astype(np.intp)
-        total, total_err = np.bincount(rows, v, m), np.bincount(rows, e, m)
+        total = np.where(refining, np.bincount(rows, v, m), total)
+        total_err = np.where(refining, np.bincount(rows, e, m), total_err)
         target = np.maximum(EPS_ABS, EPS_REL * np.abs(total))
         refining &= ~(total_err <= target)  # a NaN error keeps refining, then falls back
-        if not refining.any():
+        if not np.count_nonzero(refining):
             break
         count = np.bincount(rows, minlength=m)
         split = refining[rows] & ~(e <= 0.5 * target[rows] / count[rows])
-        if depth < max_depth:
+        if depth == max_depth:
+            give_up = refining
+        elif 2 * count.max() > _LIMIT:  # a split at most doubles an integral's pieces
             give_up = refining & (count + np.bincount(rows[split], minlength=m) > _LIMIT)
         else:
-            give_up = refining
-        if give_up.any():
-            fallback += np.flatnonzero(give_up).tolist()
+            give_up = None
+        if give_up is not None and np.count_nonzero(give_up):
+            fallback += give_up.nonzero()[0].tolist()
             refining &= ~give_up
             split &= refining[rows]
-            if not split.any():
+            if not np.count_nonzero(split):
                 break
         # kept pieces, then the halves: an integral's pieces keep an order
         # that only its own bisections decide, and its sums follow that order
-        halves = np.repeat(pieces[:, split], 2, axis=1)
+        halves = pieces[:, split].repeat(2, axis=1)
         mid = 0.5 * (halves[2, ::2] + halves[3, ::2])
         halves[3, ::2] = halves[2, 1::2] = mid
         hv, he = _qk21(f, halves)
-        pieces = np.concatenate((pieces[:, ~split], halves), axis=1)
-        v, e = np.concatenate((v[~split], hv)), np.concatenate((e[~split], he))
+        keep = refining[rows] & ~split
+        pieces = np.concatenate((pieces[:, keep], halves), axis=1)
+        v, e = np.concatenate((v[keep], hv)), np.concatenate((e[keep], he))
     for i in fallback:
         row = np.array([i])
         total[i], total_err[i] = integrate(lambda y: float(f(np.array([[y]]), row)[0, 0]), a[i], b[i], points)

@@ -36,6 +36,7 @@ from extropy.distributions import (
 from extropy.errors import DegenerateHead, DegenerateTail
 from extropy.measures import (
     Curve,
+    MeasureKind,
     MeasureValue,
     _evaluate_batch,
     cpen,
@@ -112,6 +113,28 @@ def test_batch_elements_equal_evaluate_bit_for_bit(d, order):
             want = _alone(od, kind, force)
             assert _same(got, want), (kind, got, want)
             assert _same(again, want), (kind, again, want)
+
+
+#: every (family, static kind, n <= 3) with a catalog entry
+STATIC_CLOSED = [
+    (d, MeasureKind(name, n))
+    for d in ALL_FAMILIES
+    for name in ("crex", "crex-min", "cpex", "cpex-max")
+    for n in (1, 2, 3)
+    if measures._catalog_entry(d, name, n) is not None
+]
+
+
+def test_static_closed_forms_equal_the_batch_bit_for_bit(monkeypatch):
+    assert len({type(d) for d, _ in STATIC_CLOSED}) == 7
+    batches = [_evaluate_batch(d, [kind])[0] for d, kind in STATIC_CLOSED]
+    # evaluate returns a static closed form without the batch
+    monkeypatch.setattr(measures, "_evaluate_batch", None)
+    for (d, kind), want in zip(STATIC_CLOSED, batches):
+        got = evaluate(d, kind)
+        assert got.method == want.method == "closed-form", (d, kind)
+        assert type(got.value) is type(want.value) is float, (d, kind)
+        assert got.value.hex() == want.value.hex() and got.abs_error_estimate.hex() == want.abs_error_estimate.hex()
 
 
 def _pointwise_curve(d, kind_for_t, grid):

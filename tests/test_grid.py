@@ -9,10 +9,21 @@ import pytest
 
 from extropy import analysis
 from extropy.analysis import check_dcpex_bounds, check_dcrex_bounds, check_korder_chains, default_grid
-from extropy.distributions import Exponential, Mixture, Pareto, PiecewiseBounded, Power, TwoExpMax, Uniform, Weibull
+from extropy.distributions import (
+    Exponential,
+    Mixture,
+    Pareto,
+    PiecewiseBounded,
+    Power,
+    TwoExpMax,
+    Uniform,
+    Weibull,
+    _levels,
+    _shared_values,
+)
 from extropy.errors import DegenerateHead, DegenerateTail, ExtropyError
 from extropy.measures import MeasureKind, MeasureValue, _sweep, dcpex, dcrex, dcrex_min, evaluate, evaluate_grid
-from extropy.orderstats import kth_order
+from extropy.orderstats import KthOrder, MaxOrder, MinOrder, OrderSpec, kth_order
 from extropy.quadrature import integrate
 
 from conftest import ALL_FAMILIES, ids
@@ -83,6 +94,44 @@ def test_far_tail_age_is_degenerate_without_warnings():
         with pytest.raises(DegenerateTail, match=r"sf\(1e\+300\) is zero"):
             evaluate(d, dcrex(1e300))
         assert str(evaluate_grid(d, dcrex, [1.0, 1e300])[1]) == "sf(1e+300) is zero"
+
+
+def _level_ages(d):
+    """A grid across the support, with degenerate ages at and beyond both ends and far out in a tail."""
+    lo, hi = d.support.lower, d.support.upper
+    top = hi if d.support.bounded else 40.0
+    return np.concatenate(([lo - 1.0, lo], np.linspace(lo, top, 41)[1:-1], [top, top + 1.0, 1e300]))
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_shared_parent_levels_equal_each_orders_own_bit_for_bit(d):
+    # one _shared_values for the parent and its orders, as _sweep_arrays passes it
+    grid = _level_ages(d)
+    curves = [d, MinOrder(d, 3), MaxOrder(d, 4), KthOrder(d, OrderSpec(2, 5))]
+    for residual in (True, False):
+        values = _shared_values(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for od in curves:
+                shared, alone = _levels(od, residual, grid, values), _levels(od, residual, grid)
+                for got, want in zip(shared, alone):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (od, residual)
+        assert alone[1].any() and not alone[1].all()  # degenerate ages and others
+
+
+def test_shared_values_call_each_parent_functional_once(monkeypatch):
+    calls = []
+    for source in ("sf", "cdf"):
+        real = getattr(Exponential, source)
+        spy = lambda self, x, real=real, source=source: calls.append(source) or real(self, x)  # noqa: E731
+        monkeypatch.setattr(Exponential, source, spy)
+    d = Exponential(1)
+    grid = _level_ages(d)
+    values = _shared_values(grid)
+    for od in (d, MinOrder(d, 3), MaxOrder(d, 4), KthOrder(d, OrderSpec(2, 5))):
+        for residual in (True, False):
+            _levels(od, residual, grid, values)
+    assert sorted(calls) == ["cdf", "sf"]
 
 
 def test_closed_forms_win_pointwise():

@@ -69,6 +69,49 @@ def test_array_sf_cdf_match_scalar(d, method):
     assert np.all(excess <= 0.0), (x[finite][np.argmax(excess)], np.max(excess))
 
 
+def _interior(d):
+    """Points strictly inside the support, and the groups of them on one side of each breakpoint."""
+    lo, hi = d.support.lower, d.support.upper
+    top = hi if math.isfinite(hi) else 40.0
+    inner = np.concatenate((np.linspace(lo, top, 203)[1:-1], [np.nextafter(lo, math.inf), np.nextafter(top, -math.inf)]))
+    if not math.isfinite(hi):
+        inner = np.concatenate((inner, [1e3, 1e300]))
+    groups = [inner]
+    for p in d.breakpoints:
+        groups += [inner[inner <= p], inner[inner > p]]
+    return groups
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", EVERY, ids=ids(EVERY))
+@pytest.mark.parametrize("method", ["sf", "cdf", "pdf"])
+def test_interior_points_alone_equal_them_in_a_mixed_array_bit_for_bit(d, method):
+    # the interior alone takes the whole-array path, the mixed array the masked one
+    lo, hi = d.support.lower, d.support.upper
+    outside = [lo, hi, lo - 1.0, hi + 1.0 if math.isfinite(hi) else -math.inf, math.nan]
+    g = getattr(d, method)
+    for inner in _interior(d):
+        with np.errstate(over="ignore"):  # far out in a tail t**theta overflows, as in _levels
+            alone = g(inner)
+            mixed = g(np.concatenate((outside, inner)))
+            strided = g(np.repeat(inner, 2)[::2])
+        assert alone.shape == inner.shape and not np.shares_memory(alone, inner)
+        assert np.array_equal(_bits(alone), _bits(mixed[len(outside) :]))
+        assert np.array_equal(_bits(alone), _bits(strided))
+        assert math.isnan(mixed[len(outside) - 1])
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (0,)])
+def test_uniform_pdf_keeps_the_array_shape(shape):
+    x = np.full(shape, 0.5)
+    got = Uniform(0.0, 2.0).pdf(x)
+    assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == np.float64
+    assert np.all(got == 0.5) and not np.shares_memory(got, x)
+
+
 class _Triangular(Distribution):
     """A family whose cdf and pdf are each written once, in numpy, over a float or an array."""
 

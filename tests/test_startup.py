@@ -1,10 +1,12 @@
-"""Start-up cost: scipy is loaded only by a process whose integral falls back to scalar QUADPACK.
+"""Start-up cost: scipy is loaded only by a process whose integral falls back to scalar QUADPACK,
+and a verb loads only the ``extropy`` submodules it uses.
 
 Each case runs ``cli.run(argv)`` in a fresh interpreter, because the test
 process has scipy loaded already (``tests/test_orderstats.py`` imports
 ``scipy.integrate``).  The child reports whether scipy was loaded after
-``import extropy.cli`` and after the run; its stdout must equal an
-in-process ``cli.run`` of the same argv.
+``import extropy.cli`` and after the run, and which ``extropy`` submodules
+were loaded after the run; its stdout must equal an in-process ``cli.run``
+of the same argv.
 """
 
 import json
@@ -25,18 +27,33 @@ import extropy.cli
 imported = "scipy" in sys.modules
 code = extropy.cli.run(json.loads(sys.argv[1]))
 sys.stdout.flush()
-sys.stderr.write(json.dumps([code, imported, "scipy.integrate" in sys.modules]))
+loaded = sorted(name for name in sys.modules if name.startswith("extropy."))
+sys.stderr.write(json.dumps([code, imported, "scipy.integrate" in sys.modules, loaded]))
 """
 
+#: the submodules that only some verbs need
+HEAVY = {"analysis", "characterize", "estimators", "orderstats"}
+
+# (id, argv, whether scipy.integrate is loaded, the extropy submodules that stay unloaded)
 CASES = [
-    ("help", ["--help"], False),
-    ("measure-closed-form", ["measure", "--dist", "{exp}", "--measure", "crex-min", "--n", "2"], False),
-    ("estimate", ["estimate", "--samples", "{samples}", "--measure", "crex", "--n", "2"], False),
-    ("characterize-gpd", ["characterize", "--dist", "{gpd}", "--model", "gpd"], False),
-    ("measure-quadrature", ["measure", "--dist", "{weibull}", "--measure", "dcrex-min", "--t", "0.7"], False),
-    ("measure-order", ["measure", "--dist", "{exp}", "--measure", "dcrex", "--t", "0.7", "--order", "3:7"], False),
+    ("help", ["--help"], False, HEAVY),
+    ("measure-closed-form", ["measure", "--dist", "{exp}", "--measure", "crex-min", "--n", "2"], False, HEAVY),
+    (
+        "estimate",
+        ["estimate", "--samples", "{samples}", "--measure", "crex", "--n", "2"],
+        False,
+        HEAVY - {"estimators"},
+    ),
+    ("characterize-gpd", ["characterize", "--dist", "{gpd}", "--model", "gpd"], False, set()),
+    ("measure-quadrature", ["measure", "--dist", "{weibull}", "--measure", "dcrex-min", "--t", "0.7"], False, HEAVY),
+    (
+        "measure-order",
+        ["measure", "--dist", "{exp}", "--measure", "dcrex", "--t", "0.7", "--order", "3:7"],
+        False,
+        HEAVY - {"orderstats"},
+    ),
     # pdf^2 ~ x^-1/2 at 0: the batched engine leaves it to the scalar fallback
-    ("measure-fallback", ["measure", "--dist", "{power}", "--measure", "extropy"], True),
+    ("measure-fallback", ["measure", "--dist", "{power}", "--measure", "extropy"], True, HEAVY),
 ]
 
 
@@ -64,15 +81,16 @@ def _child(argv):
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argv)], capture_output=True, text=True, env=env, timeout=120
     )
-    code, imported, integrated = json.loads(proc.stderr.splitlines()[-1])
-    return code, proc.stdout, imported, integrated
+    code, imported, integrated, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return code, proc.stdout, imported, integrated, loaded
 
 
-@pytest.mark.parametrize("argv,loads_scipy", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_scipy_loaded_only_by_integration(inputs, argv, loads_scipy, capsys, monkeypatch):
+@pytest.mark.parametrize("argv,loads_scipy,unloaded", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_scipy_loaded_only_by_integration(inputs, argv, loads_scipy, unloaded, capsys, monkeypatch):
     argv = [a.format(**inputs) for a in argv]
-    code, out, imported, integrated = _child(argv)
+    code, out, imported, integrated, loaded = _child(argv)
     assert (code, imported, integrated) == (0, False, loads_scipy)
+    assert not {f"extropy.{name}" for name in unloaded} & set(loaded), loaded
     monkeypatch.setenv("COLUMNS", "80")
     assert cli.run(argv) == 0
     assert out == capsys.readouterr().out
