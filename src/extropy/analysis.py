@@ -247,18 +247,19 @@ def check_korder_chains(
     ]
     orders = list(dict.fromkeys(order for pair in pairs for order in pair))
     name = "dcrex" if side == "residual" else "dcpex"
-    curves = dict(zip(orders, _sweep_arrays([(kth_order(d, *order), name, 1) for order in orders], t_grid)))
+    curves = _sweep_arrays([(kth_order(d, *order), name, 1) for order in orders], t_grid)
+    # one row per order, one column per age
+    values, errors, gone = (
+        np.array([getattr(curve, field) for curve in curves], dtype=dtype).reshape(len(orders), len(t_grid))
+        for field, dtype in (("value", float), ("error", float), ("degenerate", bool))
+    )
+    first, second = ([orders.index(pair[i]) for pair in pairs] for i in (0, 1))
 
     # every pair's margins and tolerances as _pair gives them, in the order of the pairs and then of the ages
-    margins, tols, ages, of_pair = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for j, (first, second) in enumerate(pairs):
-        a, b = curves[first], curves[second]
-        ok = (~(a.degenerate | b.degenerate)).nonzero()[0]
-        margins.append(a.value[ok] - b.value[ok])
-        tols.append(BASE_TOL + a.error[ok] + b.error[ok])
-        ages.append(ok)
-        of_pair.append(np.full(ok.size, j))
-    margin, pt_tol, age, pair = map(np.concatenate, (margins, tols, ages, of_pair))
+    ok = ~(gone[first] | gone[second])
+    pair, age = ok.nonzero()
+    margin = values[first][ok] - values[second][ok]
+    pt_tol = BASE_TOL + errors[first][ok] + errors[second][ok]
     # max and min as the builtins take them over the points in order: a nan tolerance is passed over
     tol = max(BASE_TOL, float(np.fmax.reduce(pt_tol, initial=-math.inf)))
     worst_margin, worst_point = math.nan, None

@@ -9,6 +9,10 @@ of the extremes, ``MinOrder.cdf`` and ``MaxOrder.sf``, are
 -expm1(n log1p(-G)) with G the parent's cdf or sf, not 1 - sf or 1 - cdf.
 As for every distribution, ``cdf``, ``sf`` and ``pdf`` take a float or a
 float64 array, and the same formulas run on the parent's values of either.
+Each class writes its sf and cdf once, in ``_level``, as a formula of the
+parent's cdf and sf values; ``sf`` and ``cdf`` run it on the parent's calls
+at x, and a sweep over several orders of one parent runs it on values it
+shares between them (``distributions._shared_values``).
 """
 
 from __future__ import annotations
