@@ -263,18 +263,17 @@ def integrate_panels(
             break
         count = np.bincount(rows, minlength=m)
         split = refining[rows] & ~(e <= 0.5 * target[rows] / count[rows])
-        if depth == max_depth:
+        # a split at most doubles an integral's pieces: below _LIMIT / 2 none can pass _LIMIT
+        if depth == max_depth or 2 * count.max() > _LIMIT:
             give_up = refining
-        elif 2 * count.max() > _LIMIT:  # a split at most doubles an integral's pieces
-            give_up = refining & (count + np.bincount(rows[split], minlength=m) > _LIMIT)
-        else:
-            give_up = None
-        if give_up is not None and np.count_nonzero(give_up):
-            fallback += give_up.nonzero()[0].tolist()
-            refining &= ~give_up
-            split &= refining[rows]
-            if not np.count_nonzero(split):
-                break
+            if depth < max_depth:
+                give_up = refining & (count + np.bincount(rows[split], minlength=m) > _LIMIT)
+            if np.count_nonzero(give_up):
+                fallback += give_up.nonzero()[0].tolist()
+                refining &= ~give_up
+                split &= refining[rows]
+                if not np.count_nonzero(split):
+                    break
         # kept pieces, then the halves: an integral's pieces keep an order
         # that only its own bisections decide, and its sums follow that order
         halves = pieces[:, split].repeat(2, axis=1)
