@@ -11,31 +11,29 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-#: public name -> the submodule that defines it
-_ORIGIN = {
-    **{
-        name: "distributions"
-        for name in (
-            "Affine",
-            "Distribution",
-            "Exponential",
-            "FiniteRange",
-            "FoldedCramer",
-            "GPD",
-            "Mixture",
-            "Pareto",
-            "PiecewiseBounded",
-            "Power",
-            "Support",
-            "TwoExpMax",
-            "Uniform",
-            "Weibull",
-            "from_spec",
-        )
-    },
-    **{name: "measures" for name in ("Curve", "MeasureKind", "MeasureValue", "evaluate")},
-    **{name: "orderstats" for name in ("OrderSpec", "kth_order", "kth_order_sf", "max_order", "min_order")},
+#: the names this package exports from each submodule
+_EXPORTS = {
+    "distributions": (
+        "Affine",
+        "Distribution",
+        "Exponential",
+        "FiniteRange",
+        "FoldedCramer",
+        "GPD",
+        "Mixture",
+        "Pareto",
+        "PiecewiseBounded",
+        "Power",
+        "Support",
+        "TwoExpMax",
+        "Uniform",
+        "Weibull",
+        "from_spec",
+    ),
+    "measures": ("Curve", "MeasureKind", "MeasureValue", "evaluate"),
+    "orderstats": ("OrderSpec", "kth_order", "kth_order_sf", "max_order", "min_order"),
 }
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 _SUBMODULES = ("analysis", "characterize", "distributions", "estimators", "measures", "orderstats")
 
@@ -48,7 +46,3 @@ def __getattr__(name: str):
     if name in _ORIGIN:
         return getattr(_import_module(f".{_ORIGIN[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

@@ -94,3 +94,20 @@ def test_scipy_loaded_only_by_integration(inputs, argv, loads_scipy, unloaded, c
     monkeypatch.setenv("COLUMNS", "80")
     assert cli.run(argv) == 0
     assert out == capsys.readouterr().out
+
+
+def test_import_extropy_loads_no_submodule_until_a_name_is_used():
+    child = (
+        "import json, sys\n"
+        "import extropy\n"
+        "before = sorted(m for m in sys.modules if m.startswith('extropy.'))\n"
+        "names = {name: type(getattr(extropy, name)).__name__ for name in extropy.__all__}\n"
+        "print(json.dumps([before, names]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+    before, names = json.loads(proc.stdout)
+    assert before == []
+    submodules = {"analysis", "characterize", "distributions", "estimators", "measures", "orderstats"}
+    assert {name for name, kind in names.items() if kind == "module"} == submodules
+    assert len(names) == 30
