@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 from extropy import analysis
-from extropy.analysis import check_dcpex_bounds, check_dcrex_bounds, check_korder_chains, default_grid
+from extropy.analysis import (
+    check_cpexmax_bounds,
+    check_crexmin_mean_bound,
+    check_crexmin_monotone_n,
+    check_crexmin_vs_crex,
+    check_dcpex_bounds,
+    check_dcpexmax_monotone_t,
+    check_dcrex_bounds,
+    check_korder_chains,
+    default_grid,
+)
 from extropy.distributions import (
     Exponential,
     Mixture,
@@ -261,6 +271,133 @@ def test_korder_chains_equal_the_pair_by_pair_reference(d, side, monkeypatch):
             want = analysis._margins_report(f"korder-chain({side},k={k},n=4)", margins, degenerate, tol)
             assert (got_degenerate, got_tol) == (degenerate, tol), (k, grid)
             assert got == want and got.worst_margin.hex() == want.worst_margin.hex(), (k, grid)
+
+
+def _reference_report(check_id, margins, degenerate, tol):
+    """The report of (margin, point) pairs by the builtin ``min``: the first smallest margin is the worst."""
+    worst_margin, worst_point = min(margins, key=lambda mp: mp[0], default=(math.nan, None))
+    total = len(margins) + degenerate
+    if degenerate > analysis._INCONCLUSIVE_FRACTION * total or not margins:
+        return analysis.CheckReport(check_id, "Inconclusive", worst_margin, worst_point, len(margins))
+    verdict = "Holds" if worst_margin >= -tol else "Fails"
+    return analysis.CheckReport(check_id, verdict, worst_margin, worst_point, len(margins))
+
+
+def _pair_margin(a, b):
+    """a >= b: the margin and its tolerance."""
+    return a.value - b.value, analysis.BASE_TOL + a.abs_error_estimate + b.abs_error_estimate
+
+
+def _bounds_reference(d, n, t_grid, side):
+    """check_dcrex_bounds or check_dcpex_bounds, age by age from evaluate_grid and conditional_means."""
+    residual = side == "residual"
+    plain, extreme = ("dcrex", "dcrex-min") if residual else ("dcpex", "dcpex-max")
+    v_grid, base_grid, next_grid = (
+        evaluate_grid(d, lambda t, name=name, m=m: MeasureKind(name, m, t), t_grid)
+        for name, m in ((extreme, n), (plain, 1), (extreme, n + 1))
+    )
+    margins, degenerate, tol = [], 0, analysis.BASE_TOL
+    for t, v, base, nxt in zip(t_grid, v_grid, base_grid, next_grid):
+        if not (isinstance(v, MeasureValue) and isinstance(base, MeasureValue)):
+            degenerate += 1
+            continue
+        if not residual or d.has_finite_mean:
+            (mean,), (mean_err,) = (x.tolist() for x in d.conditional_means([t], side))
+            margins.append((v.value + 0.5 * mean, ("mrl" if residual else "eit", t)))
+            tol = max(tol, analysis.BASE_TOL + v.abs_error_estimate + 0.5 * mean_err)
+        margin, pt_tol = _pair_margin(v, base)
+        tol = max(tol, pt_tol)
+        margins.append((margin, ("vs-parent", t)))
+        if not isinstance(nxt, MeasureValue):
+            degenerate += 1
+            continue
+        margin, pt_tol = _pair_margin(nxt, v)
+        tol = max(tol, pt_tol)
+        margins.append((margin, ("monotone-n", t)))
+    return _reference_report(f"{'dcrex' if residual else 'dcpex'}-bounds(n={n})", margins, degenerate, tol)
+
+
+def _monotone_t_reference(d, n, t_grid):
+    """check_dcpexmax_monotone_t, age by age from evaluate_grid."""
+    margins, degenerate, tol = [], 0, analysis.BASE_TOL
+    prev = prev_t = None
+    for t, cur in zip(t_grid, evaluate_grid(d, lambda t: MeasureKind("dcpex-max", n, t), t_grid)):
+        if not isinstance(cur, MeasureValue):
+            degenerate += 1
+            continue
+        if prev is not None:
+            margin, pt_tol = _pair_margin(prev, cur)
+            tol = max(tol, pt_tol)
+            margins.append((margin, (prev_t, t)))
+        prev, prev_t = cur, t
+    return _reference_report(f"dcpexmax-monotone-t(n={n})", margins, degenerate, tol)
+
+
+def _static_references(d, ns):
+    """The three crexmin checks and, on a bounded support, check_cpexmax_bounds, from evaluate one n at a time."""
+    mins = [evaluate(d, MeasureKind("crex-min", n)) for n in ns]
+    base = evaluate(d, MeasureKind("crex"))
+    monotone, tol = [], analysis.BASE_TOL
+    for n, prev, cur in zip(ns[1:], mins, mins[1:]):
+        margin, pt_tol = _pair_margin(cur, prev)
+        tol = max(tol, pt_tol)
+        monotone.append((margin, n))
+    refs = {"crexmin-monotone-n": _reference_report("crexmin-monotone-n", monotone, 0, tol)}
+    vs, tol = [], analysis.BASE_TOL
+    for n, v in zip(ns, mins):
+        margin, pt_tol = _pair_margin(v, base)
+        tol = max(tol, pt_tol)
+        vs.append((margin, n))
+    refs["crexmin-vs-crex"] = _reference_report("crexmin-vs-crex", vs, 0, tol)
+    if d.has_finite_mean:
+        mu = d.mean()
+        bound = [(v.value + 0.5 * mu, n) for n, v in zip(ns, mins)]
+        refs["crexmin-mean-bound"] = _reference_report("crexmin-mean-bound", bound, 0, analysis.BASE_TOL)
+    if d.support.bounded:
+        b, mu = d.support.upper, d.mean()
+        base = evaluate(d, MeasureKind("cpex"))
+        maxs = [evaluate(d, MeasureKind("cpex-max", n)) for n in ns]
+        margins, tol = [], analysis.BASE_TOL
+        for i, (n, v) in enumerate(zip(ns, maxs)):
+            margins.append((v.value + 0.5 * (b - mu), ("b-mu", n)))
+            margin, pt_tol = _pair_margin(v, base)
+            tol = max(tol, pt_tol)
+            margins.append((margin, ("vs-parent", n)))
+            if i:
+                margin, pt_tol = _pair_margin(v, maxs[i - 1])
+                tol = max(tol, pt_tol)
+                margins.append((margin, ("monotone-n", n)))
+        refs["cpexmax-bounds"] = _reference_report("cpexmax-bounds", margins, 0, tol)
+    return refs
+
+
+def _assert_same_report(got, want, *context):
+    assert got == want, context
+    assert got.worst_margin.hex() == want.worst_margin.hex(), context
+    assert repr(got.worst_point) == repr(want.worst_point), context  # the caller's own elements, np.float64 too
+
+
+@pytest.mark.parametrize("d", CHAIN_FAMILIES, ids=ids(CHAIN_FAMILIES))
+def test_bound_suites_equal_the_age_by_age_reference(d):
+    lo, hi = d.support.lower, d.support.upper
+    ends = [lo - 0.5, lo] + ([hi, hi + 0.5] if d.support.bounded else [1e15])
+    long = sorted(default_grid(d) + ends)
+    short = sorted(default_grid(d, points=6) + ends)  # more than a tenth of its points degenerate
+    for grid in (long, short, short[::-1], default_grid(d), []):
+        for n in (1, 3):
+            for side, check in (("residual", check_dcrex_bounds), ("past", check_dcpex_bounds)):
+                _assert_same_report(check(d, n, grid), _bounds_reference(d, n, grid, side), side, n, grid)
+            got = check_dcpexmax_monotone_t(d, n, grid)
+            _assert_same_report(got, _monotone_t_reference(d, n, grid), n, grid)
+    checks = {
+        "crexmin-monotone-n": check_crexmin_monotone_n,
+        "crexmin-vs-crex": check_crexmin_vs_crex,
+        "crexmin-mean-bound": check_crexmin_mean_bound,
+        "cpexmax-bounds": check_cpexmax_bounds,
+    }
+    for ns in (tuple(range(1, 11)), (3, 1, 2), (2,), ()):
+        for check_id, want in _static_references(d, ns).items():
+            _assert_same_report(checks[check_id](d, ns), want, check_id, ns)
 
 
 def test_first_min_picks_what_min_picks():
