@@ -26,22 +26,16 @@ from .errors import (
     UnboundedSupport,
 )
 from .measures import (
-    GridValue,
-    MeasureValue,
-    _evaluate_batch,
-    _sweep,
+    _batch_arrays,
     _sweep_arrays,
-    _values,
     cpen,
     cpex,
     cpex_max,
     crex,
     crex_min,
     dcpex,
-    dcpex_max,
     dcrex,
     evaluate,
-    evaluate_grid,
 )
 from .orderstats import MAX_N, kth_order
 from .quadrature import integrate_array
@@ -96,13 +90,16 @@ def default_grid(d: Distribution, points: int = 40, lo_q: float = 0.01, hi_q: fl
 
 def _margins_report(
     check_id: str,
-    margins: list[tuple[float, object]],
+    margins: np.ndarray,
+    points: Sequence,
     degenerate: int = 0,
     tol: Optional[float] = None,
-    premise_failed: bool = False,
 ) -> CheckReport:
-    worst_margin, worst_point = min(margins, key=lambda mp: mp[0], default=(math.nan, None))
-    return _report(check_id, worst_margin, worst_point, len(margins), degenerate, tol, premise_failed)
+    """The report of a check whose margins were taken at ``points``: the first smallest is the worst."""
+    if not margins.size:
+        return _report(check_id, math.nan, None, 0, degenerate, tol)
+    w = _first_min(margins)
+    return _report(check_id, float(margins[w]), points[w], margins.size, degenerate, tol)
 
 
 def _report(
@@ -112,28 +109,36 @@ def _report(
     points: int,
     degenerate: int = 0,
     tol: Optional[float] = None,
-    premise_failed: bool = False,
 ) -> CheckReport:
     """The report of a check whose first smallest margin of ``points`` is ``worst_margin``."""
     if tol is None:  # read at call time, so a CLI --tol override reaches every check
         tol = BASE_TOL
     total = points + degenerate
-    if premise_failed or (total > 0 and degenerate > _INCONCLUSIVE_FRACTION * total) or not points:
+    if (total > 0 and degenerate > _INCONCLUSIVE_FRACTION * total) or not points:
         return CheckReport(check_id, "Inconclusive", worst_margin, worst_point, points)
     verdict = "Holds" if worst_margin >= -tol else "Fails"
     return CheckReport(check_id, verdict, worst_margin, worst_point, points)
 
 
-def _pair(a: MeasureValue, b: MeasureValue) -> tuple[float, float]:
-    """Margin a >= b together with its combined tolerance."""
-    return a.value - b.value, BASE_TOL + a.abs_error_estimate + b.abs_error_estimate
+def _first_min(values: np.ndarray) -> int:
+    """The index ``min`` picks from a nonempty float sequence: the first smallest value.
+
+    ``min`` keeps a nan that comes first (nothing compares smaller) and
+    passes over any later one.
+    """
+    if math.isnan(values[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(values), math.inf, values)))
 
 
-def _value(v: GridValue) -> MeasureValue:
-    """A grid value, or the degenerate-age error that ``evaluate`` raises there."""
-    if isinstance(v, MeasureValue):
-        return v
-    raise v
+def _tolerance(pt_tol: np.ndarray) -> float:
+    """BASE_TOL or the largest point tolerance, as the builtin ``max`` takes them: a nan is passed over."""
+    return max(BASE_TOL, float(np.fmax.reduce(pt_tol, initial=-math.inf)))
+
+
+def _kept(points: Sequence, keep: np.ndarray) -> list:
+    """The points, the caller's own elements, where keep is true."""
+    return [p for p, k in zip(points, keep.tolist()) if k]
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +161,10 @@ def _dynamic_order(d1: Distribution, d2: Distribution, t_grid: Sequence[float], 
     nondegenerate age; the first age, in grid order, that fails is the counterexample."""
     name, relation = ("dcrex", "DCRExLeq") if side == "residual" else ("dcpex", "DCPExGeq")
     # one sweep per distribution: their breakpoints may differ
-    for t, a, b in zip(t_grid, *(_sweep([(d, name, 1)], t_grid)[0] for d in (d1, d2))):
-        if not (isinstance(a, MeasureValue) and isinstance(b, MeasureValue)):
-            continue
-        margin, tol = _pair(a, b)
-        if margin < -tol:
-            return OrderVerdict(relation, False, counterexample_t=t)
+    a, b = (_sweep_arrays([(d, name, 1)], t_grid)[0] for d in (d1, d2))
+    fails = ~(a.degenerate | b.degenerate) & (a.value - b.value < -(BASE_TOL + a.error + b.error))
+    if fails.any():
+        return OrderVerdict(relation, False, counterexample_t=t_grid[int(np.argmax(fails))])
     return OrderVerdict(relation, True)
 
 
@@ -190,27 +193,27 @@ def _premise_transfer(d1: Distribution, d2: Distribution, n: int, t_grid: Sequen
 
     The first age, in grid order, where the premise fails makes the report
     Inconclusive with 0 points.  An age where a rate or a measure is
-    degenerate is counted as degenerate.
+    degenerate is counted as degenerate.  The rates are scalar methods, each
+    with its own degenerate ages, so the premise is checked age by age.
     """
     residual = side == "residual"
     check_id = f"{'hr-implies-dcrex' if residual else 'rh-implies-dcpex'}(n={n})"
     rate = "hazard_rate" if residual else "reversed_hazard"
     name = "dcrex-min" if residual else "dcpex-max"
-    margins: list[tuple[float, object]] = []
-    degenerate = 0
-    tol = BASE_TOL
     # one sweep per distribution: their breakpoints may differ
-    for t, a, b in zip(t_grid, *(_sweep([(d, name, n)], t_grid)[0] for d in (d1, d2))):
+    a, b = (_sweep_arrays([(d, name, n)], t_grid)[0] for d in (d1, d2))
+    ok = ~(a.degenerate | b.degenerate)
+    for i, t in enumerate(t_grid):
         try:
-            if getattr(d1, rate)(t) < getattr(d2, rate)(t) - BASE_TOL:
-                return CheckReport(check_id, "Inconclusive", math.nan, t, 0)
-            margin, pt_tol = _pair(_value(a), _value(b))
+            premise_fails = getattr(d1, rate)(t) < getattr(d2, rate)(t) - BASE_TOL
         except (DegenerateTail, DegenerateHead):
-            degenerate += 1
+            ok[i] = False
             continue
-        tol = max(tol, pt_tol)
-        margins.append((margin, t))
-    return _margins_report(check_id, margins, degenerate, tol)
+        if premise_fails:
+            return _report(check_id, math.nan, t, 0)
+    margins = a.value[ok] - b.value[ok]
+    tol = _tolerance(BASE_TOL + a.error[ok] + b.error[ok])
+    return _margins_report(check_id, margins, _kept(t_grid, ok), len(t_grid) - margins.size, tol)
 
 
 _RESIDUAL_CHAIN = (
@@ -255,30 +258,13 @@ def check_korder_chains(
     )
     first, second = ([orders.index(pair[i]) for pair in pairs] for i in (0, 1))
 
-    # every pair's margins and tolerances as _pair gives them, in the order of the pairs and then of the ages
+    # every pair's margins and tolerances, in the order of the pairs and then of the ages
     ok = ~(gone[first] | gone[second])
-    pair, age = ok.nonzero()
-    margin = values[first][ok] - values[second][ok]
-    pt_tol = BASE_TOL + errors[first][ok] + errors[second][ok]
-    # max and min as the builtins take them over the points in order: a nan tolerance is passed over
-    tol = max(BASE_TOL, float(np.fmax.reduce(pt_tol, initial=-math.inf)))
-    worst_margin, worst_point = math.nan, None
-    if margin.size:
-        w = _first_min(margin)
-        worst_margin, worst_point = float(margin[w]), (t_grid[int(age[w])], *pairs[int(pair[w])])
-    degenerate = len(pairs) * len(t_grid) - margin.size
-    return _report(f"korder-chain({side},k={k},n={n})", worst_margin, worst_point, margin.size, degenerate, tol)
-
-
-def _first_min(values: np.ndarray) -> int:
-    """The index ``min`` picks from a nonempty float sequence: the first smallest value.
-
-    ``min`` keeps a nan that comes first (nothing compares smaller) and
-    passes over any later one.
-    """
-    if math.isnan(values[0]):
-        return 0
-    return int(np.argmin(np.where(np.isnan(values), math.inf, values)))
+    margins = values[first][ok] - values[second][ok]
+    tol = _tolerance(BASE_TOL + errors[first][ok] + errors[second][ok])
+    points = _kept([(t, *pair) for pair in pairs for t in t_grid], ok.ravel())
+    degenerate = len(pairs) * len(t_grid) - margins.size
+    return _margins_report(f"korder-chain({side},k={k},n={n})", margins, points, degenerate, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +292,7 @@ def check_convolution_inequality(d1: Distribution, d2: Distribution) -> CheckRep
     cdf_sum = np.clip(np.cumsum(mass_sum), 0.0, 1.0)
     lhs = -0.5 * float(np.sum(cdf_sum**2) * dx)
     rhs = max(evaluate(d1, dcpex(b_sum)).value, evaluate(d2, dcpex(b_sum)).value)
-    margin = lhs - rhs
-    verdict = "Holds" if margin >= -CONV_TOL else "Fails"
-    return CheckReport("convolution-cpex", verdict, margin, None, CONV_CELLS)
+    return _report("convolution-cpex", lhs - rhs, None, CONV_CELLS, 0, CONV_TOL)
 
 
 def check_conditioning(mixture: list[tuple[float, Distribution]]) -> CheckReport:
@@ -329,10 +313,8 @@ def check_conditioning(mixture: list[tuple[float, Distribution]]) -> CheckReport
         v = evaluate(comp, dcpex(b))
         rhs += w * v.value
         rhs_err += w * v.abs_error_estimate
-    margin = lhs.value - rhs
     tol = BASE_TOL + lhs.abs_error_estimate + rhs_err
-    verdict = "Holds" if margin >= -tol else "Fails"
-    return CheckReport("conditioning-cpex", verdict, margin, None, len(mix.components))
+    return _report("conditioning-cpex", lhs.value - rhs, None, len(mix.components), 0, tol)
 
 
 def check_mean_abs_diff(d: Distribution) -> CheckReport:
@@ -347,12 +329,9 @@ def check_mean_abs_diff(d: Distribution) -> CheckReport:
     mad = 2.0 * mad2
     cp = evaluate(d, cpex())
     mu = d.mean()
-    margins = [
-        (mad - 4.0 * cp.value, "mad>=4cpex"),
-        (cp.value - 0.5 * (mu - b), "cpex>=(mu-b)/2"),
-    ]
+    margins = np.array([mad - 4.0 * cp.value, cp.value - 0.5 * (mu - b)])
     tol = BASE_TOL + 2.0 * mad_err + 4.0 * cp.abs_error_estimate
-    return _margins_report("mean-abs-diff", margins, tol=tol)
+    return _margins_report("mean-abs-diff", margins, ("mad>=4cpex", "cpex>=(mu-b)/2"), tol=tol)
 
 
 def check_shift_independence(d: Distribution, scale: float, shift: float) -> CheckReport:
@@ -376,10 +355,8 @@ def check_cpex_cpen_inequality(d: Distribution) -> CheckReport:
     lhs = evaluate(d, cpex())
     en = evaluate(d, cpen())
     rhs_value = 0.5 * (en.value - (b - d.mean()))
-    margin = rhs_value - lhs.value
     tol = BASE_TOL + lhs.abs_error_estimate + 0.5 * en.abs_error_estimate
-    verdict = "Holds" if margin >= -tol else "Fails"
-    return CheckReport("cpex-cpen", verdict, margin, None, 1)
+    return _report("cpex-cpen", rhs_value - lhs.value, None, 1, 0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -389,37 +366,25 @@ def check_cpex_cpen_inequality(d: Distribution) -> CheckReport:
 
 def check_crexmin_monotone_n(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
     """Residual extropy of minima is nondecreasing in the sample size."""
-    margins = []
-    tol = BASE_TOL
-    prev = None
-    for n, cur in zip(ns, _values(_evaluate_batch(d, [crex_min(n) for n in ns]))):
-        if prev is not None:
-            margin, pt_tol = _pair(cur, prev)
-            tol = max(tol, pt_tol)
-            margins.append((margin, n))
-        prev = cur
-    return _margins_report("crexmin-monotone-n", margins, tol=tol)
+    value, error, *_ = _batch_arrays(d, [crex_min(n) for n in ns])
+    margins = value[1:] - value[:-1]
+    tol = _tolerance(BASE_TOL + error[1:] + error[:-1])
+    return _margins_report("crexmin-monotone-n", margins, ns[1:], tol=tol)
 
 
 def check_crexmin_mean_bound(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
     """crex_min(n) >= -mean/2 (finite mean required)."""
     mu = d.mean()
-    margins = []
-    for n, v in zip(ns, _values(_evaluate_batch(d, [crex_min(n) for n in ns]))):
-        margins.append((v.value + 0.5 * mu, n))
-    return _margins_report("crexmin-mean-bound", margins)
+    value = _batch_arrays(d, [crex_min(n) for n in ns]).value
+    return _margins_report("crexmin-mean-bound", value + 0.5 * mu, ns)
 
 
 def check_crexmin_vs_crex(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
     """crex_min(n) >= crex for every n >= 1."""
-    base, *values = _values(_evaluate_batch(d, [crex()] + [crex_min(n) for n in ns]))
-    margins = []
-    tol = BASE_TOL
-    for n, v in zip(ns, values):
-        margin, pt_tol = _pair(v, base)
-        tol = max(tol, pt_tol)
-        margins.append((margin, n))
-    return _margins_report("crexmin-vs-crex", margins, tol=tol)
+    value, error, *_ = _batch_arrays(d, [crex()] + [crex_min(n) for n in ns])
+    margins = value[1:] - value[0]
+    tol = _tolerance(BASE_TOL + error[1:] + error[0])
+    return _margins_report("crexmin-vs-crex", margins, ns, tol=tol)
 
 
 def check_dcrex_bounds(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
@@ -438,82 +403,67 @@ def _dynamic_bounds(d: Distribution, n: int, t_grid: Sequence[float], side: str)
     plain measure, extreme order at n + 1) come from one multi-curve sweep.
     The mrl or eit of every age comes from one ``conditional_means`` call,
     and its error estimate joins the tolerance.
+
+    The margins form an (age x bound) table, read age by age: mrl (or eit),
+    vs-parent, monotone-n.  An age where the extreme order at n or the plain
+    measure is degenerate has no margin; one where only the extreme order at
+    n + 1 is has no monotone-n margin.  Both count as degenerate.
     """
     residual = side == "residual"
     plain, extreme = ("dcrex", "dcrex-min") if residual else ("dcpex", "dcpex-max")
-    curves = list(zip(t_grid, *_sweep([(d, extreme, n), (d, plain, 1), (d, extreme, n + 1)], t_grid)))
-    means: dict[float, tuple[float, float]] = {}
-    if not residual or d.has_finite_mean:
-        ages = [t for t, v, base, _ in curves if isinstance(v, MeasureValue) and isinstance(base, MeasureValue)]
-        values, errors = d.conditional_means(ages, side)
-        means = dict(zip(ages, zip(values.tolist(), errors.tolist())))
-    label = "mrl" if residual else "eit"
-    margins: list[tuple[float, object]] = []
-    degenerate = 0
-    tol = BASE_TOL
-    for t, v, base, nxt in curves:
-        try:
-            v = _value(v)
-            base = _value(base)
-            if t in means:
-                mean, mean_err = means[t]
-                margins.append((v.value + 0.5 * mean, (label, t)))
-                tol = max(tol, BASE_TOL + v.abs_error_estimate + 0.5 * mean_err)
-            margin, pt_tol = _pair(v, base)
-            tol = max(tol, pt_tol)
-            margins.append((margin, ("vs-parent", t)))
-            margin, pt_tol = _pair(_value(nxt), v)
-            tol = max(tol, pt_tol)
-            margins.append((margin, ("monotone-n", t)))
-        except (DegenerateTail, DegenerateHead):
-            degenerate += 1
-    return _margins_report(f"{'dcrex' if residual else 'dcpex'}-bounds(n={n})", margins, degenerate, tol)
+    v, base, nxt = _sweep_arrays([(d, extreme, n), (d, plain, 1), (d, extreme, n + 1)], t_grid)
+    ok = ~(v.degenerate | base.degenerate)
+    with_mean = not residual or d.has_finite_mean
+    mean, mean_err = np.zeros(len(t_grid)), np.zeros(len(t_grid))
+    if with_mean:
+        mean[ok], mean_err[ok] = d.conditional_means(_kept(t_grid, ok), side)
+    margins = np.stack([v.value + 0.5 * mean, v.value - base.value, nxt.value - v.value], axis=1)
+    pt_tol = np.stack(
+        [BASE_TOL + v.error + 0.5 * mean_err, BASE_TOL + v.error + base.error, BASE_TOL + nxt.error + v.error], axis=1
+    )
+    keep = np.stack([ok & with_mean, ok, ok & ~nxt.degenerate], axis=1)
+    bounds = ("mrl" if residual else "eit", "vs-parent", "monotone-n")
+    points = _kept([(bound, t) for t in t_grid for bound in bounds], keep.ravel())
+    degenerate = np.count_nonzero(~ok | nxt.degenerate)
+    check_id = f"{'dcrex' if residual else 'dcpex'}-bounds(n={n})"
+    return _margins_report(check_id, margins[keep], points, degenerate, _tolerance(pt_tol[keep]))
 
 
 def check_dcpexmax_monotone_t(d: Distribution, n: int, t_grid: Sequence[float]) -> CheckReport:
     """Past extropy of maxima nonincreasing in the age t.
 
     Only claimed for monotone families; kinked cdfs are genuine
-    counterexamples and must not be fed here.
+    counterexamples and must not be fed here.  Each age is compared with the
+    last nondegenerate age before it.
     """
-    margins: list[tuple[float, object]] = []
-    tol = BASE_TOL
-    prev: Optional[MeasureValue] = None
-    prev_t = None
-    degenerate = 0
-    for t, cur in zip(t_grid, evaluate_grid(d, lambda t: dcpex_max(n, t), t_grid)):
-        if not isinstance(cur, MeasureValue):
-            degenerate += 1
-            continue
-        if prev is not None:
-            margin, pt_tol = _pair(prev, cur)
-            tol = max(tol, pt_tol)
-            margins.append((margin, (prev_t, t)))
-        prev, prev_t = cur, t
-    return _margins_report(f"dcpexmax-monotone-t(n={n})", margins, degenerate, tol)
+    (curve,) = _sweep_arrays([(d, "dcpex-max", n)], t_grid)
+    live = ~curve.degenerate
+    value, error = curve.value[live], curve.error[live]
+    ages = _kept(t_grid, live)
+    tol = _tolerance(BASE_TOL + error[:-1] + error[1:])
+    check_id = f"dcpexmax-monotone-t(n={n})"
+    return _margins_report(check_id, value[:-1] - value[1:], list(zip(ages, ages[1:])), len(t_grid) - len(ages), tol)
 
 
 def check_cpexmax_bounds(d: Distribution, ns: Sequence[int] = tuple(range(1, 11))) -> CheckReport:
-    """cpex_max(n) >= -(b - mean)/2, nondecreasing in n, >= cpex."""
+    """cpex_max(n) >= -(b - mean)/2, nondecreasing in n, >= cpex.
+
+    The margins form an (n x bound) table, read n by n: b-mu, vs-parent,
+    monotone-n (none at the first n).
+    """
     if not d.support.bounded:
         raise UnboundedSupport("requires bounded support")
     b = d.support.upper
     mu = d.mean()
-    base, *values = _values(_evaluate_batch(d, [cpex()] + [cpex_max(n) for n in ns]))
-    margins = []
-    tol = BASE_TOL
-    prev = None
-    for n, v in zip(ns, values):
-        margins.append((v.value + 0.5 * (b - mu), ("b-mu", n)))
-        margin, pt_tol = _pair(v, base)
-        tol = max(tol, pt_tol)
-        margins.append((margin, ("vs-parent", n)))
-        if prev is not None:
-            margin, pt_tol = _pair(v, prev)
-            tol = max(tol, pt_tol)
-            margins.append((margin, ("monotone-n", n)))
-        prev = v
-    return _margins_report("cpexmax-bounds", margins, tol=tol)
+    value, error, *_ = _batch_arrays(d, [cpex()] + [cpex_max(n) for n in ns])
+    base, base_err, value, error = value[0], error[0], value[1:], error[1:]
+    prev = np.concatenate((value[:1], value[:-1]))  # the first n has no previous one: a placeholder
+    margins = np.stack([value + 0.5 * (b - mu), value - base, value - prev], axis=1)
+    keep = np.ones(margins.shape, dtype=bool)
+    keep[:1, 2] = False
+    tol = _tolerance(np.concatenate((BASE_TOL + error + base_err, BASE_TOL + error[1:] + error[:-1])))
+    points = _kept([(bound, n) for n in ns for bound in ("b-mu", "vs-parent", "monotone-n")], keep.ravel())
+    return _margins_report("cpexmax-bounds", margins[keep], points, tol=tol)
 
 
 def check_equilibrium_identity(d: Distribution) -> CheckReport:
@@ -530,20 +480,15 @@ def check_equilibrium_identity(d: Distribution) -> CheckReport:
 
 def check_symmetry_duality(d: Uniform, t_grid: Sequence[float]) -> CheckReport:
     """For X symmetric about b/2: dcpex(t) = dcrex(b - t)."""
-    margins: list[tuple[float, object]] = []
-    degenerate = 0
     b = d.support.upper
     lo = d.support.lower
     ts = list(t_grid)
-    values = _evaluate_batch(d, [dcpex(t) for t in ts] + [dcrex(lo + b - t) for t in ts])
-    for t, past, resid in zip(ts, values, values[len(ts) :]):
-        if not (isinstance(past, MeasureValue) and isinstance(resid, MeasureValue)):
-            degenerate += 1
-            continue
-        diff = abs(past.value - resid.value)
-        tol = 1e-8 + past.abs_error_estimate + resid.abs_error_estimate
-        margins.append((tol - diff, t))
-    return _margins_report("symmetry-duality", margins, degenerate, tol=0.0)
+    m = len(ts)
+    value, error, _, gone = _batch_arrays(d, [dcpex(t) for t in ts] + [dcrex(lo + b - t) for t in ts])
+    ok = ~(gone[:m] | gone[m:])
+    past, resid, past_err, resid_err = value[:m][ok], value[m:][ok], error[:m][ok], error[m:][ok]
+    margins = (1e-8 + past_err + resid_err) - abs(past - resid)
+    return _margins_report("symmetry-duality", margins, _kept(ts, ok), m - margins.size, tol=0.0)
 
 
 def check_dcpex_shift_relation(
@@ -551,14 +496,9 @@ def check_dcpex_shift_relation(
 ) -> CheckReport:
     """dcpex of scale*X+shift at t equals scale * dcpex of X at (t-shift)/scale."""
     y = d.affine(scale, shift)
-    margins: list[tuple[float, object]] = []
-    degenerate = 0
-    lhs_values = _evaluate_batch(y, [dcpex(scale * t + shift) for t in t_grid])
-    for t, lhs, rhs in zip(t_grid, lhs_values, _evaluate_batch(d, [dcpex(t) for t in t_grid])):
-        if not (isinstance(lhs, MeasureValue) and isinstance(rhs, MeasureValue)):
-            degenerate += 1
-            continue
-        diff = abs(lhs.value - scale * rhs.value)
-        tol = 1e-8 + lhs.abs_error_estimate + scale * rhs.abs_error_estimate
-        margins.append((tol - diff, t))
-    return _margins_report("dcpex-shift-relation", margins, degenerate, tol=0.0)
+    lhs = _batch_arrays(y, [dcpex(scale * t + shift) for t in t_grid])
+    rhs = _batch_arrays(d, [dcpex(t) for t in t_grid])
+    ok = ~(lhs.degenerate | rhs.degenerate)
+    diff = abs(lhs.value[ok] - scale * rhs.value[ok])
+    margins = (1e-8 + lhs.error[ok] + scale * rhs.error[ok]) - diff
+    return _margins_report("dcpex-shift-relation", margins, _kept(t_grid, ok), len(t_grid) - margins.size, tol=0.0)

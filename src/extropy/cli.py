@@ -71,12 +71,16 @@ def _read_curve_csv(path: str) -> Curve:
         header = fh.readline().strip()
         if header != "t,value":
             raise UsageError(f"curve file {path} must start with header 't,value'")
-        for line in fh:
-            if not line.strip():
+        for lineno, line in enumerate(fh, start=2):
+            stripped = line.strip()
+            if not stripped:
                 continue
-            t_str, v_str = line.strip().split(",")
-            ts.append(float(t_str))
-            values.append(float(v_str))
+            try:
+                t_str, v_str = stripped.split(",")
+                ts.append(float(t_str))
+                values.append(float(v_str))
+            except ValueError:
+                raise ExtropyError(f"{path}:{lineno}: expected 't,value' numbers, got {stripped!r}") from None
     return Curve(tuple(ts), tuple(values))
 
 
@@ -86,7 +90,7 @@ def _load_dist(path: str) -> Distribution:
 
 
 def _apply_order_flags(d: Distribution, args: argparse.Namespace) -> Distribution:
-    given = [f for f in ("order_min", "order_max", "order") if getattr(args, f, None)]
+    given = [f for f in ("order_min", "order_max", "order") if getattr(args, f, None) is not None]
     if len(given) > 1:
         raise UsageError("at most one of --order-min/--order-max/--order may be given")
     if not given:
@@ -113,6 +117,8 @@ def _measure_kind(args: argparse.Namespace) -> MeasureKind:
 
 
 def _t_grid(d: Distribution, args: argparse.Namespace) -> list[float]:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.t_min is not None and args.t_max is not None:
         if not (args.t_min < args.t_max):
             raise UsageError("--t-min must be < --t-max")
@@ -359,6 +365,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError:
                 raise UsageError(f"EXTROPY_TOL must be a number, got {tol!r}") from None
         if args.tol is not None:
+            if not math.isfinite(args.tol):
+                raise UsageError(f"--tol and EXTROPY_TOL must be finite, got {args.tol}")
             from . import analysis
 
             analysis.BASE_TOL = args.tol  # module-level default used by the checks

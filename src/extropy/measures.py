@@ -9,14 +9,21 @@ derivation; everything else is integrated numerically by the batched engine
 ``evaluate`` is a batch of one of ``_evaluate_batch``, which integrates many
 kinds at once and gives each the bits ``evaluate`` gives it.
 ``evaluate_grid`` gives a dynamic measure on a whole increasing age grid from
-one sweep of short panels.  It is one curve of ``_sweep``, which sweeps
-several curves (distribution, dynamic kind, n) on one age grid at once.
-Both take their levels, sf(t) or cdf(t), and degenerate ages from
+one sweep of short panels.  It is one curve of ``_sweep_arrays``, which
+sweeps several curves (distribution, dynamic kind, n) on one age grid at
+once.  Both take their levels, sf(t) or cdf(t), and degenerate ages from
 ``distributions._levels``, one array ``sf``/``cdf`` call per (distribution,
 side), and integrate in one ``_integrate`` call, whose integrand calls each
 distinct (distribution, source) once per engine pass and raises every
 integral to its own Python int power, so an integral's bits do not depend
 on the rest of the call.
+
+The batch and the sweep give their results as ``_Arrays``: value, error,
+closed-form and degenerate arrays, with no object per age.  The check
+suites in ``analysis`` and ``characterize`` take their margins from these
+arrays (``_batch_arrays`` and ``_sweep_arrays``); only ``evaluate``,
+``_evaluate_batch`` and ``evaluate_grid`` build a ``MeasureValue``, or the
+error of a degenerate age, per result.
 
 Sign conventions: the extropy family (extropy, crex, cpex and the dynamic
 versions) is always <= 0; the entropy analogues (cren, cpen) are >= 0.
@@ -28,7 +35,6 @@ location-family equality checks meaningful).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -563,7 +569,7 @@ def evaluate_grid(
     """A dynamic measure at every age of a grid: what ``evaluate`` returns or raises there.
 
     A grid of one dynamic kind at one order is a single curve of the
-    multi-curve sweep ``_sweep``: levels from one array call, closed forms
+    multi-curve sweep ``_sweep_arrays``: levels from one array call, closed forms
     pointwise, and on a strictly increasing grid one engine call for the
     short panels between neighbouring ages.  Any other
     grid (mixed kinds or orders, or a static kind) is evaluated as
@@ -576,20 +582,9 @@ def evaluate_grid(
         or any((kind.name, kind.n) != (kinds[0].name, kinds[0].n) for kind in kinds)
     ):
         return _evaluate_batch(d, kinds)
-    return _sweep([(d, kinds[0].name, kinds[0].n)], [kind.t for kind in kinds])[0]
-
-
-def _sweep(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float]) -> list[list[GridValue]]:
-    """Several dynamic-measure curves on one age grid, by ``_sweep_arrays``.
-
-    Element [c][i] is what ``evaluate`` returns or raises for curve c at
-    ages[i], within the error estimates.
-    """
-    ages = list(ages)
-    return [
-        _grid_values(results, ages, itertools.repeat(name in RESIDUAL_KINDS))
-        for (_, name, _), results in zip(curves, _sweep_arrays(curves, ages))
-    ]
+    ages = [kind.t for kind in kinds]
+    (results,) = _sweep_arrays([(d, kinds[0].name, kinds[0].n)], ages)
+    return _grid_values(results, ages, [kinds[0].name in RESIDUAL_KINDS] * len(ages))
 
 
 def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float]) -> list[_Arrays]:

@@ -39,7 +39,7 @@ from extropy.distributions import (
 )
 from extropy import analysis
 from extropy.errors import BadWeights, DegenerateHead, DegenerateTail, UnboundedSupport
-from extropy.measures import MeasureKind, MeasureValue, dcpex, dcpex_max, dcrex, dcrex_min, evaluate
+from extropy.measures import MeasureKind, MeasureValue, _Arrays, dcpex, dcpex_max, dcrex, dcrex_min, evaluate
 from extropy.orderstats import max_order
 
 from conftest import BOUNDED, FINITE_MEAN, ALL_FAMILIES, MONOTONE_BOUNDED, ids
@@ -190,7 +190,8 @@ def _pointwise_transfer(d1, d2, n, grid, side):
             continue
         tol = max(tol, analysis.BASE_TOL + a.abs_error_estimate + b.abs_error_estimate)
         margins.append((a.value - b.value, t))
-    report = analysis._margins_report("reference", margins, degenerate, tol)
+    values = np.array([margin for margin, _ in margins])
+    report = analysis._margins_report("reference", values, [t for _, t in margins], degenerate, tol)
     return report.verdict, report.worst_point, report.points_tested
 
 
@@ -365,6 +366,13 @@ def _fake_value(d, kind):
     return MeasureValue(-1.0 - 5e-7 * kind.n + 5e-7 * (kind.t or 0.0), "quadrature", 1e-6)
 
 
+def _fake_arrays(d, kinds):
+    """The arrays of ``_fake_value`` at every kind."""
+    values = [_fake_value(d, kind) for kind in kinds]
+    value, error = (np.array([getattr(v, field) for v in values], dtype=float) for field in ("value", "abs_error_estimate"))
+    return _Arrays(value, error, np.zeros(len(kinds), dtype=bool), np.zeros(len(kinds), dtype=bool))
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -379,12 +387,11 @@ def _fake_value(d, kind):
 )
 def test_margin_inside_error_bars_holds(check, monkeypatch):
     monkeypatch.setattr(analysis, "evaluate", _fake_value)
-    monkeypatch.setattr(analysis, "_evaluate_batch", lambda d, kinds: [_fake_value(d, kind) for kind in kinds])
-    monkeypatch.setattr(analysis, "evaluate_grid", lambda d, kind_for_t, grid: [_fake_value(d, kind_for_t(t)) for t in grid])
+    monkeypatch.setattr(analysis, "_batch_arrays", _fake_arrays)
     monkeypatch.setattr(
         analysis,
-        "_sweep",
-        lambda curves, ages: [[_fake_value(d, MeasureKind(name, n, t)) for t in ages] for d, name, n in curves],
+        "_sweep_arrays",
+        lambda curves, ages: [_fake_arrays(d, [MeasureKind(name, n, t) for t in ages]) for d, name, n in curves],
     )
     report = check()
     assert -1e-6 < report.worst_margin < -analysis.BASE_TOL

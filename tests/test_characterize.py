@@ -207,6 +207,18 @@ def test_family_equality_reads_base_tol_at_call_time(monkeypatch):
     assert loose.worst_margin == fails.worst_margin
 
 
+@pytest.mark.parametrize(
+    "mode,d1,d2",
+    [("Location", Uniform(0, 1), Uniform(2, 3)), ("Scale", Exponential(1), Exponential(3)),
+     ("LocationScale", Uniform(0, 1), Uniform(5, 9))],
+    ids=["Location", "Scale", "LocationScale"],
+)
+def test_family_equality_on_an_empty_schedule_is_inconclusive(mode, d1, d2):
+    r = family_equality_check(d1, d2, CheckSchedule(()), mode=mode)
+    assert (r.verdict, r.worst_point, r.points_tested) == ("Inconclusive", None, 0)
+    assert math.isnan(r.worst_margin)
+
+
 def test_location_check_holds_under_pure_shift():
     d = Exponential(1)
     r = family_equality_check(d, d.affine(1.0, 2.0), mode="Location")

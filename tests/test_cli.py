@@ -83,6 +83,16 @@ def test_malformed_order_flag(exp1):
     assert run(["measure", "--dist", exp1, "--measure", "crex", "--order", "2-3"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--order-min", "--order-max"])
+def test_order_flag_zero_is_read(exp1, flag, capsys):
+    # an order of 0 is rejected, not ignored in favour of the parent
+    assert run(["measure", "--dist", exp1, "--measure", "crex", flag, "0"]) == 1
+    assert "sample size must be >= 1, got 0" in _one_line_error(capsys, "error: ")
+    other = "--order-max" if flag == "--order-min" else "--order-min"
+    assert run(["measure", "--dist", exp1, "--measure", "crex", flag, "0", other, "2"]) == 2
+    assert "at most one of" in _one_line_error(capsys, "usage error: ")
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error paths
 # ---------------------------------------------------------------------------
@@ -169,6 +179,35 @@ def test_non_numeric_tol_env_exits_two(uniform01, capsys, monkeypatch):
     monkeypatch.setenv("EXTROPY_TOL", "abc")
     assert run(["check", "--suite", "bounds", "--dist", uniform01]) == 2
     assert "EXTROPY_TOL" in _one_line_error(capsys, "usage error: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tol_exits_two(uniform01, tol, capsys, monkeypatch):
+    # a nan tolerance would fail every margin check and an infinite one pass it
+    from extropy import analysis
+
+    monkeypatch.setattr(analysis, "BASE_TOL", analysis.BASE_TOL)  # restore after test
+    assert run(["check", "--suite", "inequalities", "--dist", uniform01, f"--tol={tol}"]) == 2
+    assert "must be finite" in _one_line_error(capsys, "usage error: ")
+    monkeypatch.setenv("EXTROPY_TOL", tol)
+    assert run(["check", "--suite", "inequalities", "--dist", uniform01]) == 2
+    assert "must be finite" in _one_line_error(capsys, "usage error: ")
+    assert analysis.BASE_TOL == 1e-7
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["curve", "--measure", "dcrex"],
+        ["curve", "--measure", "dcrex", "--t-min", "0.1", "--t-max", "2.0"],
+        ["characterize", "--model", "gpd"],
+    ],
+    ids=["curve", "curve-t-range", "characterize"],
+)
+def test_steps_below_one_exits_two(exp1, verb, steps, capsys):
+    assert run([*verb, "--dist", exp1, "--steps", steps]) == 2
+    assert "--steps must be >= 1" in _one_line_error(capsys, "usage error: ")
 
 
 @pytest.mark.parametrize("flag", [["--seed", "42"], ["--format", "json"]])
@@ -318,6 +357,14 @@ def test_characterize_curve_header_enforced(tmp_path):
     curve_path = tmp_path / "c.csv"
     curve_path.write_text("x,y\n0.1,-0.1\n")
     assert run(["characterize", "--curve", str(curve_path), "--model", "gpd"]) == 2
+
+
+@pytest.mark.parametrize("row", ["1,2,3", "1,abc"])
+def test_characterize_malformed_curve_row_exits_one(tmp_path, row, capsys):
+    curve_path = tmp_path / "c.csv"
+    curve_path.write_text(f"t,value\n0.1,-0.1\n\n{row}\n0.3,-0.3\n")
+    assert run(["characterize", "--curve", str(curve_path), "--model", "gpd"]) == 1
+    assert f"{curve_path}:4: " in _one_line_error(capsys, "error: ")
 
 
 def test_characterize_needs_input():

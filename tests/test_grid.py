@@ -32,7 +32,17 @@ from extropy.distributions import (
     _shared_values,
 )
 from extropy.errors import DegenerateHead, DegenerateTail, ExtropyError
-from extropy.measures import MeasureKind, MeasureValue, _sweep, dcpex, dcrex, dcrex_min, evaluate, evaluate_grid
+from extropy.measures import (
+    MeasureKind,
+    MeasureValue,
+    _Arrays,
+    _sweep_arrays,
+    dcpex,
+    dcrex,
+    dcrex_min,
+    evaluate,
+    evaluate_grid,
+)
 from extropy.orderstats import KthOrder, MaxOrder, MinOrder, OrderSpec, kth_order
 from extropy.quadrature import integrate
 
@@ -162,19 +172,28 @@ def test_unordered_grid_falls_back_to_pointwise():
 # ---------------------------------------------------------------------------
 
 
+def _arrays_of(values):
+    """The ``_Arrays`` of what evaluate returns or raises at every age: 0 at a degenerate one."""
+    live = [isinstance(v, MeasureValue) for v in values]
+    return _Arrays(
+        np.array([v.value if ok else 0.0 for v, ok in zip(values, live)], dtype=float),
+        np.array([v.abs_error_estimate if ok else 0.0 for v, ok in zip(values, live)], dtype=float),
+        np.array([ok and v.method == "closed-form" for v, ok in zip(values, live)], dtype=bool),
+        ~np.array(live, dtype=bool),
+    )
+
+
 def _same(got, want):
-    """Bit for bit: equal values and error estimates, or the same degenerate-age error."""
-    if isinstance(want, MeasureValue):
-        return got == want
-    return type(got) is type(want) and str(got) == str(want)
+    """Bit for bit: every field of two ``_Arrays``."""
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def _assert_each_curve_swept_alone(curves, grid):
-    swept = _sweep(curves, grid)
+    swept = _sweep_arrays(curves, grid)
     assert len(swept) == len(curves)
     for (d, name, n), got in zip(curves, swept):
         alone = evaluate_grid(d, lambda t: MeasureKind(name, n, t), grid)
-        assert all(_same(g, w) for g, w in zip(got, alone)), (d, name, n)
+        assert _same(got, _arrays_of(alone)), (d, name, n)
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
@@ -196,20 +215,19 @@ def test_bound_triple_sweep_equals_each_curve_alone(d, n):
 def test_sweep_levels_mark_degenerate_ages():
     d = Uniform(0, 1)
     grid = [-0.5, 0.0, 0.5, 1.0, 1.5]
-    resid, past = _sweep([(d, "dcrex", 1), (d, "dcpex-max", 2)], grid)
-    assert [type(v) for v in resid[-2:]] == [DegenerateTail, DegenerateTail]
-    assert str(resid[-1]) == "sf(1.5) is zero"
-    assert [type(v) for v in past[:2]] == [DegenerateHead, DegenerateHead]
-    assert all(isinstance(v, MeasureValue) for v in resid[:3] + past[2:])
+    resid, past = _sweep_arrays([(d, "dcrex", 1), (d, "dcpex-max", 2)], grid)
+    assert resid.degenerate.tolist() == [False, False, False, True, True]
+    assert past.degenerate.tolist() == [True, True, False, False, False]
+    assert str(evaluate_grid(d, dcrex, grid)[-1]) == "sf(1.5) is zero"
 
 
 def test_sweep_curves_must_share_breakpoints():
     with pytest.raises(ValueError):
-        _sweep([(PiecewiseBounded(), "dcrex", 1), (Weibull(1, 2), "dcrex", 1)], [0.5, 1.5])
+        _sweep_arrays([(PiecewiseBounded(), "dcrex", 1), (Weibull(1, 2), "dcrex", 1)], [0.5, 1.5])
 
 
 def _pointwise_sweep(curves, ages):
-    return [_pointwise(d, lambda t: MeasureKind(name, n, t), ages) for d, name, n in curves]
+    return [_arrays_of(_pointwise(d, lambda t: MeasureKind(name, n, t), ages)) for d, name, n in curves]
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
@@ -221,7 +239,7 @@ def test_checks_on_unordered_grid_fall_back_to_pointwise(d, monkeypatch):
         checks += [lambda: check_korder_chains(d, 2, 4, grid, "past"), lambda: check_dcpex_bounds(d, 2, grid)]
     got = [check() for check in checks]
     # what every check reports when each value is what evaluate gives at that age
-    monkeypatch.setattr(analysis, "_sweep", _pointwise_sweep)
+    monkeypatch.setattr(analysis, "_sweep_arrays", _pointwise_sweep)
     assert got == [check() for check in checks]
 
 
@@ -229,8 +247,23 @@ def test_checks_on_unordered_grid_fall_back_to_pointwise(d, monkeypatch):
 CHAIN_FAMILIES = [Uniform(0, 1), Power(3, 0.5), PiecewiseBounded(), Exponential(1), Pareto(1, 2), TwoExpMax()]
 
 
+def _reference_report(check_id, margins, degenerate, tol):
+    """The report of (margin, point) pairs by the builtin ``min``: the first smallest margin is the worst."""
+    worst_margin, worst_point = min(margins, key=lambda mp: mp[0], default=(math.nan, None))
+    total = len(margins) + degenerate
+    if degenerate > analysis._INCONCLUSIVE_FRACTION * total or not margins:
+        return analysis.CheckReport(check_id, "Inconclusive", worst_margin, worst_point, len(margins))
+    verdict = "Holds" if worst_margin >= -tol else "Fails"
+    return analysis.CheckReport(check_id, verdict, worst_margin, worst_point, len(margins))
+
+
+def _pair_margin(a, b):
+    """a >= b: the margin and its tolerance."""
+    return a.value - b.value, analysis.BASE_TOL + a.abs_error_estimate + b.abs_error_estimate
+
+
 def _chain_reference(d, k, n, t_grid, side):
-    """check_korder_chains's margins, degenerate count and tolerance from ``_sweep``'s objects, pair by pair."""
+    """check_korder_chains's margins, degenerate count and tolerance from ``evaluate_grid``, pair by pair."""
     chains = analysis._RESIDUAL_CHAIN if side == "residual" else analysis._PAST_CHAIN
     pairs = [
         ((k1, n1), (k2, n2))
@@ -239,14 +272,14 @@ def _chain_reference(d, k, n, t_grid, side):
     ]
     orders = list(dict.fromkeys(order for pair in pairs for order in pair))
     name = "dcrex" if side == "residual" else "dcpex"
-    curves = dict(zip(orders, _sweep([(kth_order(d, *order), name, 1) for order in orders], t_grid)))
+    curves = {order: evaluate_grid(kth_order(d, *order), lambda t: MeasureKind(name, 1, t), t_grid) for order in orders}
     margins, degenerate, tol = [], 0, analysis.BASE_TOL
     for (k1, n1), (k2, n2) in pairs:
         for t, a, b in zip(t_grid, curves[(k1, n1)], curves[(k2, n2)]):
             if not (isinstance(a, MeasureValue) and isinstance(b, MeasureValue)):
                 degenerate += 1
                 continue
-            margin, pt_tol = analysis._pair(a, b)
+            margin, pt_tol = _pair_margin(a, b)
             tol = max(tol, pt_tol)
             margins.append((margin, (t, (k1, n1), (k2, n2))))
     return margins, degenerate, tol
@@ -268,24 +301,9 @@ def test_korder_chains_equal_the_pair_by_pair_reference(d, side, monkeypatch):
             got = check_korder_chains(d, k, 4, grid, side)
             *_, got_degenerate, got_tol = passed[-1]
             margins, degenerate, tol = _chain_reference(d, k, 4, grid, side)
-            want = analysis._margins_report(f"korder-chain({side},k={k},n=4)", margins, degenerate, tol)
+            want = _reference_report(f"korder-chain({side},k={k},n=4)", margins, degenerate, tol)
             assert (got_degenerate, got_tol) == (degenerate, tol), (k, grid)
             assert got == want and got.worst_margin.hex() == want.worst_margin.hex(), (k, grid)
-
-
-def _reference_report(check_id, margins, degenerate, tol):
-    """The report of (margin, point) pairs by the builtin ``min``: the first smallest margin is the worst."""
-    worst_margin, worst_point = min(margins, key=lambda mp: mp[0], default=(math.nan, None))
-    total = len(margins) + degenerate
-    if degenerate > analysis._INCONCLUSIVE_FRACTION * total or not margins:
-        return analysis.CheckReport(check_id, "Inconclusive", worst_margin, worst_point, len(margins))
-    verdict = "Holds" if worst_margin >= -tol else "Fails"
-    return analysis.CheckReport(check_id, verdict, worst_margin, worst_point, len(margins))
-
-
-def _pair_margin(a, b):
-    """a >= b: the margin and its tolerance."""
-    return a.value - b.value, analysis.BASE_TOL + a.abs_error_estimate + b.abs_error_estimate
 
 
 def _bounds_reference(d, n, t_grid, side):
@@ -415,7 +433,7 @@ def test_nan_age_raises():
         with pytest.raises(ExtropyError):
             evaluate_grid(d, dcrex, grid)
         with pytest.raises(ExtropyError):
-            _sweep([(d, "dcrex", 1)], grid)
+            _sweep_arrays([(d, "dcrex", 1)], grid)
         with pytest.raises(ExtropyError):
             check_korder_chains(Exponential(1), 2, 4, grid, "residual")
         with pytest.raises(ExtropyError):
