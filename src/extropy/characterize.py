@@ -207,7 +207,7 @@ def family_equality_check(
             return values[1:] / values[0]
         values = _batch_arrays(d, [crex_min(n) for n in orders]).value
         if mode == "Scale":
-            return values / np.array([min_order(d, n).mean() for n in orders], dtype=np.float64)
+            return values / np.array([min_order(d, n).mean() for n in orders])
         return values
 
     a, b = summaries(d1), summaries(d2)

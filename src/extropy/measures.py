@@ -21,9 +21,9 @@ on the rest of the call.
 The batch and the sweep give their results as ``_Arrays``: value, error,
 closed-form and degenerate arrays, with no object per age.  The check
 suites in ``analysis`` and ``characterize`` take their margins from these
-arrays (``_batch_arrays`` and ``_sweep_arrays``); only ``evaluate``,
-``_evaluate_batch`` and ``evaluate_grid`` build a ``MeasureValue``, or the
-error of a degenerate age, per result.
+arrays (``_batch_arrays`` and ``_sweep_arrays``); ``evaluate``,
+``_evaluate_batch`` and ``evaluate_grid`` turn them into one
+``MeasureValue``, or the error of a degenerate age, per result.
 
 Sign conventions: the extropy family (extropy, crex, cpex and the dynamic
 versions) is always <= 0; the entropy analogues (cren, cpen) are >= 0.
