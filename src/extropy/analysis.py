@@ -38,7 +38,7 @@ from .measures import (
     evaluate,
 )
 from .orderstats import MAX_N, kth_order
-from .quadrature import integrate_array
+from .quadrature import integrate
 
 BASE_TOL = 1e-7
 _INCONCLUSIVE_FRACTION = 0.10
@@ -325,7 +325,7 @@ def check_mean_abs_diff(d: Distribution) -> CheckReport:
     if not d.support.bounded:
         raise UnboundedSupport("mean-absolute-difference inequality requires bounded support")
     b = d.support.upper
-    mad2, mad_err = integrate_array(lambda x: d.cdf(x) * d.sf(x), d.support.lower, b, d.breakpoints)
+    mad2, mad_err = integrate(lambda x: d.cdf(x) * d.sf(x), d.support.lower, b, d.breakpoints)
     mad = 2.0 * mad2
     cp = evaluate(d, cpex())
     mu = d.mean()
@@ -469,7 +469,7 @@ def check_cpexmax_bounds(d: Distribution, ns: Sequence[int] = tuple(range(1, 11)
 def check_equilibrium_identity(d: Distribution) -> CheckReport:
     """Extropy of the equilibrium distribution equals crex(X) / mean^2."""
     mu = d.mean()
-    value, err = integrate_array(lambda x: (d.sf(x) / mu) ** 2, d.support.lower, d.support.upper, d.breakpoints)
+    value, err = integrate(lambda x: (d.sf(x) / mu) ** 2, d.support.lower, d.support.upper, d.breakpoints)
     lhs = -0.5 * value
     rhs = evaluate(d, crex())
     diff = abs(lhs - rhs.value / mu**2)

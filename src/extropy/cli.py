@@ -158,6 +158,8 @@ def _cmd_check(args: argparse.Namespace) -> str:
     d = _load_dist(args.dist)
     d2 = _load_dist(args.dist2) if args.dist2 else None
     n = args.n
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
     reports: list[analysis.CheckReport] = []
 
     def bounds_suite() -> None:
@@ -241,12 +243,10 @@ def _cmd_estimate(args: argparse.Namespace) -> str:
         value = estimators.empirical_crex(sample, args.n)
     elif args.measure == "cpex":
         value = estimators.empirical_cpex(sample, args.n)
-    elif args.measure == "dcrex":
+    else:  # dcrex, the last of the parser's choices
         if args.t is None:
             raise UsageError("estimate --measure dcrex requires --t")
         value = estimators.empirical_dcrex(sample, args.t, args.n)
-    else:
-        raise UsageError(f"unknown estimator measure {args.measure!r}")
     return json.dumps({"value": float(_fmt(value)), "m": sample.size}) + "\n"
 
 

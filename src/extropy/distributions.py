@@ -36,7 +36,7 @@ from .errors import (
     QuantileOutOfRange,
     SchemaError,
 )
-from .quadrature import integrate_array, integrate_panels
+from .quadrature import integrate, integrate_panels
 
 #: sf/cdf below this is treated as degenerate rather than extrapolated.
 DEGENERATE_EPS = 1e-13
@@ -248,7 +248,7 @@ class Distribution(ABC):
         if not self.has_finite_mean:
             raise DivergentMean(f"{self!r} has no finite mean")
         lo = self.support.lower
-        value, _ = integrate_array(self.sf, lo, self.support.upper, self.breakpoints)
+        value, _ = integrate(self.sf, lo, self.support.upper, self.breakpoints)
         return lo + value
 
     def mean_residual_life(self, t: float) -> float:
@@ -596,9 +596,9 @@ class GPD(Distribution):
         """log sf(x) for x > 0; log1p keeps the digits of a small lam * x."""
         if self._exponential_limit:
             return -x / self.theta
-        return _piecewise(
-            self.lam * x / self.theta, -1.0, inf, -inf, -inf, lambda z: -(1.0 + self.lam) / self.lam * _xp(z).log1p(z)
-        )
+        with np.errstate(over="ignore"):  # a ratio past the float range is inf, where log sf is -inf
+            z = self.lam * x / self.theta
+        return _piecewise(z, -1.0, inf, -inf, -inf, lambda z: -(1.0 + self.lam) / self.lam * _xp(z).log1p(z))
 
     def sf(self, x: FloatOrArray) -> FloatOrArray:
         return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: _xp(y).exp(self._log_sf(y)))

@@ -21,10 +21,6 @@ class QuantileOutOfRange(ExtropyError):
     """Quantile requested at p outside (0, 1)."""
 
 
-class NoDensity(ExtropyError):
-    """Density undefined at the requested point."""
-
-
 class DegenerateTail(ExtropyError):
     """Survival function is (numerically) zero at the conditioning age."""
 

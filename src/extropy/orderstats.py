@@ -54,15 +54,8 @@ def _check_n(n: int) -> None:
         raise InvalidOrder(f"n capped at {MAX_N}")
 
 
-@dataclass(frozen=True)
-class MinOrder(Distribution):
-    """Distribution of X_{1:n}: sf = parent sf to the n-th power."""
-
-    parent: Distribution
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
+class _Order(Distribution):
+    """An order statistic of ``self.parent``: its support and breakpoints, and sf and cdf by ``_level``."""
 
     @cached_property
     def support(self) -> Support:
@@ -71,6 +64,23 @@ class MinOrder(Distribution):
     @property
     def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
         return self.parent.breakpoints
+
+    def sf(self, x: FloatOrArray) -> FloatOrArray:
+        return self._level(_at(x), True)
+
+    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+        return self._level(_at(x), False)
+
+
+@dataclass(frozen=True)
+class MinOrder(_Order):
+    """Distribution of X_{1:n}: sf = parent sf to the n-th power."""
+
+    parent: Distribution
+    n: int
+
+    def __post_init__(self) -> None:
+        _check_n(self.n)
 
     @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
@@ -82,12 +92,6 @@ class MinOrder(Distribution):
         if residual:
             return values(self.parent, "sf") ** self.n
         return _one_minus_power(values(self.parent, "cdf"), self.n)
-
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return self._level(_at(x), True)
-
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return self._level(_at(x), False)
 
     def pdf(self, x: FloatOrArray) -> FloatOrArray:
         return _weighted_density(self.n * self.parent.sf(x) ** (self.n - 1), self.parent.pdf(x))
@@ -104,7 +108,7 @@ class MinOrder(Distribution):
 
 
 @dataclass(frozen=True)
-class MaxOrder(Distribution):
+class MaxOrder(_Order):
     """Distribution of X_{n:n}: cdf = parent cdf to the n-th power."""
 
     parent: Distribution
@@ -112,14 +116,6 @@ class MaxOrder(Distribution):
 
     def __post_init__(self) -> None:
         _check_n(self.n)
-
-    @cached_property
-    def support(self) -> Support:
-        return self.parent.support
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
-        return self.parent.breakpoints
 
     @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
@@ -129,12 +125,6 @@ class MaxOrder(Distribution):
         if residual:
             return _one_minus_power(values(self.parent, "sf"), self.n)
         return values(self.parent, "cdf") ** self.n
-
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return self._level(_at(x), True)
-
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return self._level(_at(x), False)
 
     def pdf(self, x: FloatOrArray) -> FloatOrArray:
         return _weighted_density(self.n * self.parent.cdf(x) ** (self.n - 1), self.parent.pdf(x))
@@ -148,19 +138,11 @@ class MaxOrder(Distribution):
 
 
 @dataclass(frozen=True)
-class KthOrder(Distribution):
+class KthOrder(_Order):
     """Distribution of X_{k:n} for a general rank k."""
 
     parent: Distribution
     spec: OrderSpec
-
-    @cached_property
-    def support(self) -> Support:
-        return self.parent.support
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
-        return self.parent.breakpoints
 
     @property
     def has_finite_mean(self) -> bool:  # type: ignore[override]
@@ -174,12 +156,6 @@ class KthOrder(Distribution):
         # the terms i >= k of the binomial sum, i.e. the terms j = n - i < n - k + 1
         # with the roles of F and S swapped
         return _lower_binomial_sum(n, n - k + 1, S, F)
-
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return self._level(_at(x), True)
-
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return self._level(_at(x), False)
 
     def pdf(self, x: FloatOrArray) -> FloatOrArray:
         k, n = self.spec.k, self.spec.n

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature: one batched numpy engine and a scalar fallback.
+"""Adaptive Gauss-Kronrod quadrature: one batched numpy engine.
 
 ``integrate_panels`` is the engine.  It integrates many independent
 integrals at once with QUADPACK's 21-point Gauss-Kronrod rule (qk21) and
@@ -14,29 +14,37 @@ with the same loop whatever the number of rows.  Not ``fx @ w``, which hands
 the rows to BLAS, and not einsum on a Fortran-ordered fx, which runs down the
 columns: either can round a row otherwise alone than in a batch.
 
-``integrate`` is the scalar fallback for an integral the engine leaves open
-(an endpoint singularity it cannot resolve in _MAX_DEPTH passes), and the
-reference in tests.  It is QUADPACK via ``scipy.integrate.quad``: QAGP
-between breakpoints, QAGI for an infinite upper end, and, if QUADPACK flags
-trouble there, a truncated interval whose remainder is added to the error
-estimate.  scipy is imported at the first ``quad`` call, not with this
-module, so a process that never falls back never loads it.
+An integral still open after the passes goes to ``_end_rule``, which closes
+an integrable endpoint singularity or raises.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import DivergentIntegral, ExtropyError
 
 EPS_ABS = 1e-14
 EPS_REL = 1e-9
 _LIMIT = 256
 
-#: batched bisection passes before an open integral goes to ``integrate``
+#: batched bisection passes before an open integral goes to ``_end_rule``
 _MAX_DEPTH = 32
+#: the end rule reads _RATIOS ratios of neighbouring contributions; steady
+#: ones spread by at most _STEADY (1 - ratio), and ones within _STEADY of 1
+#: count as 1 (rounding near a nonzero end moves a ratio of 1 by about 1e-5).
+#: It reads to _END_ULPS ulps of a nonzero end (closer, the nodes round to a
+#: few values) and to _TINY from 0 (so 1/u^2 stays finite).  It replaces a
+#: tail's pieces within _TAIL_REACH of u = 1, where u, spaced 2^-53 apart,
+#: resolves x to worse than 2^-36, and reads them in x.
+_RATIOS = 4
+_STEADY = 1e-3
+_END_ULPS = 2.0**16
+_TINY = 2.0**-500
+_TAIL_REACH = 2.0**-17
 #: equal pieces every segment of an integral starts from
 _START_PIECES = 4
 
@@ -88,60 +96,6 @@ _KRONROD = _mirror(_WGK)
 _GAUSS = _mirror([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3], 0.0, _WG[4], 0.0])
 _EPMACH = float(np.finfo(np.float64).eps)
 _UFLOW = float(np.finfo(np.float64).tiny)
-
-
-def integrate(
-    f: Callable[[float], float], a: float, b: float, points: Sequence[float] = ()
-) -> tuple[float, float]:
-    """Integrate ``f`` over [a, b], split at ``points``; returns (value, abs_error_estimate)."""
-    if b <= a:
-        return 0.0, 0.0
-    cuts = sorted({p for p in points if a < p < b})
-    if cuts and math.isinf(b):
-        # QAGP needs a finite interval: the tail past the last cut goes alone
-        head, head_err = integrate(f, a, cuts[-1], cuts)
-        tail, tail_err = integrate(f, cuts[-1], b)
-        return head + tail, head_err + tail_err
-    # imported here, not at module level: scipy.integrate costs about 0.8 s
-    # of start-up, and closed forms, estimators and --help never reach quad.
-    # quad is looked up on the module at each call, so a patched
-    # scipy.integrate.quad (bench/tracer.py counts calls that way) is seen.
-    from scipy import integrate as _si
-
-    extra = {"points": cuts} if cuts else {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", _si.IntegrationWarning)
-        try:
-            value, err = _si.quad(f, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT, **extra)
-            return value, err
-        except _si.IntegrationWarning:
-            pass
-    if math.isinf(b):
-        return _truncated_tail(f, a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _si.IntegrationWarning)
-        value, err = _si.quad(f, a, b, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT, **extra)
-    return value, err
-
-
-def _truncated_tail(f: Callable[[float], float], a: float) -> tuple[float, float]:
-    """Integrate [a, inf) by extending a finite window until the tail is negligible."""
-    from scipy import integrate as _si
-
-    hi = max(2.0 * abs(a), 1.0)
-    total, err = 0.0, 0.0
-    lo = a
-    for _ in range(60):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _si.IntegrationWarning)
-            piece, perr = _si.quad(f, lo, hi, epsabs=EPS_ABS, epsrel=EPS_REL, limit=_LIMIT)
-        total += piece
-        err += perr
-        if abs(piece) <= max(EPS_ABS, EPS_REL * abs(total)):
-            # remaining tail bounded by the last (geometrically shrinking) piece
-            return total, err + abs(piece)
-        lo, hi = hi, 2.0 * hi
-    return total, err + abs(piece)
 
 
 #: the start pieces' ends as fractions of their segment
@@ -222,7 +176,6 @@ def integrate_panels(
     a: Sequence[float],
     b: Sequence[float],
     points: Sequence[float] = (),
-    max_depth: int = _MAX_DEPTH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate f over m intervals [a_i, b_i] at once; returns per-interval (values, abs_error_estimates).
 
@@ -234,14 +187,16 @@ def integrate_panels(
     once the summed error of its pieces is at most max(EPS_ABS, EPS_REL
     |value|); until then each of its pieces whose error exceeds half that
     target over its piece count is bisected, and the halves go to the next
-    batched pass.  An integral still open after ``max_depth`` bisection
-    passes, or that would need more than _LIMIT pieces, is integrated whole
-    by ``integrate`` instead.  An integral with b_i <= a_i is 0.
+    batched pass.  An integral still open after _MAX_DEPTH bisection
+    passes, or that would need more than _LIMIT pieces, goes to
+    ``_end_rule``, which closes it or raises.  An integral with b_i <= a_i
+    is 0.
 
     Batch invariance: an integral's result does not depend on the other
     integrals, because f is elementwise, row sums are taken row by row (see
     ``_qk21``), each integral's pieces are summed in an order that its own
-    bisections fix, and those bisections depend on its own pieces only.
+    bisections fix, and those bisections, like the end rule, depend on its
+    own pieces only.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -250,26 +205,26 @@ def integrate_panels(
     v, e = _qk21(f, pieces)
     total, total_err = np.zeros(m), np.zeros(m)
     refining = np.ones(m, dtype=bool)
-    fallback: list[int] = []
-    for depth in range(max_depth + 1):
+    held: list[np.ndarray] = []  # the pieces, values and errors of the integrals given up
+    for depth in range(_MAX_DEPTH + 1):
         # pieces holds the pieces of the open integrals only: an accepted
         # integral's pieces never change, so its sums are final
         rows = pieces[0].astype(np.intp)
         total = np.where(refining, np.bincount(rows, v, m), total)
         total_err = np.where(refining, np.bincount(rows, e, m), total_err)
         target = np.maximum(EPS_ABS, EPS_REL * np.abs(total))
-        refining &= ~(total_err <= target)  # a NaN error keeps refining, then falls back
+        refining &= ~(total_err <= target)  # a NaN error keeps refining, then goes to the end rule
         if not np.count_nonzero(refining):
             break
         count = np.bincount(rows, minlength=m)
         split = refining[rows] & ~(e <= 0.5 * target[rows] / count[rows])
         # a split at most doubles an integral's pieces: below _LIMIT / 2 none can pass _LIMIT
-        if depth == max_depth or 2 * count.max() > _LIMIT:
+        if depth == _MAX_DEPTH or 2 * count.max() > _LIMIT:
             give_up = refining
-            if depth < max_depth:
+            if depth < _MAX_DEPTH:
                 give_up = refining & (count + np.bincount(rows[split], minlength=m) > _LIMIT)
             if np.count_nonzero(give_up):
-                fallback += give_up.nonzero()[0].tolist()
+                held.append(np.vstack((pieces, v, e))[:, give_up[rows]])
                 refining &= ~give_up
                 split &= refining[rows]
                 if not np.count_nonzero(split):
@@ -283,15 +238,90 @@ def integrate_panels(
         keep = refining[rows] & ~split
         pieces = np.concatenate((pieces[:, keep], halves), axis=1)
         v, e = np.concatenate((v[keep], hv)), np.concatenate((e[keep], he))
-    for i in fallback:
-        row = np.array([i])
-        total[i], total_err[i] = integrate(lambda y: float(f(np.array([[y]]), row)[0, 0]), a[i], b[i], points)
+    if held:
+        _end_rule(f, np.concatenate(held, axis=1), a, b, points, total, total_err)
     return total, total_err
 
 
-def integrate_array(
-    g: Callable[[np.ndarray], np.ndarray], a: float, b: float, points: Sequence[float] = ()
-) -> tuple[float, float]:
-    """Integrate an elementwise numpy function g of a 1-D array over [a, b]; as ``integrate``, through the engine."""
+def _end_rule(
+    f: Callable, held: np.ndarray, a: np.ndarray, b: np.ndarray, points: Sequence[float],
+    total: np.ndarray, err: np.ndarray
+) -> None:
+    """Close the integrals the passes left open, in place in (total, err), or raise.
+
+    ``held`` has the columns (row, mapped, lo, hi, origin, value, error) of
+    their pieces.  Each round takes an open integral's largest-error piece,
+    which must touch an end e of its segment (a cut, a_i, b_i, or u = 0 or 1
+    of a tail, u = 1 read as x = origin), and replaces its pieces within w
+    of e, w at least that piece, 2^(_RATIOS + 1) times the closest the rule
+    reads and, at u = 1, _TAIL_REACH.  One batched qk21 call reads [e + w
+    2^-(k+1), e + w 2^-k] down to that closest; for (x - e)^alpha, adjacent
+    contributions have the ratio 2^-(1 + alpha).  The last _RATIOS ratios
+    all within _STEADY of 1 or above raise DivergentIntegral; steady ones
+    add the remainder c r / (1 - r) of the last contribution c and ratio r
+    (Aitken's Delta^2), with an error term for their spread and c's error;
+    anything else raises ExtropyError.  An integral whose other pieces still
+    hold more error than the engine accepts goes to another round.
+    """
+    cuts = {float(p) for p in points if math.isfinite(p)}
+    rows = held[0].astype(np.intp)
+    left = np.ones(rows.size, dtype=bool)  # the pieces not replaced yet
+    done = {int(i): np.zeros(2) for i in np.unique(rows)}  # value and error of each row's replaced pieces
+    todo = list(done)
+    while todo:
+        ladders, plans = [], []
+        for i in todo:
+            own = (rows == i) & left
+            _, mapped, lo, hi, origin = held[:5, np.flatnonzero(own)[np.argmax(held[6, own])]].tolist()
+            ends = {0.0, 1.0} if mapped else cuts | {float(a[i]), float(b[i])}
+            end, sign = (lo, 1.0) if lo in ends else (hi, -1.0)
+            where = ("infinity" if end == 0.0 else f"x = {origin}") if mapped else f"x = {end}"
+            fail = ExtropyError(f"the integral over [{a[i]}, {b[i]}] is not resolved near {where}")
+            if end not in ends:
+                raise fail
+            tail = mapped and end == 1.0  # a tail's finite end: read in x, which resolves it far better than u
+            closest = max(_END_ULPS * math.ulp(origin if tail else end), _TINY)
+            side = own & (held[1] == mapped)
+            dist = sign * (held[2:4, side] - end)  # of the piece ends on e's side
+            far = dist.max(axis=0)
+            reach = max(_TAIL_REACH if tail else 0.0, closest * 2.0 ** (_RATIOS + 1))
+            w = float(far[far >= max(hi - lo, reach)].min(initial=math.inf))
+            if any(0.0 < sign * (c - end) < w for c in ends):
+                raise fail  # the segment is too short
+            left[np.flatnonzero(side)[(dist.min(axis=0) >= 0.0) & (far <= w)]] = False
+            if tail:
+                mapped, end, sign, w = 0.0, origin, 1.0, w / (1.0 - w)
+            edges = end + sign * np.ldexp(w, -np.arange(math.floor(math.log2(w / closest)) + 1))
+            ladders.append(np.stack(np.broadcast_arrays(i, mapped, edges[1:], edges[:-1], origin)))
+            ladders[-1][2:4].sort(axis=0)
+            plans.append((i, fail, f"the integral over [{a[i]}, {b[i]}] diverges at {where}"))
+        with np.errstate(all="ignore"):
+            values, errors = _qk21(f, np.concatenate(ladders, axis=1))
+        cut, todo = np.cumsum([ladder.shape[1] for ladder in ladders])[:-1], []
+        for (i, fail, diverges), c, e in zip(plans, np.split(values, cut), np.split(errors, cut)):
+            n = int(np.append(np.isfinite(c) & np.isfinite(e), False).argmin())
+            c, e, rem, rem_err = c[:n], e[:n], 0.0, 0.0
+            if n < _RATIOS + 1:
+                raise fail
+            if np.count_nonzero(c[-_RATIOS - 1 :]):
+                with np.errstate(all="ignore"):
+                    ratios = c[-_RATIOS:] / c[-_RATIOS - 1 : -1]
+                if (ratios >= 1.0 - _STEADY).all():
+                    raise DivergentIntegral(diverges)
+                low, high, r = float(ratios.min()), float(ratios.max()), float(ratios[-1])
+                if not (0.0 <= low and high - low <= _STEADY * (1.0 - high)):
+                    raise fail
+                geometric = r / (1.0 - r)
+                rem = float(c[-1]) * geometric
+                rem_err = 2.0 * abs(float(c[-1])) * (high / (1.0 - high) - low / (1.0 - low)) + float(e[-1]) * geometric
+            done[i] += (c.sum() + rem, e.sum() + rem_err)
+            own = (rows == i) & left
+            total[i], err[i] = held[5, own].sum() + done[i][0], held[6, own].sum() + done[i][1]
+            if not held[6, own].sum() <= max(EPS_ABS, EPS_REL * abs(total[i])):
+                todo.append(i)
+
+
+def integrate(g: Callable, a: float, b: float, points: Sequence[float] = ()) -> tuple[float, float]:
+    """Integrate an elementwise numpy function g of a 1-D array over [a, b], split at ``points``: (value, error)."""
     values, errors = integrate_panels(lambda x, rows: g(x.ravel()).reshape(x.shape), [a], [b], points)
     return float(values[0]), float(errors[0])

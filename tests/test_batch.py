@@ -9,10 +9,11 @@ result does not depend on the other integrals in its batch.  So:
   |value - reference| <= abs_error_estimate + 1e-12, for the 17 bundle
   families and their min of 3, max of 3 and 2-of-4 orders, infinite upper
   ends (QAGI map) and singular endpoints included, and for integrals that
-  the engine leaves to the scalar fallback.
+  the batched passes leave open and the engine's end rule extrapolates;
+- an integral that diverges at an end raises ``DivergentIntegral``, alone
+  and in a batch.
 """
 
-import functools
 import math
 
 import mpmath as mp
@@ -33,7 +34,7 @@ from extropy.distributions import (
     Uniform,
     Weibull,
 )
-from extropy.errors import DegenerateHead, DegenerateTail
+from extropy.errors import DegenerateHead, DegenerateTail, DivergentIntegral
 from extropy.measures import (
     Curve,
     MeasureKind,
@@ -254,18 +255,24 @@ def test_error_bars_hold_against_mpmath(d, order):
             assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (kind, mv, ref)
 
 
-def test_fallback_integrals_hold_their_error_bars(monkeypatch):
+def _spy_end_rule(monkeypatch):
+    """Record the rows of every integral that reaches the engine's end rule."""
+    rows = []
+    rule = quadrature._end_rule
+
+    def spy(f, held, *args):
+        rows.extend(np.unique(held[0]).tolist())
+        return rule(f, held, *args)
+
+    monkeypatch.setattr(quadrature, "_end_rule", spy)
+    return rows
+
+
+def test_end_rule_integrals_hold_their_error_bars(monkeypatch):
     # two batched passes cannot resolve sqrt-type endpoint singularities, so
-    # every one of these goes to the scalar fallback
-    calls = []
-    scalar = quadrature.integrate
-
-    def spy(f, a, b, points=()):
-        calls.append((a, b))
-        return scalar(f, a, b, points)
-
-    monkeypatch.setattr(quadrature, "integrate", spy)
-    monkeypatch.setattr(measures, "integrate_panels", functools.partial(quadrature.integrate_panels, max_depth=2))
+    # every one of these goes to the end rule
+    rows = _spy_end_rule(monkeypatch)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     cases = [(Power(3, 0.5), "plain"), (Weibull(2, 0.5), "min3"), (Power(3, 0.5), "2of4")]
     with mp.workdps(20):
         for d, order in cases:
@@ -274,7 +281,70 @@ def test_fallback_integrals_hold_their_error_bars(monkeypatch):
                 assert mv == evaluate(od, kind)
                 ref = _reference(d, order, kind)
                 assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (d, order, kind, mv, ref)
-    assert len(calls) == 4 * len(cases)
+    # each batch of two and each kind alone
+    assert len(rows) == 4 * len(cases)
+
+
+def _power_min_extropy(b, c, n):
+    """Extropy of the min of n draws of Power(b, c): -(n^2 c / 2b) B(2 - 1/c, 2n - 1), in 30 digits."""
+    with mp.workdps(30):
+        return float(-(n * n * mp.mpf(c) / (2 * b)) * mp.beta(2 - 1 / mp.mpf(c), 2 * n - 1))
+
+
+def _weibull_extropy(theta):
+    """Extropy of Weibull(1, theta): -theta Gamma(2 - 1/theta) / 2^(3 - 1/theta), in 30 digits."""
+    with mp.workdps(30):
+        return float(-mp.mpf(theta) * mp.gamma(2 - 1 / mp.mpf(theta)) / 2 ** (3 - 1 / mp.mpf(theta)))
+
+
+def _weibull_min_crex(lam, theta, n, k):
+    """crex-min(k) of the min of n draws of Weibull(lam, theta): -Gamma(1 + 1/theta) / (2 (2 k n lam)^(1/theta))."""
+    with mp.workdps(30):
+        return float(-mp.gamma(1 + 1 / mp.mpf(theta)) / (2 * (2 * k * n * mp.mpf(lam)) ** (1 / mp.mpf(theta))))
+
+
+def _weibull_cren(lam, theta):
+    """cren of Weibull(lam, theta): Gamma(1 + 1/theta) / (theta lam^(1/theta)), in 30 digits."""
+    with mp.workdps(30):
+        return float(mp.gamma(1 + 1 / mp.mpf(theta)) / (mp.mpf(theta) * mp.mpf(lam) ** (1 / mp.mpf(theta))))
+
+
+#: (distribution, kind, reference): integrable endpoint singularities the batched passes leave open
+EXTRAPOLATED = [
+    *[(Power(3, c), extropy(), _power_min_extropy(3, c, 1)) for c in (0.55, 0.75, 0.9)],
+    (Weibull(1, 0.75), extropy(), _weibull_extropy(0.75)),
+    (min_order(Power(3, 0.75), 3), extropy(), _power_min_extropy(3, 0.75, 3)),
+    # the mass sits within 1e-9 of x = 0, the finite end of the mapped tail [0, inf)
+    (min_order(Weibull(7, 0.17), 3), crex_min(2), _weibull_min_crex(7, 0.17, 3, 2)),
+    (Weibull(0.1, 0.1), cren(), _weibull_cren(0.1, 0.1)),  # 3.6288e17
+]
+
+
+@pytest.mark.parametrize("d,kind,ref", EXTRAPOLATED, ids=[repr(case[0]) for case in EXTRAPOLATED])
+def test_extrapolated_integrals_hold_their_error_bars(d, kind, ref, monkeypatch):
+    rows = _spy_end_rule(monkeypatch)
+    mv = evaluate(d, kind)
+    assert rows == [0]
+    assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (mv, ref)
+    # the end rule reads the integral's own pieces only: the same bits in a batch
+    assert _evaluate_batch(d, [crex_min(1), kind, crex_min(2)])[1] == mv
+
+
+#: (distribution, kind): integrals that diverge at an end
+DIVERGENT = [
+    (Power(3, 0.5), extropy()),
+    (min_order(Power(3, 0.5), 3), extropy()),
+    (Weibull(2, 0.5), extropy()),
+    (FoldedCramer(1), cren()),
+]
+
+
+@pytest.mark.parametrize("d,kind", DIVERGENT, ids=[repr(case[0]) for case in DIVERGENT])
+def test_divergent_integrals_raise(d, kind):
+    with pytest.raises(DivergentIntegral, match="diverges at"):
+        evaluate(d, kind)
+    with pytest.raises(DivergentIntegral, match="diverges at"):
+        _evaluate_batch(d, [crex_min(1), kind])
 
 
 def test_qagi_map_integrates_slow_tails():

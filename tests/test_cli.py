@@ -210,6 +210,39 @@ def test_steps_below_one_exits_two(exp1, verb, steps, capsys):
     assert "--steps must be >= 1" in _one_line_error(capsys, "usage error: ")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("suite", ["bounds", "orderings", "inequalities", "all"])
+def test_check_n_below_one_exits_two(exp1, suite, n, capsys):
+    # --suite orderings with --n 0 used to run no check and print an empty line
+    assert run(["check", "--suite", suite, "--dist", exp1, "--n", n]) == 2
+    assert "--n must be >= 1" in _one_line_error(capsys, "usage error: ")
+
+
+@pytest.mark.parametrize(
+    "family,params,measure,where",
+    [
+        ("power", {"b": 3, "c": 0.5}, "extropy", "x = 0.0"),  # pdf^2 = 1/(12 x)
+        ("weibull", {"lambda": 2, "theta": 0.5}, "extropy", "x = 0.0"),
+        ("folded-cramer", {"theta": 1}, "cren", "infinity"),  # -S log S ~ log(x)/x
+    ],
+    ids=["power", "weibull", "folded-cramer"],
+)
+def test_divergent_integral_exits_one(tmp_path, capsys, family, params, measure, where):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": family, "params": params}))
+    assert run(["measure", "--dist", str(spec), "--measure", measure]) == 1
+    assert f"diverges at {where}" in _one_line_error(capsys, "error: ")
+    assert capsys.readouterr().out == ""
+
+
+def test_gpd_ratio_past_the_float_range_warns_nothing(tmp_path, capsys):
+    # lam x / theta overflows to inf, whose log sf is -inf; no RuntimeWarning on the way
+    spec = tmp_path / "gpd.json"
+    spec.write_text(json.dumps({"family": "gpd", "params": {"theta": 1e-300, "lambda": 97642}}))
+    assert run(["measure", "--dist", str(spec), "--measure", "crex-min", "--n", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("flag", [["--seed", "42"], ["--format", "json"]])
 def test_unread_flags_are_gone(exp1, flag, capsys):
     assert run(["measure", "--dist", exp1, "--measure", "crex", *flag]) == 2

@@ -508,8 +508,8 @@ def test_breakpoints_are_forwarded_and_mapped():
 
 def test_integrate_splits_at_breakpoints():
     # points outside (a, b) are ignored; an infinite tail past the last cut works too
-    value, err = integrate(lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0, points=[1.0 / 3.0, 5.0])
+    value, err = integrate(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, points=[1.0 / 3.0, 5.0])
     assert abs(value - 5.0 / 18.0) <= err + 1e-15
-    value, err = integrate(lambda x: min(1.0, math.exp(1.0 - x)), 0.0, math.inf, points=[1.0])
+    value, err = integrate(lambda x: np.minimum(1.0, np.exp(1.0 - x)), 0.0, math.inf, points=[1.0])
     assert abs(value - 2.0) <= err + 1e-15
 

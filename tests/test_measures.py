@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extropy import quadrature
 from extropy.distributions import (
     Exponential,
     FiniteRange,
@@ -23,7 +25,6 @@ from extropy.errors import (
     DegenerateTail,
     ExtropyError,
     UnboundedSupport,
-    VanishingDensity,
 )
 from extropy.measures import (
     Curve,
@@ -230,8 +231,29 @@ def test_quantile_form_values(d, n, expected):
 
 
 def test_quantile_form_vanishing_density():
-    with pytest.raises(VanishingDensity):
+    # the density vanishes like exp(-1/x) at 0, so the integrand grows like
+    # 1/(q log^2 q) as q = 1 - u -> 0: integrable, but the end rule's ratios
+    # creep up to 1 and are never steady, so it is not resolved
+    with pytest.raises(ExtropyError, match=r"^the integral over \[0\.0, 1\.0\] is not resolved near x = 1\.0$"):
         crex_min_quantile_form(PiecewiseBounded(), 1)
+
+
+def test_quantile_form_singular_end_holds_its_error_bar(monkeypatch):
+    # u^2 / f(F^-1(1 - u)) ~ 1/(2 sqrt(1 - u)) at u = 1: the batched passes
+    # leave it open and the end rule extrapolates it
+    reached = []
+    rule = quadrature._end_rule
+
+    def spy(*args):
+        reached.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(quadrature, "_end_rule", spy)
+    mv = crex_min_quantile_form(Weibull(1, 2), 1)
+    with mp.workdps(30):
+        ref = float(-mp.gamma(mp.mpf(1) / 2) / (4 * mp.sqrt(2)))
+    assert reached == [1]
+    assert abs(mv.value - ref) <= mv.abs_error_estimate + 1e-12, (mv, ref)
 
 
 @pytest.mark.parametrize(

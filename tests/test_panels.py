@@ -27,9 +27,10 @@ from extropy.distributions import (
     Support,
     Uniform,
 )
+from extropy.errors import DivergentIntegral, ExtropyError
 from extropy.measures import dcrex, evaluate, evaluate_grid
 from extropy.orderstats import KthOrder, MaxOrder, MinOrder, OrderSpec
-from extropy.quadrature import integrate, integrate_panels
+from extropy.quadrature import integrate_panels
 
 from conftest import ALL_FAMILIES, ids
 
@@ -204,24 +205,52 @@ def test_empty_and_zero_width_panels_integrate_to_zero():
     assert values.tolist() == [0.0, 0.0] and errors.tolist() == [0.0, 0.0]
 
 
-def test_open_panels_fall_back_to_scalar_integrate(monkeypatch):
-    calls = []
+def test_open_panels_go_to_the_end_rule(monkeypatch):
+    held = []
+    rule = quadrature._end_rule
 
-    def spy(f, a, b, points=()):
-        calls.append((a, b))
-        return integrate(f, a, b, points)
+    def spy(f, pieces, *args):
+        held.extend(np.unique(pieces[0]).tolist())
+        return rule(f, pieces, *args)
 
-    monkeypatch.setattr(quadrature, "integrate", spy)
+    monkeypatch.setattr(quadrature, "_end_rule", spy)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
     # sqrt has an infinite slope at 0: one qk21 pass cannot meet the target there
     a, b = np.array([0.0, 1.0]), np.array([1.0, 2.0])
-    values, errors = integrate_panels(_elementwise(np.sqrt), a, b, max_depth=0)
-    assert calls == [(0.0, 1.0)]
+    values, errors = integrate_panels(_elementwise(np.sqrt), a, b)
+    assert held == [0.0]
     assert values[0] == pytest.approx(2.0 / 3.0, abs=errors[0] + 1e-15)
     assert values[1] == pytest.approx(2.0 / 3.0 * (2.0**1.5 - 1.0), abs=errors[1] + 1e-15)
     # a smooth integrand settles in the batched passes
-    calls.clear()
+    held.clear()
     integrate_panels(_elementwise(lambda x: np.exp(-x)), a, b)
-    assert calls == []
+    assert held == []
+
+
+def test_end_rule_reads_both_ends_and_mapped_tails():
+    # x^-1/2 toward an upper end and a cut, a tail x^-3/2 (u^-1/2 once mapped),
+    # and x^-1/2 at the finite end x = 0 of a tail (u = 1 once mapped)
+    values, errors = integrate_panels(_elementwise(lambda x: 0.5 / np.sqrt(np.abs(1.0 - x))), [0.0], [2.0], [1.0])
+    _assert_within_error_bars(values, errors, [2.0])
+    values, errors = integrate_panels(_elementwise(lambda x: 0.5 * (1.0 + x) ** -1.5), [0.0], [math.inf])
+    _assert_within_error_bars(values, errors, [1.0])
+    values, errors = integrate_panels(_elementwise(lambda x: 0.5 * np.exp(-x) / np.sqrt(x)), [0.0], [math.inf])
+    _assert_within_error_bars(values, errors, [math.sqrt(math.pi) / 2])
+
+
+@pytest.mark.parametrize(
+    "func,a,b,points,error",
+    [
+        (lambda x: 1.0 / x, 0.0, 1.0, (), DivergentIntegral),  # log divergence: every ratio is 1
+        (lambda x: 1.0 / np.abs(x - 1.0), 0.0, 2.0, (1.0,), DivergentIntegral),
+        (lambda x: 1.0 / (1.0 + x), 0.0, math.inf, (), DivergentIntegral),
+        # 1/(x log^2 x) converges, but its ratios creep up to 1 and are never steady
+        (lambda x: 1.0 / (x * np.log(x) ** 2), 0.0, 0.5, (), ExtropyError),
+    ],
+)
+def test_end_rule_rejects_what_it_cannot_close(func, a, b, points, error):
+    with pytest.raises(error, match="diverges at" if error is DivergentIntegral else "not resolved"):
+        integrate_panels(_elementwise(func), [a], [b], points)
 
 
 # ---------------------------------------------------------------------------

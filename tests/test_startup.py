@@ -1,5 +1,5 @@
-"""Start-up cost: scipy is loaded only by a process whose integral falls back to scalar QUADPACK,
-and a verb loads only the ``extropy`` submodules it uses.
+"""Start-up cost: no verb loads scipy, which the library does not use, and a
+verb loads only the ``extropy`` submodules it uses.
 
 Each case runs ``cli.run(argv)`` in a fresh interpreter, because the test
 process has scipy loaded already (``tests/test_orderstats.py`` imports
@@ -34,26 +34,20 @@ sys.stderr.write(json.dumps([code, imported, "scipy.integrate" in sys.modules, l
 #: the submodules that only some verbs need
 HEAVY = {"analysis", "characterize", "estimators", "orderstats"}
 
-# (id, argv, whether scipy.integrate is loaded, the extropy submodules that stay unloaded)
+# (id, argv, the extropy submodules that stay unloaded)
 CASES = [
-    ("help", ["--help"], False, HEAVY),
-    ("measure-closed-form", ["measure", "--dist", "{exp}", "--measure", "crex-min", "--n", "2"], False, HEAVY),
-    (
-        "estimate",
-        ["estimate", "--samples", "{samples}", "--measure", "crex", "--n", "2"],
-        False,
-        HEAVY - {"estimators"},
-    ),
-    ("characterize-gpd", ["characterize", "--dist", "{gpd}", "--model", "gpd"], False, set()),
-    ("measure-quadrature", ["measure", "--dist", "{weibull}", "--measure", "dcrex-min", "--t", "0.7"], False, HEAVY),
+    ("help", ["--help"], HEAVY),
+    ("measure-closed-form", ["measure", "--dist", "{exp}", "--measure", "crex-min", "--n", "2"], HEAVY),
+    ("estimate", ["estimate", "--samples", "{samples}", "--measure", "crex", "--n", "2"], HEAVY - {"estimators"}),
+    ("characterize-gpd", ["characterize", "--dist", "{gpd}", "--model", "gpd"], set()),
+    ("measure-quadrature", ["measure", "--dist", "{weibull}", "--measure", "dcrex-min", "--t", "0.7"], HEAVY),
     (
         "measure-order",
         ["measure", "--dist", "{exp}", "--measure", "dcrex", "--t", "0.7", "--order", "3:7"],
-        False,
         HEAVY - {"orderstats"},
     ),
-    # pdf^2 ~ x^-1/2 at 0: the batched engine leaves it to the scalar fallback
-    ("measure-fallback", ["measure", "--dist", "{power}", "--measure", "extropy"], True, HEAVY),
+    # pdf^2 ~ x^-1/2 at 0: the batched passes leave it to the engine's end rule
+    ("measure-extrapolated", ["measure", "--dist", "{power}", "--measure", "extropy"], HEAVY),
 ]
 
 
@@ -85,11 +79,11 @@ def _child(argv):
     return code, proc.stdout, imported, integrated, loaded
 
 
-@pytest.mark.parametrize("argv,loads_scipy,unloaded", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_scipy_loaded_only_by_integration(inputs, argv, loads_scipy, unloaded, capsys, monkeypatch):
+@pytest.mark.parametrize("argv,unloaded", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_no_verb_loads_scipy(inputs, argv, unloaded, capsys, monkeypatch):
     argv = [a.format(**inputs) for a in argv]
     code, out, imported, integrated, loaded = _child(argv)
-    assert (code, imported, integrated) == (0, False, loads_scipy)
+    assert (code, imported, integrated) == (0, False, False)
     assert not {f"extropy.{name}" for name in unloaded} & set(loaded), loaded
     monkeypatch.setenv("COLUMNS", "80")
     assert cli.run(argv) == 0
