@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Verbs: measure, curve, check, characterize, estimate, reproduce.  Domain
-errors, numeric overflow included, exit 1 with a one-line diagnostic on
-stderr; usage errors exit 2.
+errors, numeric overflow and malformed or non-finite ``--curve`` rows
+included, exit 1 with a one-line diagnostic on stderr; usage errors exit 2,
+among them a non-finite float flag (``--t``, ``--t-min``, ``--t-max``,
+``--bound``, ``--tol`` or ``EXTROPY_TOL``).
 Artifacts are written atomically (temp file + rename), so an error never
 leaves a partial file behind.  All numeric output uses 12 significant
-digits; identical argv produces byte-identical output.
+digits; identical argv produces byte-identical output.  JSON output is
+strict JSON: a non-finite value (an ``Inconclusive`` check's margin, say)
+is written as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from . import distributions, measures
 from .distributions import Distribution, PiecewiseBounded, TwoExpMax, from_spec
 from .errors import ExtropyError, UsageError
-from .measures import Curve, MeasureKind, _values_at, curve as eval_curve, evaluate
+from .measures import Curve, MeasureKind, _evaluate_group, curve as eval_curve, evaluate
 
 # analysis, characterize, estimators and orderstats are imported by the verbs
 # and flags that use them, so that a process loads only what its argv needs
@@ -34,10 +38,20 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _json_default(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
+def _finite(obj):
+    """obj with every non-finite float written as a string: "nan", "inf" or "-inf"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
+def _json(obj, indent: Optional[int] = None) -> str:
+    """obj as one JSON document (RFC 8259, so no NaN or Infinity) and a newline."""
+    return json.dumps(_finite(obj), indent=indent, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -76,11 +90,13 @@ def _read_curve_csv(path: str) -> Curve:
             if not stripped:
                 continue
             try:
-                t_str, v_str = stripped.split(",")
-                ts.append(float(t_str))
-                values.append(float(v_str))
+                t, v = (float(field) for field in stripped.split(","))
             except ValueError:
-                raise ExtropyError(f"{path}:{lineno}: expected 't,value' numbers, got {stripped!r}") from None
+                t = v = math.nan
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise ExtropyError(f"{path}:{lineno}: expected 't,value' finite numbers, got {stripped!r}")
+            ts.append(t)
+            values.append(v)
     return Curve(tuple(ts), tuple(values))
 
 
@@ -136,11 +152,10 @@ def _t_grid(d: Distribution, args: argparse.Namespace) -> list[float]:
 def _cmd_measure(args: argparse.Namespace) -> str:
     d = _apply_order_flags(_load_dist(args.dist), args)
     mv = evaluate(d, _measure_kind(args))
-    return json.dumps(
+    return _json(
         {"value": float(_fmt(mv.value)), "method": mv.method,
-         "abs_error_estimate": float(_fmt(mv.abs_error_estimate))},
-        default=_json_default,
-    ) + "\n"
+         "abs_error_estimate": float(_fmt(mv.abs_error_estimate))}
+    )
 
 
 def _cmd_curve(args: argparse.Namespace) -> str:
@@ -206,8 +221,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
         inequalities_suite()
 
     if args.json:
-        payload = [r.as_dict() for r in reports]
-        return json.dumps(payload, indent=2, default=_json_default) + "\n"
+        return _json([r.as_dict() for r in reports], indent=2)
     lines = [
         f"{r.check_id}: {r.verdict} (worst_margin={_fmt(r.worst_margin)}, points={r.points_tested})"
         for r in reports
@@ -232,7 +246,7 @@ def _cmd_characterize(args: argparse.Namespace) -> str:
             result = chz.gpd_ratio_test(d, args.n, grid)
         else:
             result = chz.power_ratio_test(d, args.n, grid)
-    return json.dumps(result.as_dict(), indent=2, default=_json_default) + "\n"
+    return _json(result.as_dict(), indent=2)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> str:
@@ -247,7 +261,7 @@ def _cmd_estimate(args: argparse.Namespace) -> str:
         if args.t is None:
             raise UsageError("estimate --measure dcrex requires --t")
         value = estimators.empirical_dcrex(sample, args.t, args.n)
-    return json.dumps({"value": float(_fmt(value)), "m": sample.size}) + "\n"
+    return _json({"value": float(_fmt(value)), "m": sample.size})
 
 
 #: grid sizes for the bundled non-monotonicity curves
@@ -263,10 +277,10 @@ def reproduce_figure(figure: str, points: int = FIGURE_POINTS) -> tuple[list[flo
     """
     if figure == "2.1":
         us = list(np.linspace(0.0, 1.0, points + 2)[1:-1])
-        return us, _values_at(TwoExpMax(), "dcrex", 1, [-math.log(u) for u in us])
+        return us, _evaluate_group(TwoExpMax(), "dcrex", 1, [-math.log(u) for u in us]).value.tolist()
     if figure == "3.1":
         ts = list(np.linspace(1.0, 2.0, points + 2)[1:-1])
-        return ts, _values_at(PiecewiseBounded(), "dcpex", 1, ts)
+        return ts, _evaluate_group(PiecewiseBounded(), "dcpex", 1, ts).value.tolist()
     raise UsageError(f"unknown figure {figure!r}; expected 2.1 or 3.1")
 
 
@@ -364,9 +378,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 args.tol = float(tol)
             except ValueError:
                 raise UsageError(f"EXTROPY_TOL must be a number, got {tol!r}") from None
+        for key, value in vars(args).items():
+            # every float flag: argparse reads "nan" and "inf" as floats
+            if isinstance(value, float) and not math.isfinite(value):
+                flag = "--tol and EXTROPY_TOL" if key == "tol" else "--" + key.replace("_", "-")
+                raise UsageError(f"{flag} must be finite, got {value}")
         if args.tol is not None:
-            if not math.isfinite(args.tol):
-                raise UsageError(f"--tol and EXTROPY_TOL must be finite, got {args.tol}")
             from . import analysis
 
             analysis.BASE_TOL = args.tol  # module-level default used by the checks

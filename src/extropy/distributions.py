@@ -8,8 +8,6 @@ quadrature and bracketed bisection.  ``cdf``, ``sf``, ``pdf`` and
 ``quantile`` take a float or a 1-D float64 array, and each formula is
 written once: a float goes through ``math`` and gets a Python float back,
 an array goes through numpy and gets an array of the same shape.
-``cdf_array``, ``sf_array`` and ``pdf_array`` are aliases of ``cdf``, ``sf``
-and ``pdf``.
 
 All objects are immutable and all methods are pure, so instances can be
 shared freely across threads.
@@ -165,15 +163,6 @@ class Distribution(ABC):
         for all of its orders, and each order gets the bits of its own call.
         """
         return values(self, "sf" if residual else "cdf")
-
-    def cdf_array(self, x: np.ndarray) -> np.ndarray:
-        return self.cdf(x)
-
-    def sf_array(self, x: np.ndarray) -> np.ndarray:
-        return self.sf(x)
-
-    def pdf_array(self, x: np.ndarray) -> np.ndarray:
-        return self.pdf(x)
 
     #: True when the mean integral converges.
     has_finite_mean: bool = True

@@ -6,24 +6,24 @@ quadrature otherwise.  The catalog contains only formulas with an exact
 derivation; everything else is integrated numerically by the batched engine
 ``quadrature.integrate_panels``, split at the distribution's breakpoints.
 
-``evaluate`` is a batch of one of ``_evaluate_batch``, which integrates many
-kinds at once and gives each the bits ``evaluate`` gives it.
-``evaluate_grid`` gives a dynamic measure on a whole increasing age grid from
-one sweep of short panels.  It is one curve of ``_sweep_arrays``, which
-sweeps several curves (distribution, dynamic kind, n) on one age grid at
-once.  Both take their levels, sf(t) or cdf(t), and degenerate ages from
-``distributions._levels``, one array ``sf``/``cdf`` call per (distribution,
-side), and integrate in one ``_integrate`` call, whose integrand calls each
-distinct (distribution, source) once per engine pass and raises every
-integral to its own Python int power, so an integral's bits do not depend
-on the rest of the call.
+``_evaluate_arrays`` integrates many kinds, each at many ages, at once and
+gives each the bits ``evaluate`` gives it alone; ``_batch_arrays`` is the
+same for a list of ``MeasureKind``s.  ``_sweep_arrays`` gives several
+dynamic curves (distribution, dynamic kind, n) on one increasing age grid
+from one sweep of short panels.  Both take their levels, sf(t) or cdf(t),
+and degenerate ages from ``distributions._levels``, one array ``sf``/``cdf``
+call per dynamic group or (distribution, side), and integrate in one
+``_integrate`` call, whose integrand calls each distinct (distribution,
+source) once per engine pass and raises every integral to its own Python
+int power, so an integral's bits do not depend on the rest of the call.
 
-The batch and the sweep give their results as ``_Arrays``: value, error,
-closed-form and degenerate arrays, with no object per age.  The check
-suites in ``analysis`` and ``characterize`` take their margins from these
-arrays (``_batch_arrays`` and ``_sweep_arrays``); ``evaluate``,
-``_evaluate_batch`` and ``evaluate_grid`` turn them into one
-``MeasureValue``, or the error of a degenerate age, per result.
+All of them give their results as ``_Arrays``: value, error, closed-form
+and degenerate arrays, with no object per age.  The check suites in
+``analysis`` and ``characterize`` take their margins from these arrays.
+The public entries build their objects once, from the arrays: ``evaluate``
+(and the CLI's figures) read one group through ``_evaluate_group``, which
+raises at the first degenerate age; ``curve`` and ``evaluate_grid`` give a
+value, or the error of a degenerate age, per age of a grid.
 
 Sign conventions: the extropy family (extropy, crex, cpex and the dynamic
 versions) is always <= 0; the entropy analogues (cren, cpen) are >= 0.
@@ -349,41 +349,31 @@ def _evaluate_arrays(d: Distribution, groups: Sequence[_Group], force_quadrature
     """``evaluate`` of every group's kind at every age of it, as arrays; a static kind is one value.
 
     The names and orders must be valid and the ages numbers.  The levels of
-    each side come from one ``_levels`` call; each group's catalog entry is
-    decided once and wins where it holds.  Every other value is one
-    integral, and all of them go to one ``_integrate`` call; since the
-    engine's results do not depend on the batch, each value and error
-    estimate is what ``evaluate`` gives alone, bit for bit: -1/2 (integral +
-    beyond), or the integral itself for cren and cpen, is the same IEEE
-    arithmetic elementwise as on floats.  Any error other than a degenerate
-    age (a past measure of an unbounded support) is raised.
+    each dynamic group come from its own ``_levels`` call; each group's
+    catalog entry is decided once and wins where it holds.  Every other
+    value is one integral, and all of them go to one ``_integrate`` call;
+    since the engine's results do not depend on the batch, each value and
+    error estimate is what ``evaluate`` gives alone, bit for bit: -1/2
+    (integral + beyond), or the integral itself for cren and cpen, is the
+    same IEEE arithmetic elementwise as on floats.  Any error other than a
+    degenerate age (a past measure of an unbounded support) is raised.
     """
-    sizes = [1 if ages is None else ages.size for _, _, ages in groups]
-    # a static kind conditions on nothing: level 1, never degenerate, nothing beyond
-    level = [np.ones(size) for size in sizes]
-    degenerate = [np.zeros(size, dtype=bool) for size in sizes]
-    beyond = [np.zeros(size) for size in sizes]
-    for residual in (True, False):
-        side = [
-            g for g, (name, _, ages) in enumerate(groups) if ages is not None and (name in RESIDUAL_KINDS) == residual
-        ]
-        if side:
-            parts = _levels(d, residual, np.concatenate([groups[g][2] for g in side]))
-            start = 0
-            for g in side:
-                level[g], degenerate[g], beyond[g] = (part[start : start + sizes[g]] for part in parts)
-                start += sizes[g]
     lo, hi = d.support.lower, d.support.upper
     out: list[_Arrays] = []
     blocks: list[_Block] = []
-    jobs: list[tuple[int, np.ndarray, float]] = []  # (group, its integrated ages, factor)
+    jobs: list[tuple[int, np.ndarray, float, np.ndarray]] = []  # (group, its integrated ages, factor, beyond)
     for g, (name, n, ages) in enumerate(groups):
-        if force_quadrature:
-            value, closed = np.zeros(sizes[g]), np.zeros(sizes[g], dtype=bool)
+        if ages is None:
+            # a static kind conditions on nothing: level 1, never degenerate, nothing beyond
+            size, level, degenerate, beyond = 1, np.ones(1), np.zeros(1, dtype=bool), np.zeros(1)
         else:
-            value, closed = _closed_forms(d, name, n, [None] if ages is None else ages.tolist(), degenerate[g])
-        out.append(_Arrays(value, np.zeros(sizes[g]), closed, degenerate[g]))
-        todo = (~(closed | degenerate[g])).nonzero()[0]
+            size, (level, degenerate, beyond) = ages.size, _levels(d, name in RESIDUAL_KINDS, ages)
+        if force_quadrature:
+            value, closed = np.zeros(size), np.zeros(size, dtype=bool)
+        else:
+            value, closed = _closed_forms(d, name, n, [None] if ages is None else ages.tolist(), degenerate)
+        out.append(_Arrays(value, np.zeros(size), closed, degenerate))
+        todo = (~(closed | degenerate)).nonzero()[0]
         if not todo.size:
             continue
         # integrand g^p of g = pdf, sf or cdf (-g log g for p = 0) over [a, b]
@@ -401,27 +391,18 @@ def _evaluate_arrays(d: Distribution, groups: Sequence[_Group], force_quadrature
             a, b = np.full(todo.size, lo), np.minimum(ages[todo], hi)
         else:
             a, b = np.full(todo.size, lo), np.full(todo.size, hi)
-        blocks.append((d, source, p, level[g][todo], a, b))
-        jobs.append((g, todo, 1.0 if name in ("cren", "cpen") else -0.5))
+        blocks.append((d, source, p, level[todo], a, b))
+        jobs.append((g, todo, 1.0 if name in ("cren", "cpen") else -0.5, beyond[todo]))
     if not blocks:
         return out
     values, errors = _integrate(blocks)
     start = 0
-    for g, todo, factor in jobs:
+    for g, todo, factor, past_end in jobs:
         stop = start + todo.size
-        out[g].value[todo] = factor * (values[start:stop] + beyond[g][todo])
+        out[g].value[todo] = factor * (values[start:stop] + past_end)
         out[g].error[todo] = abs(factor) * errors[start:stop]
         start = stop
     return out
-
-
-def _grid_values(results: _Arrays, ts: Sequence, residual: Sequence[bool]) -> list[GridValue]:
-    """The ``MeasureValue`` at every age of ts, or the error a degenerate age raises there."""
-    value, error, closed, degenerate = (field.tolist() for field in results)
-    return [
-        _degenerate(res, t) if dg else MeasureValue(v, "closed-form" if cf else "quadrature", e)
-        for v, e, cf, dg, t, res in zip(value, error, closed, degenerate, ts, residual)
-    ]
 
 
 def _batch_arrays(d: Distribution, kinds: Sequence[MeasureKind], force_quadrature: bool = False) -> _Arrays:
@@ -443,49 +424,31 @@ def _batch_arrays(d: Distribution, kinds: Sequence[MeasureKind], force_quadratur
     return out
 
 
-def _evaluate_batch(
-    d: Distribution, kinds: Sequence[MeasureKind], force_quadrature: bool = False
-) -> list[GridValue]:
-    """``evaluate`` of every kind on d, the degenerate-age errors returned rather than raised.
-
-    Closed forms win where the catalog has one.  Every other kind is one
-    integral, and all of them go to one ``_integrate`` call; since the
-    engine's results do not depend on the batch, each element equals what
-    ``evaluate`` gives for that kind alone, bit for bit.  Any other error
-    (a past measure of an unbounded support) is raised.
-    """
-    results = _batch_arrays(d, kinds, force_quadrature)
-    return _grid_values(results, [kind.t for kind in kinds], [kind.name in RESIDUAL_KINDS for kind in kinds])
-
-
-def _values(results: Sequence[GridValue]) -> list[MeasureValue]:
-    """A batch's values; its first degenerate age raises, as ``evaluate`` raises there."""
-    for result in results:
-        if not isinstance(result, MeasureValue):
-            raise result
-    return list(results)
-
-
-def _values_at(d: Distribution, name: str, n: int, ages: Sequence[float]) -> list[float]:
-    """The values ``evaluate`` gives for the dynamic kind (name, n) on d at every age.
+def _evaluate_group(
+    d: Distribution, name: str, n: int, ages: Optional[Sequence[float]], force_quadrature: bool = False
+) -> _Arrays:
+    """``evaluate`` of the kind (name, n) on d at every age, None for a static kind, as arrays.
 
     The first degenerate age raises, as ``evaluate`` raises there.
     """
-    (results,) = _evaluate_arrays(d, [(name, n, np.array(ages, dtype=np.float64))])
+    group = (name, n, None if ages is None else np.array(ages, dtype=np.float64))
+    (results,) = _evaluate_arrays(d, [group], force_quadrature)
     if results.degenerate.any():
         raise _degenerate(name in RESIDUAL_KINDS, ages[int(np.argmax(results.degenerate))])
-    return results.value.tolist()
+    return results
 
 
 def evaluate(d: Distribution, kind: MeasureKind, *, force_quadrature: bool = False) -> MeasureValue:
     """Evaluate one measure; closed form when cataloged, quadrature otherwise."""
-    if not force_quadrature and kind.name not in DYNAMIC_KINDS:
-        # a static kind's closed form, before any array is built; the batch gives the same
+    dynamic = kind.name in DYNAMIC_KINDS
+    if not force_quadrature and not dynamic:
+        # a static kind's closed form, before any array is built; the arrays give the same
         entry = _catalog_entry(d, kind.name, kind.n)
         value = None if entry is None else entry(None)
         if value is not None:
             return MeasureValue(float(value), "closed-form", 0.0)
-    return _values(_evaluate_batch(d, [kind], force_quadrature))[0]
+    value, error, closed, _ = _evaluate_group(d, kind.name, kind.n, [kind.t] if dynamic else None, force_quadrature)
+    return MeasureValue(value.item(0), "closed-form" if closed[0] else "quadrature", error.item(0))
 
 
 def crex_min_quantile_form(d: Distribution, n: int) -> MeasureValue:
@@ -573,15 +536,15 @@ def evaluate_grid(
     ``evaluate`` would, in one batch.
     """
     kinds = [kind_for_t(t) for t in t_grid]
-    if (
-        not kinds
-        or kinds[0].name not in DYNAMIC_KINDS
-        or any((kind.name, kind.n) != (kinds[0].name, kinds[0].n) for kind in kinds)
-    ):
-        return _evaluate_batch(d, kinds)
-    ages = [kind.t for kind in kinds]
-    (results,) = _sweep_arrays([(d, kinds[0].name, kinds[0].n)], ages)
-    return _grid_values(results, ages, [kinds[0].name in RESIDUAL_KINDS] * len(ages))
+    if kinds and kinds[0].name in DYNAMIC_KINDS and all((k.name, k.n) == (kinds[0].name, kinds[0].n) for k in kinds):
+        (results,) = _sweep_arrays([(d, kinds[0].name, kinds[0].n)], [kind.t for kind in kinds])
+    else:
+        results = _batch_arrays(d, kinds)
+    value, error, closed, degenerate = (field.tolist() for field in results)
+    return [
+        _degenerate(k.name in RESIDUAL_KINDS, k.t) if dg else MeasureValue(v, "closed-form" if cf else "quadrature", e)
+        for k, v, e, cf, dg in zip(kinds, value, error, closed, degenerate)
+    ]
 
 
 def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequence[float]) -> list[_Arrays]:

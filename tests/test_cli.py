@@ -8,10 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from extropy.cli import build_parser, reproduce_figure, run
+from extropy.cli import _json, build_parser, reproduce_figure, run
 from extropy.distributions import _FAMILY_PARAMS
+from extropy.errors import ExtropyError
 from extropy.estimators import SampleSet, empirical_crex
-from extropy.measures import sign_changes
+from extropy.measures import MeasureKind, sign_changes
 
 
 @pytest.fixture
@@ -105,10 +106,12 @@ def test_domain_error_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_nan_age_exits_one(exp1, capsys):
-    # an integral over [nan, inf) would otherwise come out empty, as 0
-    assert run(["measure", "--dist", exp1, "--measure", "dcrex", "--t", "nan", "--order", "2:3"]) == 1
-    assert capsys.readouterr().err.count("\n") == 1
+def test_nan_age_is_rejected(exp1, capsys):
+    # an integral over [nan, inf) would otherwise come out empty, as 0: the CLI rejects the flag, the library the kind
+    assert run(["measure", "--dist", exp1, "--measure", "dcrex", "--t", "nan", "--order", "2:3"]) == 2
+    assert "--t must be finite" in _one_line_error(capsys, "usage error: ")
+    with pytest.raises(ExtropyError, match="requires an age t that is a number, got nan"):
+        MeasureKind("dcrex", t=math.nan)
 
 
 def test_unbounded_past_measure_exits_one(exp1, capsys):
@@ -193,6 +196,49 @@ def test_non_finite_tol_exits_two(uniform01, tol, capsys, monkeypatch):
     assert run(["check", "--suite", "inequalities", "--dist", uniform01]) == 2
     assert "must be finite" in _one_line_error(capsys, "usage error: ")
     assert analysis.BASE_TOL == 1e-7
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["measure", "--measure", "dcpex", "--t", "inf"], "--t"),
+        (["measure", "--measure", "dcrex", "--t=-inf"], "--t"),
+        (["curve", "--measure", "dcrex", "--t-min", "0.1", "--t-max", "inf"], "--t-max"),
+        (["curve", "--measure", "dcrex", "--t-min", "nan", "--t-max", "2"], "--t-min"),
+        (["characterize", "--model", "gpd", "--t-min", "0.1", "--t-max", "inf"], "--t-max"),
+        (["estimate", "--measure", "cpex", "--bound", "nan"], "--bound"),
+        (["estimate", "--measure", "cpex", "--bound", "inf"], "--bound"),
+        (["estimate", "--measure", "dcrex", "--t", "nan"], "--t"),
+    ],
+    ids=["measure-t-inf", "measure-t-minus-inf", "curve-t-max", "curve-t-min", "characterize-t-max",
+         "estimate-bound-nan", "estimate-bound-inf", "estimate-t-nan"],
+)
+def test_non_finite_float_flag_exits_two(uniform01, tmp_path, argv, flag, capsys):
+    # these used to print NaN or -Infinity with exit 0, or a numpy warning and a misleading error
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1\n2\n3\n")
+    source = ["--samples", str(samples)] if argv[0] == "estimate" else ["--dist", uniform01]
+    assert run([*argv, *source]) == 2
+    assert f"{flag} must be finite" in _one_line_error(capsys, "usage error: ")
+
+
+def _strict_json(text):
+    """text as JSON (RFC 8259): NaN, Infinity and -Infinity are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_output_writes_non_finite_values_as_strings(exp1, tmp_path, capsys):
+    exp3 = tmp_path / "exp3.json"
+    exp3.write_text(json.dumps({"family": "exponential", "params": {"lambda": 3}}))
+    # hr-implies-dcrex is Inconclusive here: no point tested, so its worst margin is nan
+    assert run(["check", "--suite", "orderings", "--n", "1", "--json", "--dist", exp1, "--dist2", str(exp3)]) == 0
+    reports = {r["check_id"]: r for r in _strict_json(capsys.readouterr().out)}
+    assert reports["hr-implies-dcrex(n=1)"]["worst_margin"] == "nan"
+    assert _strict_json(_json({"v": [math.nan, math.inf, -math.inf, 0.5]})) == {"v": ["nan", "inf", "-inf", 0.5]}
 
 
 @pytest.mark.parametrize("steps", ["0", "-1"])
@@ -392,7 +438,7 @@ def test_characterize_curve_header_enforced(tmp_path):
     assert run(["characterize", "--curve", str(curve_path), "--model", "gpd"]) == 2
 
 
-@pytest.mark.parametrize("row", ["1,2,3", "1,abc"])
+@pytest.mark.parametrize("row", ["1,2,3", "1,abc", "0.2,inf", "nan,-0.2"])
 def test_characterize_malformed_curve_row_exits_one(tmp_path, row, capsys):
     curve_path = tmp_path / "c.csv"
     curve_path.write_text(f"t,value\n0.1,-0.1\n\n{row}\n0.3,-0.3\n")
