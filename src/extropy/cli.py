@@ -4,7 +4,9 @@ Verbs: measure, curve, check, characterize, estimate, reproduce.  Domain
 errors, numeric overflow and malformed or non-finite ``--curve`` rows
 included, exit 1 with a one-line diagnostic on stderr; usage errors exit 2,
 among them a non-finite float flag (``--t``, ``--t-min``, ``--t-max``,
-``--bound``, ``--tol`` or ``EXTROPY_TOL``).
+``--bound``, ``--tol`` or ``EXTROPY_TOL``) and a ``--t-min``/``--t-max``
+range too wide for a float.  ``--tol`` and ``EXTROPY_TOL`` hold for one
+``run`` only.
 Artifacts are written atomically (temp file + rename), so an error never
 leaves a partial file behind.  All numeric output uses 12 significant
 digits; identical argv produces byte-identical output.  JSON output is
@@ -138,6 +140,8 @@ def _t_grid(d: Distribution, args: argparse.Namespace) -> list[float]:
     if args.t_min is not None and args.t_max is not None:
         if not (args.t_min < args.t_max):
             raise UsageError("--t-min must be < --t-max")
+        if not math.isfinite(args.t_max - args.t_min):
+            raise UsageError(f"--t-max - --t-min must be finite, got {args.t_max} - {args.t_min}")
         return list(np.linspace(args.t_min, args.t_max, args.steps))
     from .analysis import default_grid
 
@@ -383,11 +387,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 flag = "--tol and EXTROPY_TOL" if key == "tol" else "--" + key.replace("_", "-")
                 raise UsageError(f"{flag} must be finite, got {value}")
-        if args.tol is not None:
+        if args.tol is None:
+            text = args.func(args)
+        else:
             from . import analysis
 
-            analysis.BASE_TOL = args.tol  # module-level default used by the checks
-        text = args.func(args)
+            # the checks' module-level default, for this run only
+            default, analysis.BASE_TOL = analysis.BASE_TOL, args.tol
+            try:
+                text = args.func(args)
+            finally:
+                analysis.BASE_TOL = default
         _emit(text, args.output)
         return 0
     except UsageError as exc:

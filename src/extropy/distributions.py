@@ -6,8 +6,9 @@ Every family exposes the same small surface: ``cdf``, ``sf``, ``pdf``,
 used wherever the family admits one; the base class falls back to adaptive
 quadrature and bracketed bisection.  ``cdf``, ``sf``, ``pdf`` and
 ``quantile`` take a float or a 1-D float64 array, and each formula is
-written once: a float goes through ``math`` and gets a Python float back,
-an array goes through numpy and gets an array of the same shape.
+written once, in numpy, over arrays.  A float goes in as a one-element
+array and comes back as a Python float (``_elementwise``), so a float and
+the same value in an array give the same bits.
 
 All objects are immutable and all methods are pure, so instances can be
 shared freely across threads.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from math import inf
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
@@ -45,32 +46,45 @@ _QUANTILE_ATOL = 1e-12
 FloatOrArray = Union[float, np.ndarray]
 
 #: values(g, source): distribution g's "sf" or "cdf" at some fixed points (see ``Distribution._level``)
-Values = Callable[["Distribution", str], FloatOrArray]
+Values = Callable[["Distribution", str], np.ndarray]
 
 
-def _xp(x: FloatOrArray):
-    """``math`` for a float and ``numpy`` for an array, so a formula is written once."""
-    return np if isinstance(x, np.ndarray) else math
+def _elementwise(method: Callable) -> Callable:
+    """The one boundary of ``cdf``, ``sf``, ``pdf`` and ``quantile``: the formulas behind it see arrays only.
+
+    An array goes straight through.  A float goes in as a one-element array
+    and comes back as a Python float with the bits it gets in an array; its
+    overflow raises ``OverflowError`` (an array's gives numpy's warning and inf).
+    """
+
+    @wraps(method)
+    def boundary(self: "Distribution", x: FloatOrArray) -> FloatOrArray:
+        if isinstance(x, np.ndarray):
+            return method(self, x)
+        try:
+            with np.errstate(over="raise"):
+                return float(method(self, np.array([x], dtype=np.float64))[0])
+        except FloatingPointError as exc:
+            raise OverflowError(str(exc)) from None
+
+    return boundary
 
 
-def _piecewise(x: FloatOrArray, lower: float, upper: float, below: float, above: float, f) -> FloatOrArray:
+def _piecewise(x: np.ndarray, lower: float, upper: float, below: float, above: float, f) -> np.ndarray:
     """``below`` where x <= lower, ``above`` where x >= upper, ``f`` strictly between, and nan at nan.
 
     ``f`` only sees the points inside, so it raises no domain errors or warnings.
 
-    Fast path: when every element of an array lies strictly inside (then
-    none is nan, since the min and max of an array with a nan are nan), the
-    result is ``f`` of the whole array, with no masks, scatters or nan pass;
-    a constant ``f`` is broadcast to the array's shape.  The bits are those
+    Fast path: when every element lies strictly inside (then none is nan,
+    since the min and max of an array with a nan are nan), the result is
+    ``f`` of the whole array, with no masks, scatters or nan pass; a
+    constant ``f`` is broadcast to the array's shape.  The bits are those
     of the masked path: numpy's elementwise functions give an element the
     same bits wherever it sits in a C-contiguous array, and the masked path
     hands ``f`` a C-contiguous copy of the inside points, so a
     non-contiguous array is copied before ``f`` sees it.  ``f`` computes a
     new array, so the result never aliases x.
     """
-    if not isinstance(x, np.ndarray):
-        # nan fails every comparison
-        return below if x <= lower else above if x >= upper else f(x) if x < upper else math.nan
     if x.size and lower < np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < upper:
         out = f(_contiguous(x))
         return np.full(x.shape, out) if np.ndim(out) == 0 else out
@@ -86,20 +100,18 @@ def _contiguous(x: np.ndarray) -> np.ndarray:
     return x if x.flags.c_contiguous else x.copy()
 
 
-def _density(x: FloatOrArray, lower: float, upper: float, f) -> FloatOrArray:
+def _density(x: np.ndarray, lower: float, upper: float, f) -> np.ndarray:
     """0 outside the closed interval [lower, upper] and ``f`` on it, its ends included."""
     # x <= nextafter(lower, -inf) is x < lower for every float, and likewise at the upper end
     return _piecewise(x, math.nextafter(lower, -inf), math.nextafter(upper, inf), 0.0, 0.0, f)
 
 
-def _split(x: FloatOrArray, at: float, head, tail) -> FloatOrArray:
+def _split(x: np.ndarray, at: float, head, tail) -> np.ndarray:
     """``head`` where x <= at and ``tail`` elsewhere; each sees only its own points.
 
     An array that lies on one side only, with no nan, goes whole to that
     side's formula, with the bits of the masked path (see ``_piecewise``).
     """
-    if not isinstance(x, np.ndarray):
-        return head(x) if x <= at else tail(x)
     if x.size and np.maximum.reduce(x, axis=None) <= at:
         return head(_contiguous(x))
     if x.size and at < np.minimum.reduce(x, axis=None):
@@ -110,7 +122,7 @@ def _split(x: FloatOrArray, at: float, head, tail) -> FloatOrArray:
     return out
 
 
-def _power(u: FloatOrArray, e: float) -> FloatOrArray:
+def _power(u: np.ndarray, e: float) -> np.ndarray:
     """u**e for u >= 0, and at u = 0 its limit from above: inf for e < 0, where a density diverges."""
     at_zero = 1.0 if e == 0.0 else (inf if e < 0 else 0.0)
     return _piecewise(u, 0.0, inf, at_zero, inf**e, lambda v: v**e)
@@ -137,9 +149,18 @@ class Support:
 class Distribution(ABC):
     """Abstract lifetime distribution.
 
-    ``cdf``, ``sf`` and ``pdf`` take a float, and give a Python float, or a
-    1-D float64 array, and give an array of the same shape.
+    ``cdf``, ``sf``, ``pdf`` and ``quantile`` take a float, and give a
+    Python float, or a 1-D float64 array, and give an array of the same
+    shape.  A subclass writes each of them over arrays only, in numpy: the
+    class applies ``_elementwise`` to every one it defines, and a float
+    reaches the formula as a one-element array.
     """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in ("cdf", "sf", "pdf", "quantile"):
+            if name in vars(cls):
+                setattr(cls, name, _elementwise(vars(cls)[name]))
 
     @property
     @abstractmethod
@@ -151,10 +172,11 @@ class Distribution(ABC):
     @abstractmethod
     def pdf(self, x: FloatOrArray) -> FloatOrArray: ...
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
+    @_elementwise
+    def sf(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - self.cdf(x)
 
-    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+    def _level(self, values: Values, residual: bool) -> np.ndarray:
         """sf (residual) or cdf at the points that ``values`` gives functionals at.
 
         An order statistic overrides this with its sf and cdf written as a
@@ -170,35 +192,10 @@ class Distribution(ABC):
     #: Interior points where cdf/sf are not smooth; integrals split there.
     breakpoints: tuple[float, ...] = ()
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
-        """Inverse cdf by bracketed bisection; subclasses override with closed forms.
-
-        An array of probabilities is bisected as a whole through ``cdf``.
-        Where the array cdf rounds otherwise than the float one, an element
-        can end up to the bisection's tolerance away from the quantile of the
-        same float, and further where the cdf is flat (see ``KthOrder``).
-        """
+    @_elementwise
+    def quantile(self, p: np.ndarray) -> np.ndarray:
+        """Inverse cdf by bisection, each element in its own bracket; subclasses override with closed forms."""
         _check_p(p)
-        if isinstance(p, np.ndarray):
-            return self._bisect_array(p)
-        lo = self.support.lower
-        hi = self.support.upper
-        if not math.isfinite(hi):
-            hi = max(lo + 1.0, 1.0)
-            while self.cdf(hi) < p:
-                hi = lo + 2.0 * (hi - lo)
-                if hi > 1e300:  # pragma: no cover - guards pathological tails
-                    raise QuantileOutOfRange(f"failed to bracket quantile at p={p}")
-        while hi - lo > _QUANTILE_ATOL:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def _bisect_array(self, p: np.ndarray) -> np.ndarray:
-        """The scalar bisection run elementwise: same brackets, midpoints and stop."""
         lower, upper = self.support.lower, self.support.upper
         lo = np.full_like(p, lower)
         if math.isfinite(upper):
@@ -211,7 +208,6 @@ class Distribution(ABC):
                 if (hi > 1e300).any():  # pragma: no cover - guards pathological tails
                     raise QuantileOutOfRange(f"failed to bracket quantile at p={p[hi > 1e300][0]}")
                 grow &= self.cdf(hi) < p
-        # whole-array steps; an element whose bracket is narrow enough stops moving
         active = hi - lo > _QUANTILE_ATOL
         while active.any():
             mid = 0.5 * (lo + hi)
@@ -302,7 +298,7 @@ def _levels(
     return level, degenerate, np.where(ages > hi, ages - hi, 0.0)
 
 
-def _at(x: FloatOrArray) -> Values:
+def _at(x: np.ndarray) -> Values:
     """The ``values`` that calls g's sf or cdf at x."""
     return lambda g, source: getattr(g, source)(x)
 
@@ -325,13 +321,10 @@ def _degenerate(residual: bool, t: float) -> ExtropyError:
     return DegenerateTail(f"sf({t}) is zero") if residual else DegenerateHead(f"cdf({t}) is zero")
 
 
-def _check_p(p: FloatOrArray) -> None:
-    if isinstance(p, np.ndarray):
-        outside = ~((p > 0.0) & (p < 1.0))  # NaN is outside
-        if outside.any():
-            raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p[outside][0]}")
-    elif not (0.0 < p < 1.0):
-        raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p}")
+def _check_p(p: np.ndarray) -> None:
+    outside = ~((p > 0.0) & (p < 1.0))  # NaN is outside
+    if outside.any():
+        raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p[outside][0]}")
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -355,13 +348,13 @@ class Uniform(Distribution):
     def support(self) -> Support:
         return Support(self.a, self.b)
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, self.a, self.b, 0.0, 1.0, lambda y: (y - self.a) / (self.b - self.a))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(x, self.a, self.b, lambda y: 1.0 / (self.b - self.a))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return self.a + p * (self.b - self.a)
 
@@ -396,16 +389,16 @@ class FiniteRange(Distribution):
     def support(self) -> Support:
         return Support(0.0, 1.0 / self.a)
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
+    def sf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, 0.0, 1.0 / self.a, 1.0, 0.0, lambda y: (1.0 - self.a * y) ** self.b)
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - self.sf(x)
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(x, 0.0, 1.0 / self.a, lambda y: self.a * self.b * _power(1.0 - self.a * y, self.b - 1.0))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return (1.0 - (1.0 - p) ** (1.0 / self.b)) / self.a
 
@@ -433,18 +426,18 @@ class Weibull(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: _xp(y).exp(-self.lam * y**self.theta))
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-self.lam * y**self.theta))
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -_xp(y).expm1(-self.lam * y**self.theta))
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-self.lam * y**self.theta))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(x, 0.0, inf, lambda y: self.lam * self.theta * _power(y, self.theta - 1.0) * self.sf(y))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
-        return (-_xp(p).log1p(-p) / self.lam) ** (1.0 / self.theta)
+        return (-np.log1p(-p) / self.lam) ** (1.0 / self.theta)
 
     def mean(self) -> float:
         return math.gamma(1.0 + 1.0 / self.theta) / self.lam ** (1.0 / self.theta)
@@ -463,18 +456,18 @@ class Exponential(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: _xp(y).exp(-self.lam * y))
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-self.lam * y))
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -_xp(y).expm1(-self.lam * y))
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-self.lam * y))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
-        return _density(x, 0.0, inf, lambda y: self.lam * _xp(y).exp(-self.lam * y))
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return _density(x, 0.0, inf, lambda y: self.lam * np.exp(-self.lam * y))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
-        return -_xp(p).log1p(-p) / self.lam
+        return -np.log1p(-p) / self.lam
 
     def mean(self) -> float:
         return 1.0 / self.lam
@@ -500,16 +493,16 @@ class FoldedCramer(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
+    def sf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: 1.0 / (1.0 + self.theta * y))
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: self.theta * y / (1.0 + self.theta * y))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(x, 0.0, inf, lambda y: self.theta / (1.0 + self.theta * y) ** 2)
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return p / (self.theta * (1.0 - p))
 
@@ -530,17 +523,17 @@ class Pareto(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
+    def sf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: (self.lam / (y + self.lam)) ** self.theta)
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - self.sf(x)
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         c = self.theta / self.lam
         return _density(x, 0.0, inf, lambda y: c * (self.lam / (y + self.lam)) ** (self.theta + 1.0))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return self.lam * ((1.0 - p) ** (-1.0 / self.theta) - 1.0)
 
@@ -581,38 +574,37 @@ class GPD(Distribution):
             return Support(0.0, -self.theta / self.lam)
         return Support(0.0, inf)
 
-    def _log_sf(self, x: FloatOrArray) -> FloatOrArray:
+    def _log_sf(self, x: np.ndarray) -> np.ndarray:
         """log sf(x) for x > 0; log1p keeps the digits of a small lam * x."""
         if self._exponential_limit:
             return -x / self.theta
         with np.errstate(over="ignore"):  # a ratio past the float range is inf, where log sf is -inf
             z = self.lam * x / self.theta
-        return _piecewise(z, -1.0, inf, -inf, -inf, lambda z: -(1.0 + self.lam) / self.lam * _xp(z).log1p(z))
+        return _piecewise(z, -1.0, inf, -inf, -inf, lambda z: -(1.0 + self.lam) / self.lam * np.log1p(z))
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: _xp(y).exp(self._log_sf(y)))
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(self._log_sf(y)))
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -_xp(y).expm1(self._log_sf(y)))
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(self._log_sf(y)))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         if self._exponential_limit:
-            return _density(x, 0.0, inf, lambda y: _xp(y).exp(-y / self.theta) / self.theta)
+            return _density(x, 0.0, inf, lambda y: np.exp(-y / self.theta) / self.theta)
         c, e = (1.0 + self.lam) / self.theta, -(1.0 + 2.0 * self.lam) / self.lam
 
-        def inside(y: FloatOrArray) -> FloatOrArray:
+        def inside(y: np.ndarray) -> np.ndarray:
             # c (1 + z)^e with z = lam x / theta; 0 where z reaches -1, at the bounded upper end
             z = self.lam * y / self.theta
-            return _piecewise(z, -1.0, inf, 0.0, 0.0, lambda w: c * _xp(w).exp(e * _xp(w).log1p(w)))
+            return _piecewise(z, -1.0, inf, 0.0, 0.0, lambda w: c * np.exp(e * np.log1p(w)))
 
         return _density(x, 0.0, self.support.upper, inside)
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
-        xp = _xp(p)
         if self._exponential_limit:
-            return -self.theta * xp.log1p(-p)
-        return self.theta * xp.expm1(-self.lam / (1.0 + self.lam) * xp.log1p(-p)) / self.lam
+            return -self.theta * np.log1p(-p)
+        return self.theta * np.expm1(-self.lam / (1.0 + self.lam) * np.log1p(-p)) / self.lam
 
     def hazard_rate(self, t: float) -> float:
         if t > self.support.upper - DEGENERATE_EPS:
@@ -643,13 +635,13 @@ class Power(Distribution):
     def support(self) -> Support:
         return Support(0.0, self.b)
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, 0.0, self.b, 0.0, 1.0, lambda y: (y / self.b) ** self.c)
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(x, 0.0, self.b, lambda y: self.c / self.b * _power(y / self.b, self.c - 1.0))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return self.b * p ** (1.0 / self.c)
 
@@ -680,16 +672,14 @@ class TwoExpMax(Distribution):
     def support(self) -> Support:
         return Support(0.0, inf)
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: (xp := _xp(y)).exp(-y) + xp.exp(-2.0 * y) - xp.exp(-3.0 * y))
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: np.exp(-y) + np.exp(-2.0 * y) - np.exp(-3.0 * y))
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -(xp := _xp(y)).expm1(-y) * -xp.expm1(-2.0 * y))
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: -np.expm1(-y) * -np.expm1(-2.0 * y))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
-        return _density(
-            x, 0.0, inf, lambda y: (xp := _xp(y)).exp(-y) + 2.0 * xp.exp(-2.0 * y) - 3.0 * xp.exp(-3.0 * y)
-        )
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return _density(x, 0.0, inf, lambda y: np.exp(-y) + 2.0 * np.exp(-2.0 * y) - 3.0 * np.exp(-3.0 * y))
 
     def mean(self) -> float:
         return 1.0 + 0.5 - 1.0 / 3.0
@@ -726,25 +716,24 @@ class PiecewiseBounded(Distribution):
         return Support(0.0, 2.0)
 
     @staticmethod
-    def _head(x: FloatOrArray) -> FloatOrArray:
-        return _xp(x).exp(-0.5 - 1.0 / x)
+    def _head(x: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 - 1.0 / x)
 
     @staticmethod
-    def _tail(x: FloatOrArray) -> FloatOrArray:
-        return _xp(x).exp(-2.0 + 0.5 * x * x)
+    def _tail(x: np.ndarray) -> np.ndarray:
+        return np.exp(-2.0 + 0.5 * x * x)
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, _PB_ZERO, 2.0, 0.0, 1.0, lambda y: _split(y, 1.0, self._head, self._tail))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(
             x, _PB_ZERO, 2.0, lambda y: _split(y, 1.0, lambda u: self._head(u) / (u * u), lambda u: u * self._tail(u))
         )
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
-        xp = _xp(p)
-        return _split(p, _PB_BREAK, lambda q: 1.0 / (-xp.log(q) - 0.5), lambda q: xp.sqrt(4.0 + 2.0 * xp.log(q)))
+        return _split(p, _PB_BREAK, lambda q: 1.0 / (-np.log(q) - 0.5), lambda q: np.sqrt(4.0 + 2.0 * np.log(q)))
 
     def __repr__(self) -> str:
         return "PiecewiseBounded()"
@@ -784,16 +773,16 @@ class Affine(Distribution):
     def _pull(self, x: FloatOrArray) -> FloatOrArray:
         return (x - self.shift) / self.scale
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return self.base.cdf(self._pull(x))
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
+    def sf(self, x: np.ndarray) -> np.ndarray:
         return self.base.sf(self._pull(x))
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return self.base.pdf(self._pull(x)) / self.scale
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         return self.scale * self.base.quantile(p) + self.shift
 
     def mean(self) -> float:
@@ -854,10 +843,10 @@ class Mixture(Distribution):
             points.update(x for x in (d.support.lower, d.support.upper) if math.isfinite(x))
         return tuple(sorted(points))
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return sum(w * d.cdf(x) for w, d in self.components)
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return sum(w * d.pdf(x) for w, d in self.components)
 
     def mean(self) -> float:

@@ -37,8 +37,8 @@ class SampleSet:
             raise ExtropyError("sample values must be finite and nonnegative")
         if np.any(np.diff(arr) < 0):
             raise ExtropyError("sample values must be sorted ascending")
-        if self.upper_bound is not None and self.upper_bound < arr[-1]:
-            raise ExtropyError("upper_bound must be >= max(values)")
+        if self.upper_bound is not None and not (arr[-1] <= self.upper_bound < np.inf):  # nan fails too
+            raise ExtropyError(f"upper_bound must be finite and >= max(values), got {self.upper_bound}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -80,6 +80,8 @@ def empirical_dcrex(s: SampleSet, t: float, n: int = 1) -> float:
     """Plug-in dynamic residual extropy at age t."""
     x = s.values
     m = s.size
+    if not np.isfinite(t):
+        raise ExtropyError(f"age t must be finite, got {t}")
     if t >= x[-1]:
         raise DegenerateTail(f"empirical sf at t={t} is zero")
     j = int(np.searchsorted(x, t, side="right"))  # x[j:] are the observations above t

@@ -7,12 +7,13 @@ cdf the terms i >= k, so neither is formed as one minus the other; every
 term is nonnegative, so a plain sum is accurate.  Likewise the complements
 of the extremes, ``MinOrder.cdf`` and ``MaxOrder.sf``, are
 -expm1(n log1p(-G)) with G the parent's cdf or sf, not 1 - sf or 1 - cdf.
-As for every distribution, ``cdf``, ``sf`` and ``pdf`` take a float or a
-float64 array, and the same formulas run on the parent's values of either.
+As for every distribution, the formulas are written over arrays, and a
+float reaches them as a one-element array (``distributions._elementwise``).
 Each class writes its sf and cdf once, in ``_level``, as a formula of the
 parent's cdf and sf values; ``sf`` and ``cdf`` run it on the parent's calls
 at x, and a sweep over several orders of one parent runs it on values it
-shares between them (``distributions._shared_values``).
+shares between them (``distributions._shared_values``).  ``KthOrder`` has no
+closed-form quantile and bisects its cdf, as the base class does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import Distribution, FloatOrArray, Support, Values, _at, _check_p, _piecewise, _xp
+from .distributions import Distribution, Support, Values, _at, _check_p, _piecewise
 from .errors import InvalidOrder
 
 #: largest sample size of an order statistic
@@ -65,10 +66,10 @@ class _Order(Distribution):
     def breakpoints(self) -> tuple[float, ...]:  # type: ignore[override]
         return self.parent.breakpoints
 
-    def sf(self, x: FloatOrArray) -> FloatOrArray:
+    def sf(self, x: np.ndarray) -> np.ndarray:
         return self._level(_at(x), True)
 
-    def cdf(self, x: FloatOrArray) -> FloatOrArray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return self._level(_at(x), False)
 
 
@@ -88,20 +89,18 @@ class MinOrder(_Order):
         # tail 1/(1+tx)^n also integrates for n >= 2
         return self.parent.has_finite_mean or self.n >= 2
 
-    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+    def _level(self, values: Values, residual: bool) -> np.ndarray:
         if residual:
             return values(self.parent, "sf") ** self.n
         return _one_minus_power(values(self.parent, "cdf"), self.n)
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _weighted_density(self.n * self.parent.sf(x) ** (self.n - 1), self.parent.pdf(x))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
-        # 1 - (1 - p)^(1/n) without the cancellation that loses a small p; numpy's
-        # log1p and expm1 for a float too, which round otherwise than the C library's
-        q = -np.expm1(np.log1p(-p) / self.n)
-        return self.parent.quantile(q if isinstance(p, np.ndarray) else float(q))
+        # 1 - (1 - p)^(1/n) without the cancellation that loses a small p
+        return self.parent.quantile(-np.expm1(np.log1p(-p) / self.n))
 
     def hazard_rate(self, t: float) -> float:
         return self.n * self.parent.hazard_rate(t)
@@ -121,17 +120,18 @@ class MaxOrder(_Order):
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return self.parent.has_finite_mean
 
-    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+    def _level(self, values: Values, residual: bool) -> np.ndarray:
         if residual:
             return _one_minus_power(values(self.parent, "sf"), self.n)
         return values(self.parent, "cdf") ** self.n
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         return _weighted_density(self.n * self.parent.cdf(x) ** (self.n - 1), self.parent.pdf(x))
 
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
-        return self.parent.quantile(_root(p, self.n))
+        # the C library's pow: numpy's power may round the last bit otherwise, which the parent amplifies
+        return self.parent.quantile(np.float_power(p, 1.0 / self.n))
 
     def reversed_hazard(self, t: float) -> float:
         return self.n * self.parent.reversed_hazard(t)
@@ -148,7 +148,7 @@ class KthOrder(_Order):
     def has_finite_mean(self) -> bool:  # type: ignore[override]
         return self.parent.has_finite_mean or self.spec.n - self.spec.k + 1 >= 2
 
-    def _level(self, values: Values, residual: bool) -> FloatOrArray:
+    def _level(self, values: Values, residual: bool) -> np.ndarray:
         k, n = self.spec.k, self.spec.n
         F, S = values(self.parent, "cdf"), values(self.parent, "sf")
         if residual:
@@ -157,25 +157,10 @@ class KthOrder(_Order):
         # with the roles of F and S swapped
         return _lower_binomial_sum(n, n - k + 1, S, F)
 
-    def pdf(self, x: FloatOrArray) -> FloatOrArray:
+    def pdf(self, x: np.ndarray) -> np.ndarray:
         k, n = self.spec.k, self.spec.n
         weight = k * math.comb(n, k) * self.parent.cdf(x) ** (k - 1) * self.parent.sf(x) ** (n - k)
         return _weighted_density(weight, self.parent.pdf(x))
-
-    def quantile(self, p: FloatOrArray) -> FloatOrArray:
-        """The base-class bisection, run for each element of an array as for a float.
-
-        numpy's exp and power can round otherwise than the C library's, and the
-        binomial sum adds up several such terms.  Near p = 1 the cdf is flat, so
-        a bisection of the whole array through the array cdf can end far from
-        the float's quantile: 1.4e-5 away at p = 1 - 5.2e-12 for
-        ``KthOrder(TwoExpMax(), 3:4)``, 1.2e-8 at p = 1 - 2.6e-10 for
-        ``KthOrder(Exponential(1), 2:5)``.
-        """
-        if isinstance(p, np.ndarray):
-            _check_p(p)
-            return np.array([self.quantile(q) for q in p.tolist()], dtype=np.float64)
-        return super().quantile(p)
 
 
 def min_order(d: Distribution, n: int) -> Distribution:
@@ -201,37 +186,25 @@ def kth_order(d: Distribution, k: int, n: int) -> Distribution:
 
 def kth_order_sf(d: Distribution, spec: OrderSpec, x: float) -> float:
     """P(X_{k:n} > x) = sum_{i<k} C(n,i) F^i S^(n-i) with F, S the parent cdf, sf at x."""
-    return _lower_binomial_sum(spec.n, spec.k, d.cdf(x), d.sf(x))
+    return KthOrder(d, spec).sf(x)
 
 
-def _root(p: FloatOrArray, n: int) -> FloatOrArray:
-    """p ** (1/n), rounded for an array exactly as the scalar ``**`` rounds it.
-
-    ``np.float_power`` calls the C library's pow, as Python's float ``**`` does;
-    numpy's vectorized ``power`` can differ in the last bit, and the parent's
-    quantile amplifies that bit near p = 0 and p = 1.
-    """
-    return np.float_power(p, 1.0 / n) if isinstance(p, np.ndarray) else p ** (1.0 / n)
-
-
-def _one_minus_power(g: FloatOrArray, n: int) -> FloatOrArray:
+def _one_minus_power(g: np.ndarray, n: int) -> np.ndarray:
     """1 - (1 - g)^n, accurate when g is small: the complement of an extreme order."""
-    return _piecewise(g, 0.0, 1.0, 0.0, 1.0, lambda h: -_xp(h).expm1(n * _xp(h).log1p(-h)))
+    return _piecewise(g, 0.0, 1.0, 0.0, 1.0, lambda h: -np.expm1(n * np.log1p(-h)))
 
 
-def _weighted_density(weight: FloatOrArray, f: FloatOrArray) -> FloatOrArray:
+def _weighted_density(weight: np.ndarray, f: np.ndarray) -> np.ndarray:
     """weight * f, and 0 where the weight is 0.
 
     The parent's density f can be infinite there (at 0, for a Weibull or
     Power shape below 1), where 0 * inf would give nan.
     """
-    if isinstance(weight, np.ndarray):
-        return weight * np.where(weight == 0.0, 0.0, f)
-    return weight * f if weight != 0.0 else 0.0
+    return weight * np.where(weight == 0.0, 0.0, f)
 
 
-def _lower_binomial_sum(n: int, m: int, F: FloatOrArray, S: FloatOrArray) -> FloatOrArray:
-    """sum_{i<m} C(n,i) F^i S^(n-i), as S^(n-m+1) times a Horner sum in S; elementwise for arrays."""
+def _lower_binomial_sum(n: int, m: int, F: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """sum_{i<m} C(n,i) F^i S^(n-i), as S^(n-m+1) times a Horner sum in S, elementwise."""
     row = _BINOM[n]
     acc = 0.0
     Fi = 1.0

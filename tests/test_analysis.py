@@ -398,6 +398,25 @@ def test_margin_inside_error_bars_holds(check, monkeypatch):
     assert report.verdict == "Holds"
 
 
+_IDENTITY_CHECKS = {
+    "shift-independence": lambda: check_shift_independence(Uniform(0, 1), 2.0, 3.0),
+    "equilibrium-identity": lambda: check_equilibrium_identity(Uniform(0, 1)),
+}
+
+
+@pytest.mark.parametrize("check", list(_IDENTITY_CHECKS.values()), ids=list(_IDENTITY_CHECKS))
+def test_identity_checks_judge_their_own_margin(check, monkeypatch):
+    # their tolerance is their own 1e-8 plus error bars: BASE_TOL does not move the verdict
+    monkeypatch.setattr(analysis, "BASE_TOL", -1.0)
+    report = check()
+    assert report.verdict == "Holds" and report.worst_margin > 0 and report.points_tested == 1
+    # a nan value gives a nan margin, which fails
+    monkeypatch.setattr(analysis, "BASE_TOL", 1.0)
+    monkeypatch.setattr(analysis, "evaluate", lambda d, kind: MeasureValue(math.nan, "quadrature", 0.0))
+    report = check()
+    assert report.verdict == "Fails" and math.isnan(report.worst_margin) and report.points_tested == 1
+
+
 def test_default_grid_spans_interior_quantiles():
     d = Exponential(1)
     g = default_grid(d)

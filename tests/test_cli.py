@@ -178,6 +178,19 @@ def test_non_finite_param_or_overflow_exits_one(tmp_path, capsys, family, params
     assert message in _one_line_error(capsys, "error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "--measure", "crex"], ["curve", "--measure", "dcrex"], ["check", "--suite", "bounds"]],
+    ids=["measure", "curve", "check"],
+)
+def test_overflow_is_one_line_for_every_verb(tmp_path, capsys, argv):
+    # the default grid's quantiles overflow for curve and check; no numpy RuntimeWarning on the way
+    spec = tmp_path / "weibull.json"
+    spec.write_text(json.dumps({"family": "weibull", "params": {"lambda": 1e-300, "theta": 1e-3}}))
+    assert run([*argv, "--dist", str(spec)]) == 1
+    assert "numeric overflow" in _one_line_error(capsys, "error: ")
+
+
 def test_non_numeric_tol_env_exits_two(uniform01, capsys, monkeypatch):
     monkeypatch.setenv("EXTROPY_TOL", "abc")
     assert run(["check", "--suite", "bounds", "--dist", uniform01]) == 2
@@ -361,6 +374,13 @@ def test_curve_rejects_bad_grid(exp1):
     )
 
 
+@pytest.mark.parametrize("verb", [["curve", "--measure", "dcrex"], ["characterize", "--model", "gpd"]])
+def test_grid_wider_than_a_float_is_a_usage_error(exp1, verb, capsys):
+    # t_max - t_min is inf: np.linspace would warn and give no grid
+    assert run([*verb, "--dist", exp1, "--t-min=-1e308", "--t-max=1e308", "--steps", "3"]) == 2
+    assert "must be finite" in _one_line_error(capsys, "usage error: ")
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -524,13 +544,11 @@ def test_output_is_deterministic(tmp_path):
 
 
 def test_tol_env_override(uniform01, capsys, monkeypatch):
-    from extropy import analysis
-
-    monkeypatch.setattr(analysis, "BASE_TOL", analysis.BASE_TOL)  # restore after test
-    monkeypatch.setenv("EXTROPY_TOL", "1e-6")
-    assert run(["check", "--suite", "bounds", "--dist", uniform01]) == 0
-    assert analysis.BASE_TOL == 1e-6
-    capsys.readouterr()
+    # a negative tolerance demands a margin of at least 1, as --tol -1 does below
+    monkeypatch.setenv("EXTROPY_TOL", "-1")
+    payload = run_json(["check", "--suite", "bounds", "--dist", uniform01, "--json"], capsys)
+    verdicts = {r["check_id"].split("(")[0]: r["verdict"] for r in payload}
+    assert verdicts["crexmin-monotone-n"] == verdicts["cpexmax-bounds"] == "Fails"
 
 
 def test_tol_reaches_the_margin_checks(uniform01, capsys, monkeypatch):
@@ -545,7 +563,27 @@ def test_tol_reaches_the_margin_checks(uniform01, capsys, monkeypatch):
         assert verdicts[check_id] == "Fails", check_id
     from extropy.distributions import Power
 
+    monkeypatch.setattr(analysis, "BASE_TOL", -1.0)
     assert analysis.check_dcpexmax_monotone_t(Power(1, 2), 2, [0.3, 0.5, 0.7]).verdict == "Fails"
+
+
+@pytest.mark.parametrize("override", [["--tol", "-1"], ["--tol=-1", "--json"]])
+def test_tol_holds_for_one_run_only(exp1, override, capsys, monkeypatch):
+    from extropy import analysis
+
+    argv = ["check", "--suite", "bounds", "--dist", exp1]
+    assert run(argv) == 0
+    before = capsys.readouterr().out
+    assert "crexmin-monotone-n: Holds" in before
+    assert run([*argv, *override]) == 0
+    assert "Fails" in capsys.readouterr().out
+    assert analysis.BASE_TOL == 1e-7
+    monkeypatch.setenv("EXTROPY_TOL", "-1")
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.delenv("EXTROPY_TOL")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == before
 
 
 def test_parser_exposes_all_verbs():

@@ -335,6 +335,19 @@ def test_nan_argument_gives_nan_for_a_float_and_an_array(d, method):
     assert math.isnan(got[0]) and got[1] == f(np.array([d.quantile(0.5)]))[0]
 
 
+def test_float_overflow_raises_overflow_error():
+    # (-log1p(-p) / 1e-300) ** 1000 and (1e200) ** 2 are past the float range,
+    # where an array gets numpy's inf and its limits
+    d = Weibull(1e-300, 1e-3)
+    with pytest.raises(OverflowError):
+        d.quantile(0.01)
+    with pytest.raises(OverflowError):
+        Weibull(1, 2).sf(1e200)
+    with np.errstate(over="ignore"):
+        assert d.quantile(np.array([0.01]))[0] == math.inf
+        assert Weibull(1, 2).sf(np.array([1e200]))[0] == 0.0
+
+
 def test_quantile_out_of_range():
     for p in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(QuantileOutOfRange):

@@ -57,6 +57,20 @@ def test_dcrex_degenerate_age():
         empirical_dcrex(s, 3.0)
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+def test_non_finite_upper_bound_rejected(bound):
+    # these gave empirical_cpex nan and -inf
+    with pytest.raises(ExtropyError, match="upper_bound must be finite"):
+        SampleSet.from_values([1, 2, 3], upper_bound=bound)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_dcrex_rejects_a_non_finite_age(t):
+    # nan gave -0.0 and -inf gave -inf
+    with pytest.raises(ExtropyError, match="must be finite"):
+        empirical_dcrex(SampleSet.from_values([1, 2, 3]), t, 1)
+
+
 def _dcrex_by_searching_every_break(s, t, n):
     """The former empirical_dcrex: one searchsorted per segment start."""
     x, m = s.values, s.size

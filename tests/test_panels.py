@@ -3,9 +3,8 @@
 Bounds:
 
 - sf/cdf/pdf of an array against sf/cdf/pdf of each float at the same point:
-  8 eps relative or 1e-15 absolute (numpy's exp/log/power may round the last
-  bit otherwise than the C library, and an order statistic sums a few such
-  terms); an infinite value (a density at 0 with shape < 1) exactly;
+  bit for bit, since a float goes through the array formulas as a
+  one-element array;
 - ``integrate_panels`` against a 30-digit mpmath integral of the same panel:
   |value - reference| <= abs_error_estimate + 1e-12.
 """
@@ -33,8 +32,6 @@ from extropy.orderstats import KthOrder, MaxOrder, MinOrder, OrderSpec
 from extropy.quadrature import integrate_panels
 
 from conftest import ALL_FAMILIES, ids
-
-EPS = np.finfo(np.float64).eps
 
 ORDERS = [
     order for d in ALL_FAMILIES for order in (MinOrder(d, 3), MaxOrder(d, 4), KthOrder(d, OrderSpec(2, 5)))
@@ -64,10 +61,16 @@ def test_array_sf_cdf_match_scalar(d, method):
     assert all(type(v) is float for v in scalars)
     want = np.array(scalars)
     assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == x.shape
-    finite = np.isfinite(want)
-    assert np.array_equal(got[~finite], want[~finite])
-    excess = np.abs(got[finite] - want[finite]) - np.maximum(8.0 * EPS * np.abs(want[finite]), 1e-15)
-    assert np.all(excess <= 0.0), (x[finite][np.argmax(excess)], np.max(excess))
+    differ = _bits(got) != _bits(want)
+    assert not differ.any(), (x[differ], got[differ] - want[differ])
+
+
+@pytest.mark.parametrize("d", EVERY, ids=ids(EVERY))
+def test_float_quantile_is_the_one_element_array_quantile(d):
+    for p in [1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12]:
+        got = d.quantile(p)
+        assert type(got) is float
+        assert _bits(got) == _bits(d.quantile(np.array([p]))), p
 
 
 def _interior(d):

@@ -1,10 +1,9 @@
 """Array-valued quantiles and one-pass sampling, with the scalar path as the reference.
 
-Bounds, per element x = quantile(u[i]) of the scalar path:
-
-- closed forms: |array - scalar| <= 4 eps max(1, |x|), times the formula's
-  condition number where it amplifies a last-bit difference (GPD, below);
-- bisection: |array - scalar| <= _QUANTILE_ATOL (times the scale of an Affine).
+A float goes through the array formulas as a one-element array, so every
+element x = quantile(u[i]) of an array equals the quantile of the float u[i]
+bit for bit: the closed forms, and the bisections too, whose elements each
+keep their own bracket.
 """
 
 import math
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from extropy.distributions import (
-    _QUANTILE_ATOL,
     GPD,
     Affine,
     Exponential,
@@ -29,8 +27,6 @@ from extropy.estimators import SampleSet, draw_samples
 from extropy.orderstats import KthOrder, MaxOrder, MinOrder, OrderSpec
 
 from conftest import ALL_FAMILIES, ids
-
-EPS = np.finfo(np.float64).eps
 
 _rng = np.random.default_rng(20260)
 U = np.concatenate(
@@ -66,22 +62,8 @@ BISECTIONS = [
 ]
 
 
-def _condition(d, u):
-    """How many last-bit differences of its numpy operations a closed form can amplify to.
-
-    GPD exponentiates c log1p(-u), c = -lam/(1+lam): one ulp of log1p, on
-    which numpy and the C library may round differently, becomes
-    |c log1p(-u)| ulps of x.  Every other closed form here is well conditioned.
-    """
-    if isinstance(d, GPD) and not d._exponential_limit:
-        return np.maximum(1.0, np.abs(d.lam / (1.0 + d.lam) * np.log1p(-u)))
-    return 1.0
-
-
-def _bound(d, u, x):
-    if d in BISECTIONS:
-        return _QUANTILE_ATOL * (d.scale if isinstance(d, Affine) else 1.0)
-    return 4.0 * EPS * np.maximum(1.0, np.abs(x)) * _condition(d, u)
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
 @pytest.mark.parametrize("d", CLOSED_FORMS + BISECTIONS, ids=ids(CLOSED_FORMS + BISECTIONS))
@@ -89,8 +71,8 @@ def test_array_quantile_matches_scalar(d):
     got = d.quantile(U)
     want = np.array([d.quantile(float(p)) for p in U])
     assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == U.shape
-    excess = np.abs(got - want) - _bound(d, U, want)
-    assert np.all(excess <= 0.0), (U[np.argmax(excess)], np.max(excess))
+    differ = _bits(got) != _bits(want)
+    assert not differ.any(), (U[differ], got[differ] - want[differ])
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES + BISECTIONS, ids=ids(ALL_FAMILIES + BISECTIONS))
@@ -116,7 +98,7 @@ def test_draw_samples_is_sorted_scalar_quantiles_of_the_same_stream(d):
     reference = np.sort([d.quantile(float(p)) for p in u])
     s = draw_samples(d, m, seed)
     assert s.values.shape == (m,)
-    assert np.all(np.abs(s.values - reference) <= _bound(d, np.sort(u), reference))
+    assert np.array_equal(_bits(s.values), _bits(reference))
 
 
 def test_sample_values_are_a_read_only_copy():
