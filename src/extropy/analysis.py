@@ -19,12 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Mixture, Uniform
-from .errors import (
-    DegenerateHead,
-    DegenerateTail,
-    UnboundedSupport,
-)
+from .distributions import Distribution, Mixture, Uniform, _rates
+from .errors import UnboundedSupport
 from .measures import (
     _batch_arrays,
     _sweep_arrays,
@@ -193,26 +189,22 @@ def _premise_transfer(d1: Distribution, d2: Distribution, n: int, t_grid: Sequen
     """Hazard (side "residual") or reversed-hazard (side "past") dominance of d1 over
     d2 transfers to the dynamic extropy of minima or maxima.
 
-    The first age, in grid order, where the premise fails makes the report
-    Inconclusive with 0 points.  An age where a rate or a measure is
-    degenerate is counted as degenerate.  The rates are scalar methods, each
-    with its own degenerate ages, so the premise is checked age by age.
+    The premise is checked first, on the rates of both at every age: the
+    first age, in grid order, where it fails makes the report Inconclusive
+    with 0 points.  An age where a rate or a measure is degenerate is
+    counted as degenerate.
     """
     residual = side == "residual"
     check_id = f"{'hr-implies-dcrex' if residual else 'rh-implies-dcpex'}(n={n})"
-    rate = "hazard_rate" if residual else "reversed_hazard"
+    (r1, dg1), (r2, dg2) = (_rates(d, residual, t_grid) for d in (d1, d2))
+    rated = ~(dg1 | dg2)
+    premise_fails = rated & (r1 < r2 - BASE_TOL)
+    if premise_fails.any():
+        return _report(check_id, math.nan, t_grid[int(np.argmax(premise_fails))], 0)
     name = "dcrex-min" if residual else "dcpex-max"
     # one sweep per distribution: their breakpoints may differ
     a, b = (_sweep_arrays([(d, name, n)], t_grid)[0] for d in (d1, d2))
-    ok = ~(a.degenerate | b.degenerate)
-    for i, t in enumerate(t_grid):
-        try:
-            premise_fails = getattr(d1, rate)(t) < getattr(d2, rate)(t) - BASE_TOL
-        except (DegenerateTail, DegenerateHead):
-            ok[i] = False
-            continue
-        if premise_fails:
-            return _report(check_id, math.nan, t, 0)
+    ok = rated & ~(a.degenerate | b.degenerate)
     margins = a.value[ok] - b.value[ok]
     tol = _tolerance(BASE_TOL + a.error[ok] + b.error[ok])
     return _margins_report(check_id, margins, _kept(t_grid, ok), len(t_grid) - margins.size, tol)

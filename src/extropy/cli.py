@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Verbs: measure, curve, check, characterize, estimate, reproduce.  Domain
-errors, numeric overflow and malformed or non-finite ``--curve`` rows
-included, exit 1 with a one-line diagnostic on stderr; usage errors exit 2,
-among them a non-finite float flag (``--t``, ``--t-min``, ``--t-max``,
-``--bound``, ``--tol`` or ``EXTROPY_TOL``) and a ``--t-min``/``--t-max``
-range too wide for a float.  ``--tol`` and ``EXTROPY_TOL`` hold for one
-``run`` only.
+errors, numeric overflow, malformed or non-finite ``--curve`` rows and a
+file that cannot be read or written (or is not UTF-8 text) included, exit 1
+with a one-line diagnostic on stderr; usage errors exit 2, among them a
+non-finite float flag (``--t``, ``--t-min``, ``--t-max``, ``--bound``,
+``--tol`` or ``EXTROPY_TOL``), a ``--t-min``/``--t-max`` range too wide
+for a float and ``check --n`` past ``MAX_N`` for the k-of-n chains.
+``--tol`` and ``EXTROPY_TOL`` hold for one ``run`` only.
 Artifacts are written atomically (temp file + rename), so an error never
 leaves a partial file behind.  All numeric output uses 12 significant
 digits; identical argv produces byte-identical output.  JSON output is
@@ -83,7 +84,7 @@ def _curve_csv(ts: Sequence[float], values: Sequence[float]) -> str:
 def _read_curve_csv(path: str) -> Curve:
     ts: list[float] = []
     values: list[float] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t,value":
             raise UsageError(f"curve file {path} must start with header 't,value'")
@@ -103,7 +104,7 @@ def _read_curve_csv(path: str) -> Curve:
 
 
 def _load_dist(path: str) -> Distribution:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return from_spec(json.load(fh))
 
 
@@ -179,6 +180,8 @@ def _cmd_check(args: argparse.Namespace) -> str:
     n = args.n
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
+    if args.suite in ("orderings", "all") and n > analysis.MAX_N:
+        raise UsageError(f"--n must be <= {analysis.MAX_N} for the k-of-n chains of --suite {args.suite}, got {n}")
     reports: list[analysis.CheckReport] = []
 
     def bounds_suite() -> None:
@@ -409,8 +412,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON spec: {exc}", file=sys.stderr)

@@ -10,6 +10,12 @@ written once, in numpy, over arrays.  A float goes in as a one-element
 array and comes back as a Python float (``_elementwise``), so a float and
 the same value in an array give the same bits.
 
+The two rates and the two conditional means are written once, on
+``Distribution``.  They and the dynamic measures condition on an age by one
+rule, ``_levels``: a degenerate level raises, and an age outside the support
+is clamped to its nearest end, the stretch beyond it added exactly.  A
+family with a closed-form mean writes it once, in ``_closed_mean``.
+
 All objects are immutable and all methods are pure, so instances can be
 shared freely across threads.
 """
@@ -53,18 +59,25 @@ def _elementwise(method: Callable) -> Callable:
     """The one boundary of ``cdf``, ``sf``, ``pdf`` and ``quantile``: the formulas behind it see arrays only.
 
     An array goes straight through.  A float goes in as a one-element array
-    and comes back as a Python float with the bits it gets in an array; its
-    overflow raises ``OverflowError`` (an array's gives numpy's warning and inf).
+    and comes back as a Python float with the bits it gets in an array.  An
+    overflow on the way raises ``OverflowError`` only when the result is not
+    finite; a finite limit (sf far out in a tail is 0) is returned, as in an
+    array, where the overflow gives numpy's warning.
     """
 
     @wraps(method)
     def boundary(self: "Distribution", x: FloatOrArray) -> FloatOrArray:
         if isinstance(x, np.ndarray):
             return method(self, x)
+        x = np.array([x], dtype=np.float64)
         try:
             with np.errstate(over="raise"):
-                return float(method(self, np.array([x], dtype=np.float64))[0])
+                return float(method(self, x)[0])
         except FloatingPointError as exc:
+            with np.errstate(all="ignore"):
+                value = float(method(self, x)[0])
+            if math.isfinite(value):
+                return value
             raise OverflowError(str(exc)) from None
 
     return boundary
@@ -153,7 +166,8 @@ class Distribution(ABC):
     Python float, or a 1-D float64 array, and give an array of the same
     shape.  A subclass writes each of them over arrays only, in numpy: the
     class applies ``_elementwise`` to every one it defines, and a float
-    reaches the formula as a one-element array.
+    reaches the formula as a one-element array.  It defines no rate or
+    mean: a closed-form mrl or eit goes in ``_closed_mean``.
     """
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -218,16 +232,12 @@ class Distribution(ABC):
         return 0.5 * (lo + hi)
 
     def hazard_rate(self, t: float) -> float:
-        s = self.sf(t)
-        if s <= DEGENERATE_EPS:
-            raise DegenerateTail(f"sf({t}) is zero")
-        return self.pdf(t) / s
+        """pdf(t) / sf(t); ``DegenerateTail`` where sf(t) is degenerate, as ``dcrex(t)`` raises."""
+        return _rate(self, True, t)
 
     def reversed_hazard(self, t: float) -> float:
-        c = self.cdf(t)
-        if c <= DEGENERATE_EPS:
-            raise DegenerateHead(f"cdf({t}) is zero")
-        return self.pdf(t) / c
+        """pdf(t) / cdf(t); ``DegenerateHead`` where cdf(t) is degenerate, as ``dcpex(t)`` raises."""
+        return _rate(self, False, t)
 
     def mean(self) -> float:
         if not self.has_finite_mean:
@@ -237,37 +247,42 @@ class Distribution(ABC):
         return lo + value
 
     def mean_residual_life(self, t: float) -> float:
+        """E[X - t | X > t]: ``conditional_means`` at one age, side "residual"."""
         return float(self.conditional_means([t], "residual")[0][0])
 
     def expected_inactivity_time(self, t: float) -> float:
+        """E[t - X | X <= t]: ``conditional_means`` at one age, side "past"."""
         return float(self.conditional_means([t], "past")[0][0])
 
     def conditional_means(self, ts: Sequence[float], side: str) -> tuple[np.ndarray, np.ndarray]:
         """``mean_residual_life`` (side "residual") or ``expected_inactivity_time`` (side "past")
         at every age of ts, with their abs error estimates.
 
-        A family's own closed form is used where it has one, with error 0.
-        Otherwise every age is one integral, int_t^hi sf / sf(t) or
-        int_lo^t cdf / cdf(t), split at the breakpoints, and all of them
-        go to one ``integrate_panels`` call; the first degenerate age raises.
+        The first degenerate age raises.  At the ages clamped into the
+        support (``_levels``) a family's ``_closed_mean`` gives the values,
+        with error 0; else each is one integral, int_t^hi sf / sf(t) or
+        int_lo^t cdf / cdf(t), all in one ``integrate_panels`` call.  The
+        stretch outside the support is added exactly.
         """
         if side not in ("residual", "past"):
             raise ValueError(f"side must be residual|past, got {side!r}")
         residual = side == "residual"
-        name = "mean_residual_life" if residual else "expected_inactivity_time"
-        scalar = getattr(type(self), name)
-        if scalar is not getattr(Distribution, name):
-            return np.array([scalar(self, t) for t in ts], dtype=np.float64), np.zeros(len(ts))
         if residual and not self.has_finite_mean:
             raise DivergentMean(f"{self!r} has no finite mean")
-        levels, degenerate, _ = _levels(self, residual, ts)
+        levels, degenerate, at, beyond = _levels(self, residual, ts)
         if degenerate.any():
             raise _degenerate(residual, ts[int(np.argmax(degenerate))])
-        lo, hi = self.support.lower, self.support.upper
+        closed = self._closed_mean(at, residual)
+        if closed is not None:
+            return closed + beyond, np.zeros(at.size)
         g = self.sf if residual else self.cdf
-        a, b = (ts, [hi] * len(ts)) if residual else ([lo] * len(ts), ts)
+        a, b = (at, np.full(at.size, self.support.upper)) if residual else (np.full(at.size, self.support.lower), at)
         values, errors = integrate_panels(lambda x, rows: g(x.ravel()).reshape(x.shape), a, b, self.breakpoints)
-        return values / levels, errors / levels
+        return values / levels + beyond, errors / levels
+
+    def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
+        """The closed-form mrl (residual) or eit at ages inside the support, or None where there is none."""
+        return None
 
     def affine(self, scale: float, shift: float) -> "Affine":
         return Affine(self, scale, shift)
@@ -275,27 +290,43 @@ class Distribution(ABC):
 
 def _levels(
     d: Distribution, residual: bool, ages: Sequence[float], values: Optional[Values] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What a dynamic measure of d conditions on at every age, from one array call.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What every functional of d that conditions on an age reads there, from one array call.
 
-    Returns three arrays: the levels (sf(t) on the residual side, cdf(t) on
-    the past side), whether each age is degenerate (its level is at most
-    ``DEGENERATE_EPS``, or nan: ``_degenerate`` is what it raises), and the
-    term t - hi that the past side adds beyond the upper support end hi,
-    where the cdf stays 1.  ``values`` gives the functionals at the ages
-    (``_at(ages)`` by default); a ``_shared_values(ages)`` passed to the
-    calls for several distributions calls each (distribution, functional)
-    once between them, with the same bits.
+    Returns four arrays: the levels (sf(t) on the residual side, cdf(t) on
+    the past side); whether each age is degenerate (level at most
+    ``DEGENERATE_EPS``, or nan: ``_degenerate`` is what it raises); the ages
+    clamped into the support [lo, hi]; and the stretch where the level stays
+    1, lo - t below lo (residual) or t - hi above hi (past), to add exactly.
+    ``values`` gives the functionals at the ages (``_at(ages)`` by default);
+    a ``_shared_values(ages)`` passed to the calls for several distributions
+    calls each (distribution, functional) once between them, with the same bits.
     """
     ages = np.asarray(ages, dtype=np.float64)
     # far out in a tail an intermediate power can overflow (Weibull's t**theta); the level is its limit 0
     with np.errstate(over="ignore"):
         level = d._level(values or _at(ages), residual)
     degenerate = ~(level > DEGENERATE_EPS)
-    if residual:
-        return level, degenerate, np.zeros(ages.size)
-    hi = d.support.upper
-    return level, degenerate, np.where(ages > hi, ages - hi, 0.0)
+    lo, hi = d.support.lower, d.support.upper
+    beyond = np.where(ages < lo, lo - ages, 0.0) if residual else np.where(ages > hi, ages - hi, 0.0)
+    return level, degenerate, np.clip(ages, lo, hi), beyond
+
+
+def _rates(d: Distribution, residual: bool, ages: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The hazard rate pdf/sf (residual) or reversed hazard pdf/cdf at every age, and the degenerate ages (rate 0)."""
+    ages = np.asarray(ages, dtype=np.float64)
+    level, degenerate, _, _ = _levels(d, residual, ages)
+    rate = np.zeros(ages.size)
+    rate[~degenerate] = d.pdf(ages[~degenerate]) / level[~degenerate]
+    return rate, degenerate
+
+
+def _rate(d: Distribution, residual: bool, t: float) -> float:
+    """``_rates`` at one age, which raises where it is degenerate."""
+    (rate,), (degenerate,) = _rates(d, residual, [t])
+    if degenerate:
+        raise _degenerate(residual, t)
+    return float(rate)
 
 
 def _at(x: np.ndarray) -> Values:
@@ -361,17 +392,8 @@ class Uniform(Distribution):
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def mean_residual_life(self, t: float) -> float:
-        if t <= self.a:
-            return self.mean() - t
-        if t >= self.b:
-            raise DegenerateTail(f"sf({t}) is zero")
-        return 0.5 * (self.b - t)
-
-    def expected_inactivity_time(self, t: float) -> float:
-        if t <= self.a:
-            raise DegenerateHead(f"cdf({t}) is zero")
-        return 0.5 * (min(t, self.b) - self.a) if t <= self.b else t - self.mean()
+    def _closed_mean(self, at: np.ndarray, residual: bool) -> np.ndarray:
+        return 0.5 * (self.b - at) if residual else 0.5 * (at - self.a)
 
 
 @dataclass(frozen=True)
@@ -405,10 +427,8 @@ class FiniteRange(Distribution):
     def mean(self) -> float:
         return 1.0 / (self.a * (self.b + 1.0))
 
-    def mean_residual_life(self, t: float) -> float:
-        if self.sf(t) <= DEGENERATE_EPS:
-            raise DegenerateTail(f"sf({t}) is zero")
-        return (1.0 - self.a * max(t, 0.0)) / (self.a * (self.b + 1.0))
+    def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
+        return (1.0 - self.a * at) / (self.a * (self.b + 1.0)) if residual else None
 
 
 @dataclass(frozen=True)
@@ -472,11 +492,8 @@ class Exponential(Distribution):
     def mean(self) -> float:
         return 1.0 / self.lam
 
-    def mean_residual_life(self, t: float) -> float:
-        return 1.0 / self.lam
-
-    def hazard_rate(self, t: float) -> float:
-        return self.lam
+    def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
+        return np.full(at.size, 1.0 / self.lam) if residual else None
 
 
 @dataclass(frozen=True)
@@ -540,8 +557,8 @@ class Pareto(Distribution):
     def mean(self) -> float:
         return self.lam / (self.theta - 1.0)
 
-    def mean_residual_life(self, t: float) -> float:
-        return (self.lam + max(t, 0.0)) / (self.theta - 1.0)
+    def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
+        return (self.lam + at) / (self.theta - 1.0) if residual else None
 
 
 #: GPD lambda this close to zero is evaluated through the exponential limit.
@@ -606,18 +623,11 @@ class GPD(Distribution):
             return -self.theta * np.log1p(-p)
         return self.theta * np.expm1(-self.lam / (1.0 + self.lam) * np.log1p(-p)) / self.lam
 
-    def hazard_rate(self, t: float) -> float:
-        if t > self.support.upper - DEGENERATE_EPS:
-            raise DegenerateTail(f"sf({t}) is zero")
-        return (1.0 + self.lam) / (self.lam * max(t, 0.0) + self.theta)
-
     def mean(self) -> float:
         return self.theta
 
-    def mean_residual_life(self, t: float) -> float:
-        if self.sf(t) <= DEGENERATE_EPS:
-            raise DegenerateTail(f"sf({t}) is zero")
-        return self.lam * max(t, 0.0) + self.theta
+    def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
+        return self.lam * at + self.theta if residual else None
 
 
 @dataclass(frozen=True)
@@ -648,17 +658,8 @@ class Power(Distribution):
     def mean(self) -> float:
         return self.b * self.c / (self.c + 1.0)
 
-    def expected_inactivity_time(self, t: float) -> float:
-        if t <= 0:
-            raise DegenerateHead(f"cdf({t}) is zero")
-        return min(t, self.b) / (self.c + 1.0) if t <= self.b else t - self.mean()
-
-    def reversed_hazard(self, t: float) -> float:
-        if t <= 0:
-            raise DegenerateHead(f"cdf({t}) is zero")
-        if t >= self.b:
-            return 0.0
-        return self.c / t
+    def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
+        return None if residual else at / (self.c + 1.0)
 
 
 class TwoExpMax(Distribution):
@@ -788,11 +789,9 @@ class Affine(Distribution):
     def mean(self) -> float:
         return self.scale * self.base.mean() + self.shift
 
-    def mean_residual_life(self, t: float) -> float:
-        return self.scale * self.base.mean_residual_life(self._pull(t))
-
-    def expected_inactivity_time(self, t: float) -> float:
-        return self.scale * self.base.expected_inactivity_time(self._pull(t))
+    def conditional_means(self, ts: Sequence[float], side: str) -> tuple[np.ndarray, np.ndarray]:
+        values, errors = self.base.conditional_means(self._pull(np.asarray(ts, dtype=np.float64)), side)
+        return self.scale * values, self.scale * errors
 
     def __repr__(self) -> str:
         return f"Affine({self.base!r}, scale={self.scale}, shift={self.shift})"

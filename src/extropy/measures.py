@@ -151,8 +151,10 @@ class MeasureValue:
 # Closed-form catalog
 # ---------------------------------------------------------------------------
 
+_Entry = Callable[[Optional[np.ndarray]], Union[float, np.ndarray]]
 
-def _cf_crex_min(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
+
+def _cf_crex_min(d: Distribution, n: int) -> Optional[_Entry]:
     if isinstance(d, Uniform):
         value = -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
     elif isinstance(d, FiniteRange):
@@ -170,7 +172,7 @@ def _cf_crex_min(d: Distribution, n: int) -> Optional[Callable[[Optional[float]]
     return lambda t: value
 
 
-def _cf_dcrex_min(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
+def _cf_dcrex_min(d: Distribution, n: int) -> Optional[_Entry]:
     if isinstance(d, GPD):
         den = 2.0 * (2.0 * n * (1.0 + d.lam) - d.lam)
         return lambda t: -(d.theta + d.lam * t) / den
@@ -179,14 +181,14 @@ def _cf_dcrex_min(d: Distribution, n: int) -> Optional[Callable[[Optional[float]
         return lambda t: value
     if isinstance(d, FiniteRange):
         factor = -((1.0 + d.b) / (1.0 + 2.0 * n * d.b))
-        return lambda t: factor * d.mean_residual_life(t) / 2.0
+        return lambda t: factor * d._closed_mean(t, True) / 2.0
     if isinstance(d, Pareto) and n == 1:
         den = 4.0 * d.theta - 2.0
         return lambda t: -(d.lam + t) / den
     return None
 
 
-def _cf_cpex_max(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
+def _cf_cpex_max(d: Distribution, n: int) -> Optional[_Entry]:
     if isinstance(d, Power):
         value = -d.b / (2.0 * (2.0 * n * d.c + 1.0))
     elif isinstance(d, Uniform):
@@ -196,23 +198,20 @@ def _cf_cpex_max(d: Distribution, n: int) -> Optional[Callable[[Optional[float]]
     return lambda t: value
 
 
-def _cf_dcpex_max(d: Distribution, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
-    # the formulas hold inside the support only
+def _cf_dcpex_max(d: Distribution, n: int) -> Optional[_Entry]:
     if isinstance(d, Power):
         den = 2.0 * (2.0 * n * d.c + 1.0)
-        return lambda t: -t / den if t <= d.b else None
+        return lambda t: -t / den
     if isinstance(d, Uniform):
         den = 2.0 * (2.0 * n + 1.0)
-        return lambda t: -(t - d.a) / den if t <= d.b else None
+        return lambda t: -(t - d.a) / den
     return None
 
 
-#: kind name -> catalog lookup (d, n) -> None, or the closed form as a function
-#: of the age t (None at an age where it does not hold).  Whether a (family,
-#: kind, n) has an entry is decided once per lookup, not once per age.  A plain
-#: kind at order n integrates the same (sf or cdf)^{2n} as its extreme-order
-#: kind, so both look up the same closed form.
-_CATALOG: dict[str, Callable[[Distribution, int], Optional[Callable[[Optional[float]], Optional[float]]]]] = {
+#: kind name -> catalog lookup (d, n) -> None or the closed form, decided once
+#: per lookup, not once per age.  A plain kind at order n integrates the same
+#: (sf or cdf)^{2n} as its extreme-order kind, so both look up the same one.
+_CATALOG: dict[str, Callable[[Distribution, int], Optional[_Entry]]] = {
     "crex": _cf_crex_min,
     "crex-min": _cf_crex_min,
     "dcrex": _cf_dcrex_min,
@@ -224,7 +223,7 @@ _CATALOG: dict[str, Callable[[Distribution, int], Optional[Callable[[Optional[fl
 }
 
 
-def _catalog_entry(d: Distribution, name: str, n: int) -> Optional[Callable[[Optional[float]], Optional[float]]]:
+def _catalog_entry(d: Distribution, name: str, n: int) -> Optional[_Entry]:
     lookup = _CATALOG.get(name)
     return None if lookup is None else lookup(d, n)
 
@@ -323,22 +322,18 @@ def _zeros(size: int) -> _Arrays:
 
 
 def _closed_forms(
-    d: Distribution, name: str, n: int, ts: list, degenerate: np.ndarray
+    d: Distribution, name: str, n: int, at: np.ndarray, beyond: np.ndarray, degenerate: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The catalog's closed form of (name, n) on d at every age of ts that is not degenerate.
+    """The catalog's closed form of (name, n) on d at every age that is not degenerate, and where it holds.
 
-    Returns the values and where the closed form holds.  The entry is
-    decided once; the closed form is called per age on a Python float (None
-    for a static kind), so its bits are those of ``evaluate``.
+    The entry reads the ages clamped into the support (``at``, from
+    ``_levels``; a static entry ignores them) and adds -beyond/2 for the
+    stretch outside it.
     """
-    value = np.zeros(len(ts))
     entry = _catalog_entry(d, name, n)
     if entry is None:
-        return value, np.zeros(len(ts), dtype=bool)
-    cfs = [None if dg else entry(t) for t, dg in zip(ts, degenerate.tolist())]
-    closed = np.array([cf is not None for cf in cfs], dtype=bool)
-    value[closed] = [cf for cf in cfs if cf is not None]
-    return value, closed
+        return np.zeros(at.size), np.zeros(at.size, dtype=bool)
+    return np.where(degenerate, 0.0, entry(at) - 0.5 * beyond), ~degenerate
 
 
 #: one kind at order n: (name, n, ages), ages a float64 array for a dynamic kind and None for a static one
@@ -363,15 +358,17 @@ def _evaluate_arrays(d: Distribution, groups: Sequence[_Group], force_quadrature
     blocks: list[_Block] = []
     jobs: list[tuple[int, np.ndarray, float, np.ndarray]] = []  # (group, its integrated ages, factor, beyond)
     for g, (name, n, ages) in enumerate(groups):
+        residual = name in RESIDUAL_KINDS
         if ages is None:
-            # a static kind conditions on nothing: level 1, never degenerate, nothing beyond
+            # a static kind conditions on nothing: level 1, never degenerate, over the whole support
             size, level, degenerate, beyond = 1, np.ones(1), np.zeros(1, dtype=bool), np.zeros(1)
+            at = np.array([lo if residual else hi])
         else:
-            size, (level, degenerate, beyond) = ages.size, _levels(d, name in RESIDUAL_KINDS, ages)
+            size, (level, degenerate, at, beyond) = ages.size, _levels(d, residual, ages)
         if force_quadrature:
             value, closed = np.zeros(size), np.zeros(size, dtype=bool)
         else:
-            value, closed = _closed_forms(d, name, n, [None] if ages is None else ages.tolist(), degenerate)
+            value, closed = _closed_forms(d, name, n, at, beyond, degenerate)
         out.append(_Arrays(value, np.zeros(size), closed, degenerate))
         todo = (~(closed | degenerate)).nonzero()[0]
         if not todo.size:
@@ -382,24 +379,19 @@ def _evaluate_arrays(d: Distribution, groups: Sequence[_Group], force_quadrature
         elif name in ("cren", "cpen"):
             source, p = ("sf" if name == "cren" else "cdf"), 0
         else:
-            source, p = ("sf" if name in RESIDUAL_KINDS else "cdf"), 2 * n
+            source, p = ("sf" if residual else "cdf"), 2 * n
         if name in ("cpen", "cpex", "cpex-max"):
             _require_bounded(d, name)
-        if name in ("dcrex", "dcrex-min"):
-            a, b = ages[todo], np.full(todo.size, hi)
-        elif name in ("dcpex", "dcpex-max"):
-            a, b = np.full(todo.size, lo), np.minimum(ages[todo], hi)
-        else:
-            a, b = np.full(todo.size, lo), np.full(todo.size, hi)
+        a, b = (at[todo], np.full(todo.size, hi)) if residual else (np.full(todo.size, lo), at[todo])
         blocks.append((d, source, p, level[todo], a, b))
         jobs.append((g, todo, 1.0 if name in ("cren", "cpen") else -0.5, beyond[todo]))
     if not blocks:
         return out
     values, errors = _integrate(blocks)
     start = 0
-    for g, todo, factor, past_end in jobs:
+    for g, todo, factor, beyond in jobs:
         stop = start + todo.size
-        out[g].value[todo] = factor * (values[start:stop] + past_end)
+        out[g].value[todo] = factor * (values[start:stop] + beyond)
         out[g].error[todo] = abs(factor) * errors[start:stop]
         start = stop
     return out
@@ -444,9 +436,8 @@ def evaluate(d: Distribution, kind: MeasureKind, *, force_quadrature: bool = Fal
     if not force_quadrature and not dynamic:
         # a static kind's closed form, before any array is built; the arrays give the same
         entry = _catalog_entry(d, kind.name, kind.n)
-        value = None if entry is None else entry(None)
-        if value is not None:
-            return MeasureValue(float(value), "closed-form", 0.0)
+        if entry is not None:
+            return MeasureValue(float(entry(None)), "closed-form", 0.0)
     value, error, closed, _ = _evaluate_group(d, kind.name, kind.n, [kind.t] if dynamic else None, force_quadrature)
     return MeasureValue(value.item(0), "closed-form" if closed[0] else "quadrature", error.item(0))
 
@@ -562,9 +553,10 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
         D_i = int_{t_i}^{t_{i+1}} (S/S(t_i))^{2n} + (S(t_{i+1})/S(t_i))^{2n} D_{i+1},
 
     so only D_m runs to the upper support end.  The past side is the mirror
-    image: it runs forward from the lower support end with (F/F(t_i))^{2n}
-    and adds t - hi past the support.  Error estimates combine with the same
-    weights, which are at most 1.
+    image: it runs forward from the lower support end with (F/F(t_i))^{2n}.
+    The panels end at the ages clamped into the support, and the stretch
+    beyond it is added exactly (``_levels``).  Error estimates combine with
+    the same weights, which are at most 1.
 
     The panels of every curve go to one ``_integrate`` call, so the curves
     must share breakpoints, and a curve gets the bits it gets when swept
@@ -578,28 +570,26 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
     if not m:
         return [_zeros(0) for _ in curves]
     grid = np.array(ages, dtype=np.float64)
-    ts = grid.tolist()
     values = _shared_values(grid)
-    sides: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    sides: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
     out: list[_Arrays] = []
     blocks: list[_Block] = []
     jobs: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, int, bool]] = []  # the curves with swept ages
     for c, (d, name, n) in enumerate(curves):
-        MeasureKind(name, n, ts[0])  # the kind and order are valid
+        MeasureKind(name, n, ages[0])  # the kind and order are valid
         residual = name in RESIDUAL_KINDS
         key = (id(d), residual)
         if key not in sides:
             sides[key] = _levels(d, residual, grid, values)
-        level, degenerate, beyond = sides[key]
-        value, closed = _closed_forms(d, name, n, ts, degenerate)
+        level, degenerate, at, beyond = sides[key]
+        value, closed = _closed_forms(d, name, n, at, beyond, degenerate)
         out.append(_Arrays(value, np.zeros(m), closed, degenerate))
         swept = (~(closed | degenerate)).nonzero()[0]
         if not swept.size:
             continue
         lo, hi = d.support.lower, d.support.upper
-        xs = np.minimum(grid[swept], hi)
         # residual: panel j is [x_j, x_{j+1}], the last one [x_m, hi]; past: [x_{j-1}, x_j] from x_0 = lo
-        edges = np.concatenate((xs, [hi]) if residual else ([lo], xs))
+        edges = np.concatenate((at[swept], [hi]) if residual else ([lo], at[swept]))
         blocks.append((d, "sf" if residual else "cdf", 2 * n, level[swept], edges[:-1], edges[1:]))
         jobs.append((c, swept, level[swept], beyond[swept], 2 * n, residual))
     if not jobs:
@@ -607,10 +597,10 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
 
     values, errors = _integrate(blocks)
     start = 0
-    for c, swept, levels, past_end, p, residual in jobs:
+    for c, swept, levels, beyond, p, residual in jobs:
         stop = start + swept.size
         acc, err = _recurrence(values[start:stop].tolist(), errors[start:stop].tolist(), levels.tolist(), p, residual)
-        out[c].value[swept] = -0.5 * (np.array(acc) + past_end)
+        out[c].value[swept] = -0.5 * (np.array(acc) + beyond)
         out[c].error[swept] = 0.5 * np.array(err)
         start = stop
     return out

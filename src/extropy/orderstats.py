@@ -102,9 +102,6 @@ class MinOrder(_Order):
         # 1 - (1 - p)^(1/n) without the cancellation that loses a small p
         return self.parent.quantile(-np.expm1(np.log1p(-p) / self.n))
 
-    def hazard_rate(self, t: float) -> float:
-        return self.n * self.parent.hazard_rate(t)
-
 
 @dataclass(frozen=True)
 class MaxOrder(_Order):
@@ -132,9 +129,6 @@ class MaxOrder(_Order):
         _check_p(p)
         # the C library's pow: numpy's power may round the last bit otherwise, which the parent amplifies
         return self.parent.quantile(np.float_power(p, 1.0 / self.n))
-
-    def reversed_hazard(self, t: float) -> float:
-        return self.n * self.parent.reversed_hazard(t)
 
 
 @dataclass(frozen=True)

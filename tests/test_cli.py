@@ -134,6 +134,29 @@ def test_missing_file_exits_one(tmp_path):
     assert run(["measure", "--dist", str(tmp_path / "nope.json"), "--measure", "crex"]) == 1
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["output-is-a-directory", "output-under-a-file", "dist-is-a-directory", "samples-is-a-directory", "dist-not-utf8"],
+)
+def test_unreadable_or_unwritable_file_is_one_line(exp1, tmp_path, case, capsys):
+    # each of these used to end in a traceback
+    directory, a_file, latin1 = tmp_path / "a-directory", tmp_path / "a-file", tmp_path / "latin1.json"
+    directory.mkdir()
+    a_file.write_text("1.0\n")
+    latin1.write_bytes('{"family": "exponential", "params": {"lambda": 1}} # \xe9'.encode("latin-1"))
+    argv = {
+        "output-is-a-directory": ["measure", "--dist", exp1, "--measure", "crex", "--output", str(directory)],
+        "output-under-a-file": ["measure", "--dist", exp1, "--measure", "crex", "--output", str(a_file / "out.json")],
+        "dist-is-a-directory": ["measure", "--dist", str(directory), "--measure", "crex"],
+        "samples-is-a-directory": ["estimate", "--samples", str(directory), "--measure", "crex"],
+        "dist-not-utf8": ["measure", "--dist", str(latin1), "--measure", "crex"],
+    }[case]
+    assert run(argv) == 1
+    _one_line_error(capsys, "error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file", "exp1.json", "latin1.json"]
+    assert not any(directory.iterdir())
+
+
 def test_unknown_verb_exits_two(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -275,6 +298,18 @@ def test_check_n_below_one_exits_two(exp1, suite, n, capsys):
     # --suite orderings with --n 0 used to run no check and print an empty line
     assert run(["check", "--suite", suite, "--dist", exp1, "--n", n]) == 2
     assert "--n must be >= 1" in _one_line_error(capsys, "usage error: ")
+
+
+@pytest.mark.parametrize("suite", ["orderings", "all"])
+def test_check_n_past_max_n_exits_two_for_the_chains(exp1, suite, capsys):
+    # it used to print 2n Inconclusive chain reports with 0 points and exit 0
+    assert run(["check", "--suite", suite, "--dist", exp1, "--n", "61"]) == 2
+    assert "--n must be <= 60" in _one_line_error(capsys, "usage error: ")
+
+
+@pytest.mark.parametrize("suite", ["bounds", "inequalities"])
+def test_check_n_past_max_n_is_read_by_the_other_suites(uniform01, suite, capsys):
+    assert run(["check", "--suite", suite, "--dist", uniform01, "--n", "61"]) == 0
 
 
 @pytest.mark.parametrize(

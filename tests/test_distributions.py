@@ -337,15 +337,23 @@ def test_nan_argument_gives_nan_for_a_float_and_an_array(d, method):
 
 def test_float_overflow_raises_overflow_error():
     # (-log1p(-p) / 1e-300) ** 1000 and (1e200) ** 2 are past the float range,
-    # where an array gets numpy's inf and its limits
+    # where an array gets numpy's inf and its limits; a float raises only
+    # where the result is not finite, and gets the array's finite limit
     d = Weibull(1e-300, 1e-3)
     with pytest.raises(OverflowError):
         d.quantile(0.01)
-    with pytest.raises(OverflowError):
-        Weibull(1, 2).sf(1e200)
+    assert Weibull(1, 2).sf(1e200) == 0.0
     with np.errstate(over="ignore"):
         assert d.quantile(np.array([0.01]))[0] == math.inf
         assert Weibull(1, 2).sf(np.array([1e200]))[0] == 0.0
+
+
+@pytest.mark.parametrize("d", [Exponential(1e10), FoldedCramer(1e10), Weibull(1e10, 1)], ids=repr)
+def test_float_overflow_with_a_finite_limit_gives_the_array_value(d):
+    # lam * x overflows to inf, and sf is its limit 0, as in an array
+    with np.errstate(over="ignore"):
+        want = d.sf(np.array([1e300]))[0]
+    assert d.sf(1e300) == want == 0.0
 
 
 def test_quantile_out_of_range():
