@@ -514,7 +514,13 @@ class FoldedCramer(Distribution):
         return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: 1.0 / (1.0 + self.theta * y))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 0.0, 1.0, lambda y: self.theta * y / (1.0 + self.theta * y))
+        return _piecewise(x, 0.0, inf, 0.0, 1.0, self._cdf_inside)
+
+    def _cdf_inside(self, y: np.ndarray) -> np.ndarray:
+        # theta y / (1 + theta y) rounds to 1.0 once theta y >= 2**54, so capping
+        # theta y near 2**60 keeps every bit and stops it overflowing to inf / inf
+        z = self.theta * np.minimum(y, 2.0**60 / self.theta)
+        return z / (1.0 + z)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(x, 0.0, inf, lambda y: self.theta / (1.0 + self.theta * y) ** 2)
@@ -844,6 +850,10 @@ class Mixture(Distribution):
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return sum(w * d.cdf(x) for w, d in self.components)
+
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        # not 1 - cdf: in a tail that is rounding noise, this keeps the components' precision
+        return sum(w * d.sf(x) for w, d in self.components)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return sum(w * d.pdf(x) for w, d in self.components)

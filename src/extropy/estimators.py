@@ -22,6 +22,8 @@ class SampleSet:
     """Sorted nonnegative observations, with an optional known support bound.
 
     ``values`` is stored as a read-only float64 array, copied from the input.
+    The widths of the empirical step function's segments, [0, x_(1)] and
+    (x_(i), x_(i+1)], are kept beside it, read-only, for the estimators.
     """
 
     values: np.ndarray
@@ -33,14 +35,19 @@ class SampleSet:
             raise ExtropyError("sample values must be a flat sequence")
         if arr.size == 0:
             raise EmptySample("sample must contain at least one observation")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ExtropyError("sample values must be finite and nonnegative")
-        if np.any(np.diff(arr) < 0):
+        # widths x_(1), x_(2) - x_(1), ... all >= 0 (a nan fails) and a finite
+        # x_(m) hold exactly for a sorted, finite, nonnegative sample
+        widths = np.diff(arr, prepend=0.0)
+        if not (np.all(widths >= 0) and np.isfinite(arr[-1])):
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise ExtropyError("sample values must be finite and nonnegative")
             raise ExtropyError("sample values must be sorted ascending")
         if self.upper_bound is not None and not (arr[-1] <= self.upper_bound < np.inf):  # nan fails too
             raise ExtropyError(f"upper_bound must be finite and >= max(values), got {self.upper_bound}")
         arr.flags.writeable = False
+        widths.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_widths", widths)
 
     @classmethod
     def from_values(cls, values: Sequence[float], upper_bound: Optional[float] = None) -> "SampleSet":
@@ -53,11 +60,11 @@ class SampleSet:
 
 def empirical_crex(s: SampleSet, n: int = 1) -> float:
     """Exact integral of (empirical sf)^{2n} over [0, x_(m)], times -1/2."""
-    x = s.values
     m = s.size
-    widths = np.diff(np.concatenate(([0.0], x)))
-    sf = (m - np.arange(m)) / m  # empirical sf on each segment (x_(i), x_(i+1)]
-    return -0.5 * float(np.sum(widths * sf ** (2 * n)))
+    h = np.arange(m, 0, -1) / m  # empirical sf on each segment (x_(i), x_(i+1)]
+    h **= 2 * n
+    h *= s._widths
+    return -0.5 * float(np.sum(h))
 
 
 def empirical_cpex(s: SampleSet, n: int = 1) -> float:
@@ -66,13 +73,13 @@ def empirical_cpex(s: SampleSet, n: int = 1) -> float:
     B is the known support bound when given (the segment [x_(m), B] has
     empirical cdf 1), otherwise the largest observation.
     """
-    x = s.values
     m = s.size
-    widths = np.diff(np.concatenate(([0.0], x)))
-    cdf = np.arange(m) / m  # empirical cdf on each segment (x_(i), x_(i+1))
-    total = float(np.sum(widths * cdf ** (2 * n)))
+    h = np.arange(m) / m  # empirical cdf on each segment (x_(i), x_(i+1))
+    h **= 2 * n
+    h *= s._widths
+    total = float(np.sum(h))
     if s.upper_bound is not None:
-        total += s.upper_bound - float(x[-1])
+        total += s.upper_bound - float(s.values[-1])
     return -0.5 * total
 
 
@@ -85,12 +92,14 @@ def empirical_dcrex(s: SampleSet, t: float, n: int = 1) -> float:
     if t >= x[-1]:
         raise DegenerateTail(f"empirical sf at t={t} is zero")
     j = int(np.searchsorted(x, t, side="right"))  # x[j:] are the observations above t
-    st = (m - j) / m
-    widths = np.diff(np.concatenate(([t], x[j:])))
     # sf is (m - j)/m on [t, x_j] and (m - i - 1)/m on [x_i, x_{i+1}]; a tie
     # makes a zero-width segment, so its sf does not matter
-    sf = (m - np.arange(j, m)) / m
-    return -0.5 * float(np.sum(widths * (sf / st) ** (2 * n)))
+    h = np.arange(m - j, 0, -1) / m
+    h /= (m - j) / m
+    h **= 2 * n
+    h[0] *= x[j] - t
+    h[1:] *= s._widths[j + 1 :]
+    return -0.5 * float(np.sum(h))
 
 
 def draw_samples(d: Distribution, m: int, seed: int) -> SampleSet:

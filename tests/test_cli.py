@@ -152,7 +152,10 @@ def test_unreadable_or_unwritable_file_is_one_line(exp1, tmp_path, case, capsys)
         "dist-not-utf8": ["measure", "--dist", str(latin1), "--measure", "crex"],
     }[case]
     assert run(argv) == 1
-    _one_line_error(capsys, "error: ")
+    err = _one_line_error(capsys, "error: ")
+    if case == "output-is-a-directory":
+        # it named the temporary file first: "... '/dir/.extropy-l8hq9p3x' -> '/dir/a-directory'"
+        assert str(directory) in err and ".extropy-" not in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file", "exp1.json", "latin1.json"]
     assert not any(directory.iterdir())
 
@@ -435,6 +438,17 @@ def test_check_inequalities_with_pair(uniform01, tmp_path, capsys):
     )
     assert {r["check_id"] for r in payload} >= {"convolution-cpex", "conditioning-cpex"}
     assert all(r["verdict"] == "Holds" for r in payload)
+
+
+def test_check_all_reports_each_check_once(uniform01, capsys):
+    # bounds and inequalities both ran mean-abs-diff on a bounded family
+    payload = run_json(["check", "--suite", "all", "--n", "2", "--dist", uniform01, "--json"], capsys)
+    check_ids = [r["check_id"] for r in payload]
+    assert len(check_ids) == len(set(check_ids)), check_ids
+    assert "mean-abs-diff" in check_ids
+    for suite in ("bounds", "inequalities"):
+        payload = run_json(["check", "--suite", suite, "--dist", uniform01, "--json"], capsys)
+        assert "mean-abs-diff" in [r["check_id"] for r in payload], suite
 
 
 def test_check_text_output(uniform01, capsys):

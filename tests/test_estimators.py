@@ -90,6 +90,62 @@ def test_dcrex_matches_per_segment_search_bit_for_bit_with_ties(seed):
             assert empirical_dcrex(s, t, n) == _dcrex_by_searching_every_break(s, t, n)
 
 
+def _crex_by_differencing(s, n):
+    """The former empirical_crex: widths and sf levels rebuilt on every call."""
+    x, m = s.values, s.size
+    widths = np.diff(np.concatenate(([0.0], x)))
+    sf = (m - np.arange(m)) / m
+    return -0.5 * float(np.sum(widths * sf ** (2 * n)))
+
+
+def _cpex_by_differencing(s, n):
+    """The former empirical_cpex."""
+    x, m = s.values, s.size
+    widths = np.diff(np.concatenate(([0.0], x)))
+    cdf = np.arange(m) / m
+    total = float(np.sum(widths * cdf ** (2 * n)))
+    if s.upper_bound is not None:
+        total += s.upper_bound - float(x[-1])
+    return -0.5 * total
+
+
+def _dcrex_by_differencing(s, t, n):
+    """The former empirical_dcrex: widths from t over the observations above it."""
+    x, m = s.values, s.size
+    j = int(np.searchsorted(x, t, side="right"))
+    widths = np.diff(np.concatenate(([t], x[j:])))
+    sf = (m - np.arange(j, m)) / m
+    return -0.5 * float(np.sum(widths * (sf / ((m - j) / m)) ** (2 * n)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_estimators_match_the_differencing_formulas_bit_for_bit(m, seed):
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.exponential(size=m), 1 if m > 2 else 3)  # ties when m = 1000
+    if m == 1000:
+        assert len(np.unique(values)) < m
+    x = np.sort(values)
+    for bound in (None, float(x[-1]), float(x[-1]) + 0.37):
+        s = SampleSet.from_values(values, upper_bound=bound)
+        for n in (1, 2, 3):
+            assert empirical_crex(s, n) == _crex_by_differencing(s, n)
+            assert empirical_cpex(s, n) == _cpex_by_differencing(s, n)
+            below = [0.0, 0.5 * float(x[0])]
+            on = [float(v) for v in x[:-1:97]]  # observations, ties included
+            between = [float(0.5 * (a + b)) for a, b in zip(x[:-1:89], x[1::89]) if a < b]
+            for t in below + on + between:
+                assert empirical_dcrex(s, t, n) == _dcrex_by_differencing(s, t, n), t
+
+
+def test_sample_keeps_its_step_widths_read_only():
+    s = SampleSet.from_values([3.0, 1.0, 1.0, 2.5])
+    assert np.array_equal(s._widths, np.diff(s.values, prepend=0.0))
+    assert s._widths.tolist() == [1.0, 0.0, 1.5, 0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        s._widths[0] = 9.0
+
+
 def test_ties_contribute_nothing():
     a = empirical_crex(SampleSet.from_values([1, 2, 2, 3]))
     # segments [0,1], (1,2], the zero-width tie, (2,3] with sf 1, 3/4, -, 1/4
@@ -101,13 +157,26 @@ def test_sample_validation():
     with pytest.raises(EmptySample):
         SampleSet(())
     with pytest.raises(ExtropyError):
-        SampleSet((3.0, 1.0))  # unsorted
-    with pytest.raises(ExtropyError):
-        SampleSet.from_values([-1.0, 2.0])
-    with pytest.raises(ExtropyError):
-        SampleSet.from_values([1.0, float("nan")])
-    with pytest.raises(ExtropyError):
         SampleSet.from_values([1.0, 5.0], upper_bound=4.0)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([-1.0, 2.0], "finite and nonnegative"),
+        ([1.0, float("nan")], "finite and nonnegative"),
+        ([float("nan"), 1.0], "finite and nonnegative"),
+        ([1.0, float("inf")], "finite and nonnegative"),
+        ([float("inf")], "finite and nonnegative"),
+        ([3.0, -1.0], "finite and nonnegative"),  # unsorted as well
+        ([3.0, float("nan"), 1.0], "finite and nonnegative"),
+        ([3.0, 1.0], "sorted ascending"),
+        ([0.0, 2.0, 2.0, 1.0], "sorted ascending"),
+    ],
+)
+def test_each_invalid_sample_gets_its_message(values, message):
+    with pytest.raises(ExtropyError, match=f"^sample values must be {message}$"):
+        SampleSet(values)
 
 
 def test_mean_bound_is_exact():
