@@ -4,7 +4,7 @@ Every family exposes the same small surface: ``cdf``, ``sf``, ``pdf``,
 ``quantile``, ``hazard_rate``, ``reversed_hazard``, ``mean``,
 ``mean_residual_life`` and ``expected_inactivity_time``.  Closed forms are
 used wherever the family admits one; the base class falls back to adaptive
-quadrature and bracketed bisection.  ``cdf``, ``sf``, ``pdf`` and
+quadrature and a bracketed Newton inverse.  ``cdf``, ``sf``, ``pdf`` and
 ``quantile`` take a float or a 1-D float64 array, and each formula is
 written once, in numpy, over arrays.  A float goes in as a one-element
 array and comes back as a Python float (``_elementwise``), so a float and
@@ -208,28 +208,21 @@ class Distribution(ABC):
 
     @_elementwise
     def quantile(self, p: np.ndarray) -> np.ndarray:
-        """Inverse cdf by bisection, each element in its own bracket; subclasses override with closed forms."""
+        """Inverse cdf by bracketed Newton, each element in its own bracket; subclasses override with closed forms.
+
+        Up to p = 1/2 it solves cdf(x) = p, above it sf(x) = 1 - p: there
+        1 - p is exact, and sf keeps the tail's digits where the cdf rounds
+        to multiples of eps.  Each element stops once its bracket is
+        narrower than 1e-12 and returns the bracket's midpoint (``_invert``).
+        """
         _check_p(p)
-        lower, upper = self.support.lower, self.support.upper
-        lo = np.full_like(p, lower)
-        if math.isfinite(upper):
-            hi = np.full_like(p, upper)
-        else:
-            hi = np.full_like(p, max(lower + 1.0, 1.0))
-            grow = self.cdf(hi) < p
-            while grow.any():
-                hi = np.where(grow, lower + 2.0 * (hi - lower), hi)
-                if (hi > 1e300).any():  # pragma: no cover - guards pathological tails
-                    raise QuantileOutOfRange(f"failed to bracket quantile at p={p[hi > 1e300][0]}")
-                grow &= self.cdf(hi) < p
-        active = hi - lo > _QUANTILE_ATOL
-        while active.any():
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < p
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
-            active = hi - lo > _QUANTILE_ATOL
-        return 0.5 * (lo + hi)
+        x = np.empty_like(p)
+        head = p <= 0.5
+        if head.any():
+            x[head] = _invert(self, lambda y, t: self.cdf(y) - t, p[head])
+        if not head.all():
+            x[~head] = _invert(self, lambda y, t: t - self.sf(y), 1.0 - p[~head])
+        return x
 
     def hazard_rate(self, t: float) -> float:
         """pdf(t) / sf(t); ``DegenerateTail`` where sf(t) is degenerate, as ``dcrex(t)`` raises."""
@@ -356,6 +349,69 @@ def _check_p(p: np.ndarray) -> None:
     outside = ~((p > 0.0) & (p < 1.0))  # NaN is outside
     if outside.any():
         raise QuantileOutOfRange(f"quantile requires p in (0,1), got {p[outside][0]}")
+
+
+def _invert(d: Distribution, g: Callable, target: np.ndarray) -> np.ndarray:
+    """The x where g(x, target), d's cdf minus target or target minus its sf, rises through 0, elementwise, to 1e-12.
+
+    A safeguarded Newton-bisection (rtsafe in *Numerical Recipes*): g has
+    slope d.pdf, and each element keeps its own bracket g(lo) < 0 <= g(hi),
+    grown by doubling on an unbounded support.  A round evaluates g and pdf
+    at x once and shrinks the bracket there.  The next x is the Newton point
+    when it lies strictly inside the bracket and its step is at most half
+    the step before last, else the midpoint: so a zero, infinite or nan pdf
+    bisects, and so does Newton creeping at a high-order zero.  A Newton
+    step under atol/4 probes x +- 0.4 atol in one call, which closes the
+    bracket below atol.  Every operation is elementwise, and the arrays keep
+    only the open elements, so an element gets the bits of the same float
+    alone.
+    """
+    lower, upper = d.support.lower, d.support.upper
+    lo = np.full_like(target, lower)
+    if math.isfinite(upper):
+        hi = np.full_like(target, upper)
+    else:
+        hi = np.full_like(target, max(lower + 1.0, 1.0))
+        grow = np.flatnonzero(g(hi, target) < 0)
+        while grow.size:
+            lo[grow] = hi[grow]
+            hi[grow] = lower + 2.0 * (hi[grow] - lower)
+            if (hi[grow] > 1e300).any():  # pragma: no cover - guards pathological tails
+                raise QuantileOutOfRange(f"failed to bracket the quantile at level {target[grow][0]}")
+            grow = grow[g(hi[grow], target[grow]) < 0]
+    out = np.empty_like(target)
+    at = np.arange(target.size)
+    x = 0.5 * (lo + hi)
+    last = before = hi - lo  # the sizes of the last step and of the one before it
+    while True:
+        # adjacent floats wider than atol (past x = 8192) have no midpoint strictly between them
+        open_ = (hi - lo > _QUANTILE_ATOL) & (lo < x) & (x < hi)
+        if not open_.all():
+            out[at] = 0.5 * (lo + hi)
+            keep = np.flatnonzero(open_)
+            if not keep.size:
+                return out
+            at, target, lo, hi, x, last, before = (a.take(keep) for a in (at, target, lo, hi, x, last, before))
+        gx = g(x, target)
+        slope = d.pdf(x)
+        with np.errstate(all="ignore"):
+            step = gx / slope
+        below = gx < 0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        newton = x - step
+        size = np.abs(step)
+        near = np.flatnonzero(size < 0.25 * _QUANTILE_ATOL)
+        if near.size:
+            points = np.concatenate((x[near] - 0.4 * _QUANTILE_ATOL, x[near] + 0.4 * _QUANTILE_ATOL))
+            negative = g(points, np.concatenate((target[near], target[near]))) < 0
+            # the higher probe below the root raises lo, the lower one at or above it lowers hi
+            lo[near] = np.maximum(lo[near], np.where(negative, points, -inf).reshape(2, -1).max(axis=0))
+            hi[near] = np.minimum(hi[near], np.where(negative, inf, points).reshape(2, -1).min(axis=0))
+        mid = 0.5 * (lo + hi)
+        use = (lo < newton) & (newton < hi) & (size <= 0.5 * before)
+        before, last = last, np.where(use, size, mid - lo)
+        x = np.where(use, newton, mid)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -511,7 +567,17 @@ class FoldedCramer(Distribution):
         return Support(0.0, inf)
 
     def sf(self, x: np.ndarray) -> np.ndarray:
-        return _piecewise(x, 0.0, inf, 1.0, 0.0, lambda y: 1.0 / (1.0 + self.theta * y))
+        return _piecewise(x, 0.0, inf, 1.0, 0.0, self._sf_inside)
+
+    def _sf_inside(self, y: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + self.theta * y)
+        # s is 0 only where theta y overflowed, so theta > 1 and y + 1/theta is finite:
+        # (1/theta) / (y + 1/theta) is the same sf, and keeps its subnormal tail
+        far = s == 0.0
+        if far.any():
+            s[far] = (1.0 / self.theta) / (y[far] + 1.0 / self.theta)
+        return s
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return _piecewise(x, 0.0, inf, 0.0, 1.0, self._cdf_inside)
@@ -523,7 +589,18 @@ class FoldedCramer(Distribution):
         return z / (1.0 + z)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        return _density(x, 0.0, inf, lambda y: self.theta / (1.0 + self.theta * y) ** 2)
+        return _density(x, 0.0, inf, self._pdf_inside)
+
+    def _pdf_inside(self, y: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            square = (1.0 + self.theta * y) ** 2
+        f = self.theta / square
+        # past sqrt of the float range the square is inf: theta sf^2 is the same density there
+        far = square == inf
+        if far.any():
+            s = self._sf_inside(y[far])
+            f[far] = self.theta * s * s
+        return f
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)

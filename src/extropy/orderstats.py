@@ -13,7 +13,7 @@ Each class writes its sf and cdf once, in ``_level``, as a formula of the
 parent's cdf and sf values; ``sf`` and ``cdf`` run it on the parent's calls
 at x, and a sweep over several orders of one parent runs it on values it
 shares between them (``distributions._shared_values``).  ``KthOrder`` has no
-closed-form quantile and bisects its cdf, as the base class does.
+closed-form quantile and takes the base class's bracketed Newton inverse.
 """
 
 from __future__ import annotations

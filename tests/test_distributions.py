@@ -352,10 +352,11 @@ def test_float_overflow_raises_overflow_error():
 
 @pytest.mark.parametrize("d", [Exponential(1e10), FoldedCramer(1e10), Weibull(1e10, 1)], ids=repr)
 def test_float_overflow_with_a_finite_limit_gives_the_array_value(d):
-    # lam * x overflows to inf, and sf is its limit 0, as in an array
+    # lam * x overflows to inf, and sf is its limit 0, as in an array; the
+    # folded-Cramer sf keeps its subnormal value there instead
     with np.errstate(over="ignore"):
         want = d.sf(np.array([1e300]))[0]
-    assert d.sf(1e300) == want == 0.0
+    assert d.sf(1e300) == want == (1e-310 if isinstance(d, FoldedCramer) else 0.0)
 
 
 @pytest.mark.parametrize("theta", [1e-300, 1e-10, 1.0, 1e10, 1e300])
@@ -371,6 +372,32 @@ def test_folded_cramer_cdf_keeps_its_limit_where_theta_x_overflows(theta):
         x = x[(x > 0) & (theta * x < np.inf)]
     want = theta * x / (1.0 + theta * x)
     assert np.array_equal(d.cdf(x), want)
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1e-10, 1.0, 1e10, 1e300])
+def test_folded_cramer_sf_and_pdf_keep_their_tails_where_theta_x_overflows(theta):
+    # theta x overflowed: sf and pdf were 0.0 with "overflow encountered in multiply"
+    d = FoldedCramer(theta)
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.concatenate((np.logspace(-320, 308, 4001), 2.0 ** np.arange(40.0, 70.0) / theta, [1.7e308]))
+        x = x[x > 0]
+        finite = theta * x < np.inf
+        square = (1.0 + theta * x) ** 2
+    # wherever theta x is finite, sf has the bits of 1 / (1 + theta x), and pdf those of
+    # theta / (1 + theta x)^2 wherever that square is finite
+    assert np.array_equal(d.sf(x[finite]), 1.0 / (1.0 + theta * x[finite]))
+    assert np.array_equal(d.pdf(x[square < np.inf]), theta / square[square < np.inf])
+    # past them, sf is (1/theta) / (x + 1/theta) and pdf is theta sf^2, each within an ulp of the truth
+    import mpmath as mp
+
+    with mp.workdps(30):
+        for t in x[~(square < np.inf)][::50]:
+            sf = 1 / (1 + mp.mpf(theta) * mp.mpf(t))
+            assert abs(d.sf(t) - sf) <= 1e-15 * sf + 5e-324
+            assert abs(d.pdf(t) - mp.mpf(theta) * sf**2) <= 1e-15 * mp.mpf(theta) * sf**2 + 5e-324
+    if theta == 1e10:
+        assert d.sf(np.array([1e300]))[0] == d.sf(1e300) == 1e-310
+        assert d.pdf(np.array([1e300]))[0] == d.pdf(1e300) == 0.0
 
 
 def test_quantile_out_of_range():
