@@ -5,9 +5,10 @@ errors, numeric overflow, malformed or non-finite ``--curve`` rows and a
 file that cannot be read or written (or is not UTF-8 text) included, exit 1
 with a one-line diagnostic on stderr; usage errors exit 2, among them a
 non-finite float flag (``--t``, ``--t-min``, ``--t-max``, ``--bound``,
-``--tol`` or ``EXTROPY_TOL``), a ``--t-min``/``--t-max`` range too wide
-for a float and ``check --n`` past ``MAX_N`` for the k-of-n chains.
-``--tol`` and ``EXTROPY_TOL`` hold for one ``run`` only.
+``check --tol`` or ``EXTROPY_TOL``), a ``--t-min``/``--t-max`` range too
+wide for a float, ``check --n`` past ``MAX_N`` for the k-of-n chains and
+``--tol`` on any verb but ``check``.  Only ``check`` reads ``--tol`` and
+``EXTROPY_TOL``, and they hold for one ``run`` only.
 Artifacts are written atomically (temp file + rename), so an error never
 leaves a partial file behind.  All numeric output uses 12 significant
 digits; identical argv produces byte-identical output.  JSON output is
@@ -307,7 +308,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="inequality tolerance override")
     common.add_argument("--output", default=None, help="output path (default stdout)")
 
     parser = argparse.ArgumentParser(
@@ -351,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist2", default=None)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--tol", type=float, default=None, help="inequality tolerance override")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("characterize", parents=[common], help="model identification from curves or ratios")
@@ -383,8 +384,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        tol = os.environ.get("EXTROPY_TOL")
-        if args.tol is None and tol is not None:
+        # only check takes --tol, and only check reads EXTROPY_TOL
+        tol = os.environ.get("EXTROPY_TOL") if args.verb == "check" else None
+        if tol is not None and args.tol is None:
             try:
                 args.tol = float(tol)
             except ValueError:
@@ -394,7 +396,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 flag = "--tol and EXTROPY_TOL" if key == "tol" else "--" + key.replace("_", "-")
                 raise UsageError(f"{flag} must be finite, got {value}")
-        if args.tol is None:
+        if getattr(args, "tol", None) is None:
             text = args.func(args)
         else:
             from . import analysis

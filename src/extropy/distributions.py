@@ -14,7 +14,8 @@ The two rates and the two conditional means are written once, on
 ``Distribution``.  They and the dynamic measures condition on an age by one
 rule, ``_levels``: a degenerate level raises, and an age outside the support
 is clamped to its nearest end, the stretch beyond it added exactly.  A
-family with a closed-form mean writes it once, in ``_closed_mean``.
+family with a closed-form mrl or eit writes it once, in ``_closed_mean``;
+the mean is lo + mrl(lo), so a closed mrl gives a closed mean.
 
 All objects are immutable and all methods are pure, so instances can be
 shared freely across threads.
@@ -41,7 +42,7 @@ from .errors import (
     QuantileOutOfRange,
     SchemaError,
 )
-from .quadrature import integrate, integrate_panels
+from .quadrature import integrate_panels
 
 #: sf/cdf below this is treated as degenerate rather than extrapolated.
 DEGENERATE_EPS = 1e-13
@@ -233,11 +234,9 @@ class Distribution(ABC):
         return _rate(self, False, t)
 
     def mean(self) -> float:
-        if not self.has_finite_mean:
-            raise DivergentMean(f"{self!r} has no finite mean")
+        """lo + mrl(lo): the mean residual life at the support's lower end, where the level is 1."""
         lo = self.support.lower
-        value, _ = integrate(self.sf, lo, self.support.upper, self.breakpoints)
-        return lo + value
+        return lo + self.mean_residual_life(lo)
 
     def mean_residual_life(self, t: float) -> float:
         """E[X - t | X > t]: ``conditional_means`` at one age, side "residual"."""
@@ -445,9 +444,6 @@ class Uniform(Distribution):
         _check_p(p)
         return self.a + p * (self.b - self.a)
 
-    def mean(self) -> float:
-        return 0.5 * (self.a + self.b)
-
     def _closed_mean(self, at: np.ndarray, residual: bool) -> np.ndarray:
         return 0.5 * (self.b - at) if residual else 0.5 * (at - self.a)
 
@@ -479,9 +475,6 @@ class FiniteRange(Distribution):
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return (1.0 - (1.0 - p) ** (1.0 / self.b)) / self.a
-
-    def mean(self) -> float:
-        return 1.0 / (self.a * (self.b + 1.0))
 
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return (1.0 - self.a * at) / (self.a * (self.b + 1.0)) if residual else None
@@ -544,9 +537,6 @@ class Exponential(Distribution):
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return -np.log1p(-p) / self.lam
-
-    def mean(self) -> float:
-        return 1.0 / self.lam
 
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return np.full(at.size, 1.0 / self.lam) if residual else None
@@ -637,9 +627,6 @@ class Pareto(Distribution):
         _check_p(p)
         return self.lam * ((1.0 - p) ** (-1.0 / self.theta) - 1.0)
 
-    def mean(self) -> float:
-        return self.lam / (self.theta - 1.0)
-
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return (self.lam + at) / (self.theta - 1.0) if residual else None
 
@@ -705,9 +692,6 @@ class GPD(Distribution):
         if self._exponential_limit:
             return -self.theta * np.log1p(-p)
         return self.theta * np.expm1(-self.lam / (1.0 + self.lam) * np.log1p(-p)) / self.lam
-
-    def mean(self) -> float:
-        return self.theta
 
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return self.lam * at + self.theta if residual else None
@@ -946,19 +930,21 @@ class Mixture(Distribution):
 # JSON distribution specs
 # ---------------------------------------------------------------------------
 
-_FAMILY_PARAMS: Mapping[str, tuple[str, ...]] = {
-    "uniform": ("a", "b"),
-    "finite-range": ("a", "b"),
-    "weibull": ("lambda", "theta"),
-    "folded-cramer": ("theta",),
-    "pareto": ("lambda", "theta"),
-    "gpd": ("theta", "lambda"),
-    "power": ("b", "c"),
-    "exponential": ("lambda",),
-    "two-exp-max": (),
-    "piecewise-bounded": (),
-    "affine": ("base", "scale", "shift"),
+#: family name -> (class, its params in constructor order); affine's base is a nested spec
+_FAMILIES: Mapping[str, tuple[Callable[..., Distribution], tuple[str, ...]]] = {
+    "uniform": (Uniform, ("a", "b")),
+    "finite-range": (FiniteRange, ("a", "b")),
+    "weibull": (Weibull, ("lambda", "theta")),
+    "folded-cramer": (FoldedCramer, ("theta",)),
+    "pareto": (Pareto, ("lambda", "theta")),
+    "gpd": (GPD, ("theta", "lambda")),
+    "power": (Power, ("b", "c")),
+    "exponential": (Exponential, ("lambda",)),
+    "two-exp-max": (TwoExpMax, ()),
+    "piecewise-bounded": (PiecewiseBounded, ()),
+    "affine": (Affine, ("base", "scale", "shift")),
 }
+_FAMILY_PARAMS: Mapping[str, tuple[str, ...]] = {family: params for family, (_, params) in _FAMILIES.items()}
 
 
 def from_spec(spec: Mapping[str, Any]) -> Distribution:
@@ -996,25 +982,7 @@ def from_spec(spec: Mapping[str, Any]) -> Distribution:
             raise ParamDomainError(f"{family} param {name} must be finite, got {params[name]!r}")
         return value
 
-    if family == "uniform":
-        return Uniform(num("a"), num("b"))
-    if family == "finite-range":
-        return FiniteRange(num("a"), num("b"))
-    if family == "weibull":
-        return Weibull(num("lambda"), num("theta"))
-    if family == "folded-cramer":
-        return FoldedCramer(num("theta"))
-    if family == "pareto":
-        return Pareto(num("lambda"), num("theta"))
-    if family == "gpd":
-        return GPD(num("theta"), num("lambda"))
-    if family == "power":
-        return Power(num("b"), num("c"))
-    if family == "exponential":
-        return Exponential(num("lambda"))
-    if family == "two-exp-max":
-        return TwoExpMax()
-    if family == "piecewise-bounded":
-        return PiecewiseBounded()
-    # affine
-    return Affine(from_spec(params["base"]), num("scale"), num("shift"))
+    if family == "affine":
+        return Affine(from_spec(params["base"]), num("scale"), num("shift"))
+    cls, names = _FAMILIES[family]
+    return cls(*(num(name) for name in names))

@@ -1,8 +1,11 @@
 """Cumulative residual/past extropy, entropy analogues, and dynamic versions.
 
 ``evaluate`` dispatches a :class:`MeasureKind` against a distribution:
-closed forms from the catalog when the (family, kind) pair has one, adaptive
-quadrature otherwise.  The catalog contains only formulas with an exact
+closed forms from the catalog when the (family, side) pair has one, adaptive
+quadrature otherwise.  The catalog writes each closed form once per family
+and side, as a function of the age clamped into the support: a static kind
+is its dynamic kind read at the support's lower (residual) or upper (past)
+end, where the level is 1.  It contains only formulas with an exact
 derivation; everything else is integrated numerically by the batched engine
 ``quadrature.integrate_panels``, split at the distribution's breakpoints.
 
@@ -151,81 +154,51 @@ class MeasureValue:
 # Closed-form catalog
 # ---------------------------------------------------------------------------
 
-_Entry = Callable[[Optional[np.ndarray]], Union[float, np.ndarray]]
+#: a closed form at the ages clamped into the support, a float or an array of them
+_Entry = Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 
-def _cf_crex_min(d: Distribution, n: int) -> Optional[_Entry]:
-    if isinstance(d, Uniform):
-        value = -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
-    elif isinstance(d, FiniteRange):
-        value = -1.0 / (2.0 * d.a * (1.0 + 2.0 * n * d.b))
-    elif isinstance(d, Weibull):
-        value = -math.gamma(1.0 / d.theta) / (2.0 * d.theta * (2.0 * n * d.lam) ** (1.0 / d.theta))
-    elif isinstance(d, Exponential):
-        value = -1.0 / (4.0 * n * d.lam)
-    elif isinstance(d, FoldedCramer):
-        value = -1.0 / (2.0 * (2.0 * n - 1.0) * d.theta)
-    elif isinstance(d, Pareto):
-        value = -d.lam / (2.0 * (2.0 * n * d.theta - 1.0))
-    else:
+def _catalog_entry(d: Distribution, name: str, n: int) -> Optional[_Entry]:
+    """The closed form of (name, n) on d, decided once per lookup, not once per age; None where there is none.
+
+    One entry per (family, side) serves every kind of that side: a plain
+    kind at order n integrates the same (sf or cdf)^{2n} as its
+    extreme-order kind, and a static kind is its dynamic kind read at the
+    support's lower (residual) or upper (past) end, where the level is 1.
+    """
+    if name in ("extropy", "cren", "cpen"):
         return None
-    return lambda t: value
-
-
-def _cf_dcrex_min(d: Distribution, n: int) -> Optional[_Entry]:
+    if name in PAST_KINDS:
+        if isinstance(d, Power):
+            den = 2.0 * (2.0 * n * d.c + 1.0)
+            return lambda t: -t / den
+        if isinstance(d, Uniform):
+            den = 2.0 * (2.0 * n + 1.0)
+            return lambda t: -(t - d.a) / den
+        return None
     if isinstance(d, GPD):
         den = 2.0 * (2.0 * n * (1.0 + d.lam) - d.lam)
         return lambda t: -(d.theta + d.lam * t) / den
     if isinstance(d, Exponential):
         value = -1.0 / (4.0 * n * d.lam)
         return lambda t: value
-    if isinstance(d, FiniteRange):
-        factor = -((1.0 + d.b) / (1.0 + 2.0 * n * d.b))
-        return lambda t: factor * d._closed_mean(t, True) / 2.0
-    if isinstance(d, Pareto) and n == 1:
-        den = 4.0 * d.theta - 2.0
+    if isinstance(d, Pareto):
+        den = 2.0 * (2.0 * n * d.theta - 1.0)
         return lambda t: -(d.lam + t) / den
-    return None
-
-
-def _cf_cpex_max(d: Distribution, n: int) -> Optional[_Entry]:
-    if isinstance(d, Power):
-        value = -d.b / (2.0 * (2.0 * n * d.c + 1.0))
-    elif isinstance(d, Uniform):
-        value = -(d.b - d.a) / (2.0 * (2.0 * n + 1.0))
-    else:
-        return None
-    return lambda t: value
-
-
-def _cf_dcpex_max(d: Distribution, n: int) -> Optional[_Entry]:
-    if isinstance(d, Power):
-        den = 2.0 * (2.0 * n * d.c + 1.0)
-        return lambda t: -t / den
+    if isinstance(d, FoldedCramer):
+        den = 2.0 * (2.0 * n - 1.0) * d.theta
+        return lambda t: -(1.0 + d.theta * t) / den
+    if isinstance(d, FiniteRange):
+        den = 2.0 * d.a * (1.0 + 2.0 * n * d.b)
+        return lambda t: -(1.0 - d.a * t) / den
     if isinstance(d, Uniform):
         den = 2.0 * (2.0 * n + 1.0)
-        return lambda t: -(t - d.a) / den
+        return lambda t: -(d.b - t) / den
+    if isinstance(d, Weibull) and name not in DYNAMIC_KINDS:
+        # the dynamic form needs the upper incomplete gamma function, which math lacks
+        value = -math.gamma(1.0 / d.theta) / (2.0 * d.theta * (2.0 * n * d.lam) ** (1.0 / d.theta))
+        return lambda t: value
     return None
-
-
-#: kind name -> catalog lookup (d, n) -> None or the closed form, decided once
-#: per lookup, not once per age.  A plain kind at order n integrates the same
-#: (sf or cdf)^{2n} as its extreme-order kind, so both look up the same one.
-_CATALOG: dict[str, Callable[[Distribution, int], Optional[_Entry]]] = {
-    "crex": _cf_crex_min,
-    "crex-min": _cf_crex_min,
-    "dcrex": _cf_dcrex_min,
-    "dcrex-min": _cf_dcrex_min,
-    "cpex": _cf_cpex_max,
-    "cpex-max": _cf_cpex_max,
-    "dcpex": _cf_dcpex_max,
-    "dcpex-max": _cf_dcpex_max,
-}
-
-
-def _catalog_entry(d: Distribution, name: str, n: int) -> Optional[_Entry]:
-    lookup = _CATALOG.get(name)
-    return None if lookup is None else lookup(d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +300,8 @@ def _closed_forms(
     """The catalog's closed form of (name, n) on d at every age that is not degenerate, and where it holds.
 
     The entry reads the ages clamped into the support (``at``, from
-    ``_levels``; a static entry ignores them) and adds -beyond/2 for the
-    stretch outside it.
+    ``_levels``, or the support's end for a static kind) and adds -beyond/2
+    for the stretch outside it.
     """
     entry = _catalog_entry(d, name, n)
     if entry is None:
@@ -434,10 +407,11 @@ def evaluate(d: Distribution, kind: MeasureKind, *, force_quadrature: bool = Fal
     """Evaluate one measure; closed form when cataloged, quadrature otherwise."""
     dynamic = kind.name in DYNAMIC_KINDS
     if not force_quadrature and not dynamic:
-        # a static kind's closed form, before any array is built; the arrays give the same
+        # a static kind's closed form, read at the support's end before any array is built; the arrays give the same
         entry = _catalog_entry(d, kind.name, kind.n)
         if entry is not None:
-            return MeasureValue(float(entry(None)), "closed-form", 0.0)
+            end = d.support.lower if kind.name in RESIDUAL_KINDS else d.support.upper
+            return MeasureValue(float(entry(end)), "closed-form", 0.0)
     value, error, closed, _ = _evaluate_group(d, kind.name, kind.n, [kind.t] if dynamic else None, force_quadrature)
     return MeasureValue(value.item(0), "closed-form" if closed[0] else "quadrature", error.item(0))
 

@@ -382,8 +382,17 @@ def _fake_arrays(d, kinds):
         lambda: check_dcpex_bounds(Uniform(0, 10), 1, [9.0]),
         lambda: check_dcpexmax_monotone_t(Uniform(0, 10), 1, [8.0, 9.0]),
         lambda: check_cpexmax_bounds(Uniform(0, 10), ns=(1, 2)),
+        lambda: check_crexmin_mean_bound(Uniform(0, 4), ns=(1,)),
     ],
-    ids=["crexmin-monotone-n", "crexmin-vs-crex", "dcrex-bounds", "dcpex-bounds", "dcpexmax-monotone-t", "cpexmax-bounds"],
+    ids=[
+        "crexmin-monotone-n",
+        "crexmin-vs-crex",
+        "dcrex-bounds",
+        "dcpex-bounds",
+        "dcpexmax-monotone-t",
+        "cpexmax-bounds",
+        "crexmin-mean-bound",
+    ],
 )
 def test_margin_inside_error_bars_holds(check, monkeypatch):
     monkeypatch.setattr(analysis, "evaluate", _fake_value)

@@ -616,6 +616,32 @@ def test_tol_reaches_the_margin_checks(uniform01, capsys, monkeypatch):
     assert analysis.check_dcpexmax_monotone_t(Power(1, 2), 2, [0.3, 0.5, 0.7]).verdict == "Fails"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--measure", "crex"],
+        ["curve", "--measure", "dcrex"],
+        ["characterize", "--model", "gpd"],
+        ["estimate", "--measure", "crex"],
+        ["reproduce", "--figure", "2.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_check_takes_tol(uniform01, tmp_path, argv, capsys, monkeypatch):
+    if argv[0] == "estimate":
+        samples = tmp_path / "samples.txt"
+        samples.write_text("1\n2\n3\n")
+        argv = [*argv, "--samples", str(samples)]
+    elif argv[0] != "reproduce":
+        argv = [*argv, "--dist", uniform01]
+    assert run([*argv, "--tol", "1"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    # nor does any other verb read EXTROPY_TOL: one that is not a number is no usage error there
+    monkeypatch.setenv("EXTROPY_TOL", "abc")
+    assert run(argv) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("override", [["--tol", "-1"], ["--tol=-1", "--json"]])
 def test_tol_holds_for_one_run_only(exp1, override, capsys, monkeypatch):
     from extropy import analysis

@@ -461,6 +461,14 @@ def test_from_spec_roundtrips():
     assert from_spec({"family": "gpd", "params": {"theta": 1.0, "lambda": 1.0}}) == GPD(1, 1)
     assert from_spec({"family": "two-exp-max", "params": {}}) == TwoExpMax()
     assert from_spec({"family": "exponential", "params": {"lambda": 3}}) == Exponential(3)
+    assert from_spec({"family": "finite-range", "params": {"a": 0.5, "b": 3}}) == FiniteRange(0.5, 3)
+    assert from_spec({"family": "weibull", "params": {"lambda": 2, "theta": 0.5}}) == Weibull(2, 0.5)
+    assert from_spec({"family": "folded-cramer", "params": {"theta": 4}}) == FoldedCramer(4)
+    assert from_spec({"family": "power", "params": {"b": 3, "c": 0.5}}) == Power(3, 0.5)
+    assert from_spec({"family": "piecewise-bounded", "params": {}}) == PiecewiseBounded()
+    base = {"family": "weibull", "params": {"lambda": 2, "theta": 0.5}}
+    affine = {"family": "affine", "params": {"base": base, "scale": 2, "shift": 3}}
+    assert from_spec(affine) == Affine(Weibull(2, 0.5), 2, 3)
 
 
 def test_from_spec_affine_nesting():

@@ -115,6 +115,8 @@ _CATALOGED = [
     Exponential(1),
     FoldedCramer(1),
     Pareto(1, 2),
+    GPD(1, 1),
+    GPD(2, -0.5),
 ]
 
 
@@ -135,7 +137,19 @@ def test_cpex_max_closed_form_matches_quadrature(d, n):
     assert q.value == pytest.approx(cf.value, rel=1e-6)
 
 
-@pytest.mark.parametrize("d", [GPD(1, 1), GPD(2, -0.5), Exponential(1), FiniteRange(1, 2)], ids=ids([GPD(1, 1), GPD(2, -0.5), Exponential(1), FiniteRange(1, 2)]))
+_DYNAMIC_CATALOGED = [
+    GPD(1, 1),
+    GPD(2, -0.5),
+    Exponential(1),
+    FiniteRange(1, 2),
+    Pareto(1, 2),
+    FoldedCramer(1),
+    Uniform(0, 1),
+    Uniform(2, 5),
+]
+
+
+@pytest.mark.parametrize("d", _DYNAMIC_CATALOGED, ids=ids(_DYNAMIC_CATALOGED))
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_dcrex_min_closed_form_matches_quadrature(d, n):
     t = d.quantile(0.3)
@@ -146,7 +160,7 @@ def test_dcrex_min_closed_form_matches_quadrature(d, n):
 
 _PLAIN_CATALOGED = {
     "crex": _CATALOGED,
-    "dcrex": [GPD(1, 1), GPD(2, -0.5), Exponential(1), FiniteRange(1, 2), Pareto(1, 2)],
+    "dcrex": [GPD(1, 1), GPD(2, -0.5), Exponential(1), FiniteRange(1, 2), Pareto(1, 2), FoldedCramer(1), Uniform(0, 1)],
     "cpex": [Uniform(0, 1), Uniform(2, 5), Power(1, 2), Power(3, 0.5)],
     "dcpex": [Uniform(0, 1), Uniform(2, 5), Power(1, 2), Power(3, 0.5)],
 }
