@@ -65,7 +65,7 @@ from .errors import (
     UnboundedSupport,
     VanishingDensity,
 )
-from .quadrature import integrate, integrate_panels
+from .quadrature import _START_PIECES, integrate, integrate_panels
 
 RESIDUAL_KINDS = frozenset({"extropy", "cren", "crex", "crex-min", "dcrex", "dcrex-min"})
 PAST_KINDS = frozenset({"cpen", "cpex", "cpex-max", "dcpex", "dcpex-max"})
@@ -221,13 +221,15 @@ def _entropy_density(g: np.ndarray) -> np.ndarray:
 _Block = tuple[Distribution, str, int, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _integrate(blocks: Sequence[_Block]) -> tuple[np.ndarray, np.ndarray]:
+def _integrate(blocks: Sequence[_Block], pieces: int = _START_PIECES) -> tuple[np.ndarray, np.ndarray]:
     """Every integral of every block in one ``integrate_panels`` call: (values, abs_error_estimates).
 
     A block (d, source, p, levels, a, b) holds the integrals over [a_i, b_i]
     of (g/level_i)^p, g = getattr(d, source), or of -(g/level_i) log(g/level_i)
     where p is 0.  The distributions must share breakpoints (an order
-    statistic forwards its parent's); a ValueError otherwise.
+    statistic forwards its parent's); a ValueError otherwise.  ``pieces`` is
+    the engine's start per finite segment: the sweep's short panels start
+    from 1, every other integral from _START_PIECES.
     """
     points = blocks[0][0].breakpoints
     uses: dict[tuple[int, str], int] = {}  # (id of the distribution, source) -> its index in sources
@@ -273,7 +275,7 @@ def _integrate(blocks: Sequence[_Block]) -> tuple[np.ndarray, np.ndarray]:
         fx[order] = h
         return fx
 
-    return integrate_panels(f, a, b, points)
+    return integrate_panels(f, a, b, points, pieces=pieces)
 
 
 class _Arrays(NamedTuple):
@@ -534,8 +536,12 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
 
     The panels of every curve go to one ``_integrate`` call, so the curves
     must share breakpoints, and a curve gets the bits it gets when swept
-    alone.  A grid that is not strictly increasing, or holds a nan, is
-    evaluated curve by curve as ``evaluate`` would, in one batch each.
+    alone.  The engine starts each finite segment of a panel as one qk21
+    piece, not four: the panels are already short, and four pieces would
+    quadruple the first pass's nodes.  The mapped tail [t_m, inf) still
+    starts as four, since one piece there needs more passes.  A grid that
+    is not strictly increasing, or holds a nan, is evaluated curve by
+    curve as ``evaluate`` would, in one batch each.
     """
     ages = list(ages)
     if any(math.isnan(t) for t in ages) or any(b <= a for a, b in zip(ages, ages[1:])):
@@ -569,7 +575,7 @@ def _sweep_arrays(curves: Sequence[tuple[Distribution, str, int]], ages: Sequenc
     if not jobs:
         return out
 
-    values, errors = _integrate(blocks)
+    values, errors = _integrate(blocks, pieces=1)
     start = 0
     for c, swept, levels, beyond, p, residual in jobs:
         stop = start + swept.size

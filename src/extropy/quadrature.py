@@ -4,15 +4,18 @@
 integrals at once with QUADPACK's 21-point Gauss-Kronrod rule (qk21) and
 its error estimate, written in numpy: every integral is cut at the given
 breakpoints (kinks of the integrand), an infinite upper end is mapped to
-(0, 1] as in QUADPACK's QAGI, and each integral is accepted by QUADPACK's
-global rule, its summed error at most max(EPS_ABS, EPS_REL |value|), with a
-relative target of 1e-9 and an absolute floor of 1e-14.  Until then its
-largest-error pieces are bisected in the next batched pass.  An integral's
-result does not depend on what else is in the batch: qk21's row sums are
-``np.einsum("ij,j->i", fx, w)`` on a C-contiguous fx, which sums every row
-with the same loop whatever the number of rows.  Not ``fx @ w``, which hands
-the rows to BLAS, and not einsum on a Fortran-ordered fx, which runs down the
-columns: either can round a row otherwise alone than in a batch.
+(0, 1] as in QUADPACK's QAGI, each finite segment starts as ``pieces``
+equal pieces (4 by default; 1, QUADPACK's QAGS start, for the sweep's
+short panels) and each mapped tail as 4, and each integral is accepted by
+QUADPACK's global rule, its summed error at most max(EPS_ABS, EPS_REL
+|value|), with a relative target of 1e-9 and an absolute floor of 1e-14.
+Until then its largest-error pieces are bisected in the next batched pass.
+An integral's result does not depend on what else is in the batch: qk21's
+row sums are ``np.einsum("ij,j->i", fx, w)`` on a C-contiguous fx, which
+sums every row with the same loop whatever the number of rows.  Not
+``fx @ w``, which hands the rows to BLAS, and not einsum on a
+Fortran-ordered fx, which runs down the columns: either can round a row
+otherwise alone than in a batch.
 
 An integral still open after the passes goes to ``_end_rule``, which closes
 an integrable endpoint singularity or raises.
@@ -45,7 +48,7 @@ _STEADY = 1e-3
 _END_ULPS = 2.0**16
 _TINY = 2.0**-500
 _TAIL_REACH = 2.0**-17
-#: equal pieces every segment of an integral starts from
+#: equal pieces a mapped tail, and by default a finite segment, starts from
 _START_PIECES = 4
 
 # QUADPACK dqk21: Kronrod nodes on [-1, 1] (xgk, the centre last), their
@@ -98,17 +101,35 @@ _EPMACH = float(np.finfo(np.float64).eps)
 _UFLOW = float(np.finfo(np.float64).tiny)
 
 
-#: the start pieces' ends as fractions of their segment
-_START_SPLIT = np.arange(_START_PIECES + 1) / _START_PIECES
+def _equal_pieces(
+    rows: np.ndarray, mapped: float | np.ndarray, lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, count: int
+) -> np.ndarray:
+    """``count`` equal pieces of every segment [lo_j, hi_j], as the columns (row, mapped, lo, hi, origin).
+
+    The pieces are in segment order; piece k starts at lo + (hi - lo)(k/count),
+    and the last one ends at hi.  ``mapped`` broadcasts to (segments, count).
+    """
+    split = lo[:, None] + (hi - lo)[:, None] * (np.arange(count + 1) / count)
+    split[:, -1] = hi
+    pieces = np.empty((5, rows.size, count))
+    pieces[0], pieces[1], pieces[4] = rows[:, None], mapped, origin[:, None]
+    pieces[2], pieces[3] = split[:, :-1], split[:, 1:]
+    return pieces.reshape(5, -1)
 
 
-def _start_pieces(a: np.ndarray, b: np.ndarray, points: Sequence[float]) -> np.ndarray:
+def _start_pieces(
+    a: np.ndarray, b: np.ndarray, points: Sequence[float], pieces: int = _START_PIECES
+) -> np.ndarray:
     """The first pieces of every integral with b_i > a_i, as the columns (row, mapped, lo, hi, origin).
 
-    Each integral is cut at the points inside it, and each segment into
-    _START_PIECES equal pieces.  The segment [c, inf)
-    of an infinite upper end is mapped to u in (0, 1] by x = c + (1 - u)/u:
-    its pieces are intervals of u (mapped = 1), with origin c.
+    Each integral is cut at the points inside it, and each finite segment
+    into ``pieces`` equal pieces.  The segment [c, inf) of an infinite upper
+    end is mapped to u in (0, 1] by x = c + (1 - u)/u: it starts as
+    _START_PIECES equal intervals of u (mapped = 1), with origin c.  The
+    pieces are in segment order, except that where the two counts differ
+    the tails' pieces follow all the finite ones.  A tail is the last
+    segment of its integral, so either way each integral's pieces run left
+    to right, and its start depends only on its own segments and ``pieces``.
     """
     cuts = sorted({float(p) for p in points if math.isfinite(p)})
     lo, hi = a[:, None], b[:, None]
@@ -121,12 +142,16 @@ def _start_pieces(a: np.ndarray, b: np.ndarray, points: Sequence[float]) -> np.n
     origin = seg_lo
     if np.count_nonzero(mapped):
         seg_lo, seg_hi = np.where(mapped, 0.0, seg_lo), np.where(mapped, 1.0, seg_hi)
-    split = seg_lo[:, None] + (seg_hi - seg_lo)[:, None] * _START_SPLIT
-    split[:, -1] = seg_hi
-    pieces = np.empty((5, rows.size, _START_PIECES))
-    pieces[0], pieces[1], pieces[4] = rows[:, None], mapped[:, None], origin[:, None]
-    pieces[2], pieces[3] = split[:, :-1], split[:, 1:]
-    return pieces.reshape(5, -1)
+        if pieces != _START_PIECES:
+            finite = ~mapped
+            return np.concatenate(
+                (
+                    _equal_pieces(rows[finite], 0.0, seg_lo[finite], seg_hi[finite], origin[finite], pieces),
+                    _equal_pieces(rows[mapped], 1.0, seg_lo[mapped], seg_hi[mapped], origin[mapped], _START_PIECES),
+                ),
+                axis=1,
+            )
+    return _equal_pieces(rows, mapped[:, None], seg_lo, seg_hi, origin, pieces)
 
 
 def _qk21(f: Callable[[np.ndarray, np.ndarray], np.ndarray], pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,13 +201,18 @@ def integrate_panels(
     a: Sequence[float],
     b: Sequence[float],
     points: Sequence[float] = (),
+    *,
+    pieces: int = _START_PIECES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate f over m intervals [a_i, b_i] at once; returns per-interval (values, abs_error_estimates).
 
     ``f(x, rows)`` evaluates the integrand elementwise on a node array ``x``
     whose row j lies in integral ``rows[j]``.  Each integral is cut at the
-    ``points`` inside it, and each segment starts as _START_PIECES equal
-    pieces; an infinite b_i is mapped as in QUADPACK's QAGI.  Every piece
+    ``points`` inside it, and each finite segment starts as ``pieces`` equal
+    pieces; an infinite b_i is mapped as in QUADPACK's QAGI, and its tail
+    starts as _START_PIECES pieces.  A caller whose segments are short (the
+    panels of ``measures._sweep_arrays``) passes pieces=1; a long segment
+    with a singular end resolves in fewer passes from 4.  Every piece
     goes through the qk21 rule in one batched pass.  An integral is accepted
     once the summed error of its pieces is at most max(EPS_ABS, EPS_REL
     |value|); until then each of its pieces whose error exceeds half that
@@ -194,14 +224,15 @@ def integrate_panels(
 
     Batch invariance: an integral's result does not depend on the other
     integrals, because f is elementwise, row sums are taken row by row (see
-    ``_qk21``), each integral's pieces are summed in an order that its own
-    bisections fix, and those bisections, like the end rule, depend on its
-    own pieces only.
+    ``_qk21``), its start depends on its own segments and ``pieces`` only,
+    each integral's pieces are summed in an order that its own bisections
+    fix, and those bisections, like the end rule, depend on its own pieces
+    only.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m = a.size
-    pieces = _start_pieces(a, b, points)
+    pieces = _start_pieces(a, b, points, pieces)
     v, e = _qk21(f, pieces)
     total, total_err = np.zeros(m), np.zeros(m)
     refining = np.ones(m, dtype=bool)

@@ -8,9 +8,11 @@ result does not depend on the other integrals in its batch.  So:
   estimate, or raise there what ``evaluate`` raises;
 - against a 20-digit mpmath integral of the same measure,
   |value - reference| <= abs_error_estimate + 1e-12, for the 17 bundle
-  families and their min of 3, max of 3 and 2-of-4 orders, infinite upper
-  ends (QAGI map) and singular endpoints included, and for integrals that
-  the batched passes leave open and the engine's end rule extrapolates;
+  families and their min of 3, max of 3 and 2-of-4 orders, an affine map
+  and a mixture, infinite upper ends (QAGI map) and singular endpoints
+  included, in a batch and in the panel sweep of ``evaluate_grid``, and for
+  integrals that the batched passes leave open and the engine's end rule
+  extrapolates;
 - an integral that diverges at an end raises ``DivergentIntegral``, alone
   and in a batch.
 """
@@ -25,9 +27,11 @@ from extropy import measures, quadrature
 from extropy.cli import reproduce_figure
 from extropy.distributions import (
     GPD,
+    Affine,
     Exponential,
     FiniteRange,
     FoldedCramer,
+    Mixture,
     Pareto,
     PiecewiseBounded,
     Power,
@@ -52,6 +56,7 @@ from extropy.measures import (
     dcrex,
     dcrex_min,
     evaluate,
+    evaluate_grid,
     extropy,
 )
 from extropy.orderstats import kth_order, max_order, min_order
@@ -226,7 +231,13 @@ def test_curve_and_figures_equal_evaluate_bit_for_bit():
 
 
 def _mp_sf(d):
-    """The family's sf in mpmath arithmetic (x >= 0)."""
+    """The family's sf in mpmath arithmetic (x >= 0), or of an affine map or a mixture of them."""
+    if isinstance(d, Affine):
+        base = _mp_sf(d.base)
+        return lambda x: base((x - d.shift) / mp.mpf(d.scale))
+    if isinstance(d, Mixture):
+        parts = [(w, _mp_sf(c)) for w, c in d.components]
+        return lambda x: sum(w * sf(x) for w, sf in parts)
     if isinstance(d, Uniform):
         return lambda x: mp.mpf(1) if x <= d.a else (mp.mpf(0) if x >= d.b else (d.b - x) / mp.mpf(d.b - d.a))
     if isinstance(d, FiniteRange):
@@ -281,16 +292,31 @@ def _reference(d, order, kind):
     return float(-mp.quad(lambda x: (g(x) / level) ** (2 * kind.n), [a, *inner, b]) / 2)
 
 
-@pytest.mark.parametrize("d,order", CASES, ids=CASE_IDS)
+#: the bundle's cases, an affine map with a kink and a mixture with a kink and a tail
+ORACLE_CASES = CASES + [
+    (Affine(PiecewiseBounded(), 2.0, 1.0), "2of4"),
+    (Mixture([(0.4, Exponential(2)), (0.6, Uniform(0, 1))]), "min3"),
+]
+
+
+@pytest.mark.parametrize("d,order", ORACLE_CASES, ids=[f"{d!r}-{order}" for d, order in ORACLE_CASES])
 def test_error_bars_hold_against_mpmath(d, order):
     od = ORDERS[order](d)
     kinds = [crex_min(1), dcrex(d.quantile(0.5))]
+    sides = [dcrex]
     if d.support.bounded:
         kinds += [cpex_max(1), dcpex(d.quantile(0.5))]
+        sides.append(dcpex)
+    ages = [d.quantile(0.25), d.quantile(0.75)]
     with mp.workdps(20):
         for kind, mv in zip(kinds, _batch(od, kinds, force_quadrature=True)):
             ref = _reference(d, order, kind)
             assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (kind, mv, ref)
+        # the panel sweep: closed forms where the catalog has them, short panels otherwise
+        for make in sides:
+            for t, mv in zip(ages, evaluate_grid(od, make, ages)):
+                ref = _reference(d, order, make(t))
+                assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (make(t), mv, ref)
 
 
 def _spy_end_rule(monkeypatch):

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from extropy import analysis
+from extropy import analysis, measures, quadrature
 from extropy.analysis import (
     check_cpexmax_bounds,
     check_crexmin_mean_bound,
@@ -224,6 +224,49 @@ def test_sweep_levels_mark_degenerate_ages():
 def test_sweep_curves_must_share_breakpoints():
     with pytest.raises(ValueError):
         _sweep_arrays([(PiecewiseBounded(), "dcrex", 1), (Weibull(1, 2), "dcrex", 1)], [0.5, 1.5])
+
+
+def _first_pass_pieces(monkeypatch, run):
+    """The pieces of the engine's first qk21 pass in run(): (row, mapped, lo, hi) of each."""
+    passes = []
+    qk21 = quadrature._qk21
+
+    def spy(f, pieces):
+        passes.append(pieces[:4].T.tolist())
+        return qk21(f, pieces)
+
+    monkeypatch.setattr(quadrature, "_qk21", spy)
+    run()
+    monkeypatch.undo()
+    return passes[0]
+
+
+#: the four equal pieces of u in (0, 1] that a mapped tail in row 2 starts from
+_TAIL = [[2.0, 1.0, k / 4, (k + 1) / 4] for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "d,kind,ages,swept,segments",
+    [
+        # no closed form for an order statistic: [0.5, 1], [1, 2] and the tail from 2
+        (kth_order(Exponential(1), 2, 3), dcrex, [0.5, 1.0, 2.0], [[0, 0, 0.5, 1], [1, 0, 1, 2], *_TAIL], [1, 1, 1]),
+        # from the lower end 0, the middle panel cut at the kink x = 1
+        (
+            kth_order(PiecewiseBounded(), 2, 3),
+            dcpex,
+            [0.5, 1.5, 1.8],
+            [[0, 0, 0, 0.5], [1, 0, 0.5, 1], [1, 0, 1, 1.5], [2, 0, 1.5, 1.8]],
+            [1, 2, 2],
+        ),
+    ],
+    ids=["tail", "kink"],
+)
+def test_sweep_starts_each_finite_panel_from_one_piece(d, kind, ages, swept, segments, monkeypatch):
+    # the sweep: one piece per finite segment, four per mapped tail
+    assert _first_pass_pieces(monkeypatch, lambda: evaluate_grid(d, kind, ages)) == swept
+    # evaluate's batch of the same ages, one integral per age, still starts every segment from four pieces
+    batch = _first_pass_pieces(monkeypatch, lambda: measures._batch_arrays(d, [kind(t) for t in ages]))
+    assert [piece[0] for piece in batch] == [row for row, count in enumerate(segments) for _ in range(4 * count)]
 
 
 def _pointwise_sweep(curves, ages):
