@@ -4,7 +4,9 @@ Every family exposes the same small surface: ``cdf``, ``sf``, ``pdf``,
 ``quantile``, ``hazard_rate``, ``reversed_hazard``, ``mean``,
 ``mean_residual_life`` and ``expected_inactivity_time``.  Closed forms are
 used wherever the family admits one; the base class falls back to adaptive
-quadrature and a bracketed Newton inverse.  ``cdf``, ``sf``, ``pdf`` and
+quadrature and a bracketed Newton inverse.  A family with a closed quantile
+also writes its inverse sf, ``_isf``, which keeps the digits of a tail
+level that 1 - p would round away.  ``cdf``, ``sf``, ``pdf`` and
 ``quantile`` take a float or a 1-D float64 array, and each formula is
 written once, in numpy, over arrays.  A float goes in as a one-element
 array and comes back as a Python float (``_elementwise``), so a float and
@@ -222,8 +224,25 @@ class Distribution(ABC):
         if head.any():
             x[head] = _invert(self, lambda y, t: self.cdf(y) - t, p[head])
         if not head.all():
-            x[~head] = _invert(self, lambda y, t: t - self.sf(y), 1.0 - p[~head])
+            x[~head] = self._isf(1.0 - p[~head])
         return x
+
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        """The x where sf(x) = q, for an array of q in (0, 1): the sf side of ``_invert``.
+
+        A family with a closed quantile writes its own in one line, which
+        keeps the digits of a small q that 1 - q would round away.
+        """
+        return _invert(self, lambda y, t: t - self.sf(y), q)
+
+    def _extreme_of(self, residual: bool) -> Optional[tuple["Distribution", int]]:
+        """(parent, m) where this is an order statistic whose sf (residual) or cdf is the parent's to the m-th power.
+
+        None by default; ``MinOrder`` answers on the residual side and
+        ``MaxOrder`` on the past side, so that ``measures`` reads a parent's
+        closed form without importing ``orderstats``.
+        """
+        return None
 
     def hazard_rate(self, t: float) -> float:
         """pdf(t) / sf(t); ``DegenerateTail`` where sf(t) is degenerate, as ``dcrex(t)`` raises."""
@@ -444,6 +463,9 @@ class Uniform(Distribution):
         _check_p(p)
         return self.a + p * (self.b - self.a)
 
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return self.b - q * (self.b - self.a)
+
     def _closed_mean(self, at: np.ndarray, residual: bool) -> np.ndarray:
         return 0.5 * (self.b - at) if residual else 0.5 * (at - self.a)
 
@@ -475,6 +497,9 @@ class FiniteRange(Distribution):
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return (1.0 - (1.0 - p) ** (1.0 / self.b)) / self.a
+
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return (1.0 - q ** (1.0 / self.b)) / self.a
 
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return (1.0 - self.a * at) / (self.a * (self.b + 1.0)) if residual else None
@@ -508,6 +533,9 @@ class Weibull(Distribution):
         _check_p(p)
         return (-np.log1p(-p) / self.lam) ** (1.0 / self.theta)
 
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return (-np.log(q) / self.lam) ** (1.0 / self.theta)
+
     def mean(self) -> float:
         return math.gamma(1.0 + 1.0 / self.theta) / self.lam ** (1.0 / self.theta)
 
@@ -537,6 +565,9 @@ class Exponential(Distribution):
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return -np.log1p(-p) / self.lam
+
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return -np.log(q) / self.lam
 
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return np.full(at.size, 1.0 / self.lam) if residual else None
@@ -596,6 +627,9 @@ class FoldedCramer(Distribution):
         _check_p(p)
         return p / (self.theta * (1.0 - p))
 
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return (1.0 - q) / (self.theta * q)
+
 
 @dataclass(frozen=True)
 class Pareto(Distribution):
@@ -626,6 +660,9 @@ class Pareto(Distribution):
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return self.lam * ((1.0 - p) ** (-1.0 / self.theta) - 1.0)
+
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return self.lam * np.expm1(-np.log(q) / self.theta)
 
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return (self.lam + at) / (self.theta - 1.0) if residual else None
@@ -693,6 +730,11 @@ class GPD(Distribution):
             return -self.theta * np.log1p(-p)
         return self.theta * np.expm1(-self.lam / (1.0 + self.lam) * np.log1p(-p)) / self.lam
 
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        if self._exponential_limit:
+            return -self.theta * np.log(q)
+        return self.theta * np.expm1(-self.lam / (1.0 + self.lam) * np.log(q)) / self.lam
+
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return self.lam * at + self.theta if residual else None
 
@@ -721,6 +763,9 @@ class Power(Distribution):
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
         return self.b * p ** (1.0 / self.c)
+
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return self.b * np.exp(np.log1p(-q) / self.c)
 
     def mean(self) -> float:
         return self.b * self.c / (self.c + 1.0)
@@ -803,6 +848,11 @@ class PiecewiseBounded(Distribution):
         _check_p(p)
         return _split(p, _PB_BREAK, lambda q: 1.0 / (-np.log(q) - 0.5), lambda q: np.sqrt(4.0 + 2.0 * np.log(q)))
 
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        # the cdf 1 - q is above the junction's exp(-1.5) wherever q < 1 - exp(-1.5)
+        tail, head = lambda r: np.sqrt(4.0 + 2.0 * np.log1p(-r)), lambda r: 1.0 / (-np.log1p(-r) - 0.5)
+        return _split(q, 1.0 - _PB_BREAK, tail, head)
+
     def __repr__(self) -> str:
         return "PiecewiseBounded()"
 
@@ -852,6 +902,9 @@ class Affine(Distribution):
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         return self.scale * self.base.quantile(p) + self.shift
+
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return self.scale * self.base._isf(q) + self.shift
 
     def mean(self) -> float:
         return self.scale * self.base.mean() + self.shift

@@ -5,7 +5,11 @@ closed forms from the catalog when the (family, side) pair has one, adaptive
 quadrature otherwise.  The catalog writes each closed form once per family
 and side, as a function of the age clamped into the support: a static kind
 is its dynamic kind read at the support's lower (residual) or upper (past)
-end, where the level is 1.  It contains only formulas with an exact
+end, where the level is 1.  Three bounded power-law ends (Power's residual
+side, the past sides of FiniteRange and of a bounded GPD) have static forms
+only, a complete beta function written as a finite product.  The minimum of
+m reads its parent's residual entry, and the maximum of m its parent's past
+entry, at order n m.  The catalog contains only formulas with an exact
 derivation; everything else is integrated numerically by the batched engine
 ``quadrature.integrate_panels``, split at the distribution's breakpoints.
 
@@ -165,16 +169,35 @@ def _catalog_entry(d: Distribution, name: str, n: int) -> Optional[_Entry]:
     kind at order n integrates the same (sf or cdf)^{2n} as its
     extreme-order kind, and a static kind is its dynamic kind read at the
     support's lower (residual) or upper (past) end, where the level is 1.
+    An extreme order reads its parent's entry: the sf of a minimum of m is
+    the parent's sf^m and the cdf of a maximum of m the parent's cdf^m, so
+    a residual kind of the minimum (a past kind of the maximum) at order n
+    is the parent's at order n m (``Distribution._extreme_of``), at every
+    age and recursively.  Three bounded power-law ends have a closed form
+    for their static kinds only (``_power_law_end``): Power's residual
+    side, and the past sides of FiniteRange and of a GPD with a bounded
+    support.
     """
     if name in ("extropy", "cren", "cpen"):
         return None
-    if name in PAST_KINDS:
+    residual = name in RESIDUAL_KINDS
+    extreme = d._extreme_of(residual)
+    if extreme is not None:
+        parent, m = extreme
+        return _catalog_entry(parent, name, n * m)
+    static = name not in DYNAMIC_KINDS
+    if not residual:
         if isinstance(d, Power):
             den = 2.0 * (2.0 * n * d.c + 1.0)
             return lambda t: -t / den
         if isinstance(d, Uniform):
             den = 2.0 * (2.0 * n + 1.0)
             return lambda t: -(t - d.a) / den
+        if isinstance(d, FiniteRange) and static:
+            return _power_law_end(1.0 / d.a, d.b, n)
+        if isinstance(d, GPD) and d.support.bounded and static:
+            # sf = (1 - |lam| x / theta)^beta: FiniteRange(|lam| / theta, beta) with beta = (1 + lam) / |lam|
+            return _power_law_end(d.support.upper, (1.0 + d.lam) / -d.lam, n)
         return None
     if isinstance(d, GPD):
         den = 2.0 * (2.0 * n * (1.0 + d.lam) - d.lam)
@@ -194,11 +217,34 @@ def _catalog_entry(d: Distribution, name: str, n: int) -> Optional[_Entry]:
     if isinstance(d, Uniform):
         den = 2.0 * (2.0 * n + 1.0)
         return lambda t: -(d.b - t) / den
-    if isinstance(d, Weibull) and name not in DYNAMIC_KINDS:
+    if isinstance(d, Weibull) and static:
         # the dynamic form needs the upper incomplete gamma function, which math lacks
         value = -math.gamma(1.0 / d.theta) / (2.0 * d.theta * (2.0 * n * d.lam) ** (1.0 / d.theta))
         return lambda t: value
+    if isinstance(d, Power) and static:
+        return _power_law_end(d.b, d.c, n)
     return None
+
+
+#: the most factors ``_power_law_end`` multiplies (13 ms of Python on a 2-core Xeon); a larger order is quadrature
+_MAX_FACTORS = 2**17
+
+
+def _power_law_end(width: float, kappa: float, n: int) -> Optional[_Entry]:
+    """The static entry -1/2 int_0^width (1 - (s/width)^kappa)^{2n} ds, s the distance from the end at level 1.
+
+    Its dynamic kinds need the incomplete beta function, which math lacks.
+    The substitution v = (s/width)^kappa makes the integral (width/kappa)
+    B(1/kappa, 2n + 1), a complete beta function whose second argument is an
+    integer: the finite product width prod_{j=1}^{2n} j kappa / (1 + j kappa)
+    (DLMF 5.12.1).  Each factor is written kappa / (1/j + kappa), which no
+    kappa overflows; the product is within 4 (2n + 1) eps of the exact value.
+    None above ``_MAX_FACTORS`` factors, where the loop would take seconds.
+    """
+    if 2 * n > _MAX_FACTORS:
+        return None
+    value = -0.5 * width * math.prod(kappa / (1.0 / j + kappa) for j in range(1, 2 * n + 1))
+    return lambda t: value
 
 
 # ---------------------------------------------------------------------------

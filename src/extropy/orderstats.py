@@ -14,6 +14,12 @@ parent's cdf and sf values; ``sf`` and ``cdf`` run it on the parent's calls
 at x, and a sweep over several orders of one parent runs it on values it
 shares between them (``distributions._shared_values``).  ``KthOrder`` has no
 closed-form quantile and takes the base class's bracketed Newton inverse.
+Above p = 1/2 the maximum's quantile reads its parent's inverse sf
+(``Distribution._isf``) at 1 - p^(1/n), since p^(1/n) loses its digits as it
+nears 1.
+The extremes also tell ``measures`` which side of theirs is a power of the
+parent's level (``Distribution._extreme_of``), so that a measure there reads
+the parent's closed form.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from .distributions import Distribution, Support, Values, _at, _check_p, _piecewise
+from .distributions import Distribution, Support, Values, _at, _check_p, _piecewise, _split
 from .errors import InvalidOrder
 
 #: largest sample size of an order statistic
@@ -102,6 +109,12 @@ class MinOrder(_Order):
         # 1 - (1 - p)^(1/n) without the cancellation that loses a small p
         return self.parent.quantile(-np.expm1(np.log1p(-p) / self.n))
 
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        return self.parent._isf(q ** (1.0 / self.n))
+
+    def _extreme_of(self, residual: bool) -> Optional[tuple[Distribution, int]]:
+        return (self.parent, self.n) if residual else None
+
 
 @dataclass(frozen=True)
 class MaxOrder(_Order):
@@ -127,8 +140,22 @@ class MaxOrder(_Order):
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         _check_p(p)
-        # the C library's pow: numpy's power may round the last bit otherwise, which the parent amplifies
-        return self.parent.quantile(np.float_power(p, 1.0 / self.n))
+        # up to 1/2 the parent's quantile at p^(1/n) by the C library's pow: numpy's power may round the last
+        # bit otherwise, which the parent amplifies; above 1/2 the parent's inverse sf at 1 - p^(1/n), which
+        # keeps the digits that p^(1/n) loses as it nears 1
+        return _split(
+            p,
+            0.5,
+            lambda h: self.parent.quantile(np.float_power(h, 1.0 / self.n)),
+            lambda t: self.parent._isf(-np.expm1(np.log(t) / self.n)),
+        )
+
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        # the parent's sf is 1 - (1 - q)^(1/n)
+        return self.parent._isf(-np.expm1(np.log1p(-q) / self.n))
+
+    def _extreme_of(self, residual: bool) -> Optional[tuple[Distribution, int]]:
+        return None if residual else (self.parent, self.n)
 
 
 @dataclass(frozen=True)

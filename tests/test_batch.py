@@ -334,15 +334,16 @@ def _spy_end_rule(monkeypatch):
 
 def test_end_rule_integrals_hold_their_error_bars(monkeypatch):
     # two batched passes cannot resolve sqrt-type endpoint singularities, so
-    # every one of these goes to the end rule
+    # every one of these goes to the end rule; forced, since the first two
+    # cases have closed forms (Power's residual side, and the parent's at order 3n)
     rows = _spy_end_rule(monkeypatch)
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     cases = [(Power(3, 0.5), "plain"), (Weibull(2, 0.5), "min3"), (Power(3, 0.5), "2of4")]
     with mp.workdps(20):
         for d, order in cases:
             od, kinds = ORDERS[order](d), [crex_min(1), crex_min(2)]
-            for kind, mv in zip(kinds, _batch(od, kinds)):
-                assert _same(mv, evaluate(od, kind))
+            for kind, mv in zip(kinds, _batch(od, kinds, force_quadrature=True)):
+                assert _same(mv, evaluate(od, kind, force_quadrature=True))
                 ref = _reference(d, order, kind)
                 assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (d, order, kind, mv, ref)
     # each batch of two and each kind alone
@@ -386,12 +387,13 @@ EXTRAPOLATED = [
 
 @pytest.mark.parametrize("d,kind,ref", EXTRAPOLATED, ids=[repr(case[0]) for case in EXTRAPOLATED])
 def test_extrapolated_integrals_hold_their_error_bars(d, kind, ref, monkeypatch):
+    # forced: the min of 3 of a Weibull reads its parent's closed form at order 3n
     rows = _spy_end_rule(monkeypatch)
-    mv = evaluate(d, kind)
+    mv = evaluate(d, kind, force_quadrature=True)
     assert rows == [0]
     assert abs(mv.value - ref) <= mv.abs_error_estimate + SLACK, (mv, ref)
     # the end rule reads the integral's own pieces only: the same bits in a batch
-    assert _same(_batch(d, [crex_min(1), kind, crex_min(2)])[1], mv)
+    assert _same(_batch(d, [crex_min(1), kind, crex_min(2)], force_quadrature=True)[1], mv)
 
 
 #: (distribution, kind): integrals that diverge at an end

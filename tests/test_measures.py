@@ -1,6 +1,7 @@
 """Measure evaluation: closed forms, quadrature agreement, curves, identities."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -46,6 +47,7 @@ from extropy.measures import (
     extropy,
     sign_changes,
 )
+from extropy.orderstats import max_order, min_order
 
 from conftest import ALL_FAMILIES, BOUNDED, ids
 
@@ -177,6 +179,140 @@ def test_plain_kind_closed_form_honours_n(name, d, n):
     cf = evaluate(d, kind)
     q = evaluate(d, kind, force_quadrature=True)
     assert q.value == pytest.approx(cf.value, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Bounded power-law ends: static closed forms as finite products
+# ---------------------------------------------------------------------------
+
+
+def _power_law_case(family, kappa, scale):
+    """A distribution whose level on one side is 1 - (s/width)^kappa, and its static kind there."""
+    if family == "power":
+        return Power(scale, kappa), "crex-min"
+    if family == "finite-range":
+        return FiniteRange(scale, kappa), "cpex-max"
+    return GPD(scale, -1.0 / (1.0 + kappa)), "cpex-max"  # sf (1 - |lam| x / theta)^kappa
+
+
+def _power_law_reference(d, n):
+    """-(width / 2kappa) B(1/kappa, 2n + 1) at the float parameters of d, in 30 digits."""
+    with mp.workdps(30):
+        if isinstance(d, Power):
+            width, kappa = mp.mpf(d.b), mp.mpf(d.c)
+        elif isinstance(d, FiniteRange):
+            width, kappa = 1 / mp.mpf(d.a), mp.mpf(d.b)
+        else:
+            width, kappa = mp.mpf(d.theta) / -mp.mpf(d.lam), (1 + mp.mpf(d.lam)) / -mp.mpf(d.lam)
+        return -width / 2 * mp.beta(1 / kappa, 2 * n + 1) / kappa
+
+
+def _power_law_grid():
+    """A seeded grid: kappa log-uniform on [0.05, 20], n in 1..10, eight cells per (family, side)."""
+    rng = random.Random(26)
+    cells = []
+    for family in ("power", "finite-range", "gpd"):
+        for _ in range(8):
+            kappa = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            d, name = _power_law_case(family, kappa, rng.uniform(0.5, 3.0))
+            cells.append((d, MeasureKind(name, rng.randint(1, 10))))
+    return cells
+
+
+POWER_LAW_GRID = _power_law_grid()
+
+
+@pytest.mark.parametrize("d,kind", POWER_LAW_GRID, ids=[f"{d!r}-{k.name}({k.n})" for d, k in POWER_LAW_GRID])
+def test_power_law_end_is_its_beta_function(d, kind):
+    mv = evaluate(d, kind)
+    assert mv.method == "closed-form" and mv.abs_error_estimate == 0.0
+    ref = _power_law_reference(d, kind.n)
+    # the product's rounding bound: 4 (2n + 1) eps relative
+    assert abs(mv.value - ref) <= 4 * (2 * kind.n + 1) * 2.0**-52 * abs(ref), (mv, ref)
+    plain = MeasureKind("crex" if kind.name == "crex-min" else "cpex", kind.n)
+    assert evaluate(d, plain).value == mv.value
+    try:
+        q = evaluate(d, kind, force_quadrature=True)
+    except ExtropyError as exc:  # quadrature leaves some ends with slowly fading corrections unresolved
+        assert "not resolved" in str(exc)
+        return
+    assert q.method == "quadrature"
+    assert abs(q.value - mv.value) <= q.abs_error_estimate + 1e-12, (mv, q)
+
+
+def test_bounded_gpd_past_end_is_closed_where_quadrature_is_not_resolved():
+    d, kind = GPD(1, -0.9), cpex_max(3)
+    mv = evaluate(d, kind)
+    assert mv.method == "closed-form"
+    ref = _power_law_reference(d, 3)
+    assert abs(mv.value - ref) <= 28 * 2.0**-52 * abs(ref)
+
+
+def test_power_law_end_leaves_a_huge_order_to_quadrature():
+    # 2n factors of Python arithmetic: past 2**17 of them the product would take seconds
+    assert evaluate(Power(2, 0.5), crex_min(2**16)).method == "closed-form"
+    assert evaluate(min_order(Power(2, 0.5), 3), crex_min(2**16)).method == "quadrature"
+
+
+@pytest.mark.parametrize(
+    "d,name", [(Power(3, 0.5), "dcrex-min"), (FiniteRange(1, 2), "dcpex-max"), (GPD(2, -0.5), "dcpex-max")]
+)
+def test_power_law_end_dynamic_kinds_stay_quadrature(d, name):
+    # the dynamic forms need the incomplete beta function
+    assert evaluate(d, MeasureKind(name, 2, d.quantile(0.5))).method == "quadrature"
+
+
+# ---------------------------------------------------------------------------
+# Extreme orders read their parent's entry at order n m
+# ---------------------------------------------------------------------------
+
+
+def test_minimum_of_weibull_reads_its_parents_closed_form():
+    # S^{2n} = exp(-96 x^0.17) puts 99% of its mass below x = 1e-5, which the engine's mapped tail misses
+    d = min_order(Weibull(8, 0.17), 3)
+    mv = evaluate(d, crex_min(2))
+    assert mv.method == "closed-form"
+    with mp.workdps(30):
+        ref = -mp.gamma(1 + 1 / mp.mpf(0.17)) / (2 * (2 * 2 * 3 * mp.mpf(8)) ** (1 / mp.mpf(0.17)))
+    assert abs(mv.value - ref) <= 1e-14 * abs(ref)
+    assert f"{mv.value:.12}" == "-6.31917981923e-10"
+
+
+def test_maximum_of_finite_range_reads_its_parents_closed_form():
+    # quadrature leaves this integrable end at x = 0.687 unresolved
+    d = max_order(FiniteRange(1.455, 0.186), 3)
+    mv = evaluate(d, cpex_max(2))
+    assert mv.method == "closed-form"
+    ref = _power_law_reference(FiniteRange(1.455, 0.186), 6)
+    assert abs(mv.value - ref) <= 4 * 13 * 2.0**-52 * abs(ref)
+    assert f"{mv.value:.13}" == "-3.624843129226e-05"
+
+
+def _extreme_kinds(d, residual):
+    """The static and dynamic kinds of the side an extreme order of d reduces, at n = 1, 2 and three ages."""
+    ages = [d.quantile(p) for p in (0.1, 0.5, 0.9)]
+    if residual:
+        return [crex_min(1), crex_min(2), crex(), *(dcrex_min(2, t) for t in ages), *(dcrex(t) for t in ages)]
+    return [cpex_max(1), cpex_max(2), cpex(), *(dcpex_max(2, t) for t in ages), *(dcpex(t) for t in ages)]
+
+
+EXTREME_CASES = [(d, "min3") for d in ALL_FAMILIES] + [(d, "max3") for d in BOUNDED]
+
+
+@pytest.mark.parametrize("d,order", EXTREME_CASES, ids=[f"{d!r}-{order}" for d, order in EXTREME_CASES])
+def test_extreme_order_reads_its_parent_within_the_quadrature_error(d, order):
+    residual = order == "min3"
+    od = (min_order if residual else max_order)(d, 3)
+    for kind in _extreme_kinds(d, residual):
+        mv = evaluate(od, kind)
+        parent = evaluate(d, MeasureKind(kind.name, 3 * kind.n, kind.t))
+        if parent.method == "quadrature":
+            assert mv.method == "quadrature", kind
+            continue
+        # the parent's entry at the same ages: its bits
+        assert mv.method == "closed-form" and mv.value == parent.value, (kind, mv, parent)
+        q = evaluate(od, kind, force_quadrature=True)
+        assert abs(q.value - mv.value) <= q.abs_error_estimate + 1e-12, (kind, mv, q)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,24 @@
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from extropy.distributions import Exponential, FiniteRange, Power, Uniform
+from extropy.distributions import (
+    GPD,
+    Affine,
+    Exponential,
+    FiniteRange,
+    FoldedCramer,
+    Pareto,
+    PiecewiseBounded,
+    Power,
+    TwoExpMax,
+    Uniform,
+    Weibull,
+)
 from extropy.errors import InvalidOrder
 from extropy.orderstats import (
     KthOrder,
@@ -141,3 +155,66 @@ def test_extreme_order_complements_relative_accuracy(n):
             min_cdf, max_sf = 1 - S**n, 1 - F**n
             assert abs(lo.cdf(x) - min_cdf) <= 1e-13 * min_cdf, x
             assert abs(hi.sf(x) - max_sf) <= 1e-13 * max_sf, x
+
+
+# --- the maximum's quantile near p = 1, against a 40-digit inverse sf ---------
+
+
+def _mp_isf(d, q):
+    """The x where d's sf is q, in mpmath: each family's inverse written out, TwoExpMax's found as a root."""
+    if isinstance(d, Uniform):
+        return d.b - q * (d.b - d.a)
+    if isinstance(d, FiniteRange):
+        return (1 - q ** (1 / mp.mpf(d.b))) / d.a
+    if isinstance(d, Power):
+        return d.b * (1 - q) ** (1 / mp.mpf(d.c))
+    if isinstance(d, GPD):
+        lam = mp.mpf(d.lam)
+        return d.theta * (q ** (-lam / (1 + lam)) - 1) / lam
+    if isinstance(d, PiecewiseBounded):
+        level = 1 - q
+        return mp.sqrt(4 + 2 * mp.log(level)) if level > mp.exp(-1.5) else 1 / (-mp.log(level) - mp.mpf(0.5))
+    if isinstance(d, Exponential):
+        return -mp.log(q) / d.lam
+    if isinstance(d, Weibull):
+        return (-mp.log(q) / d.lam) ** (1 / mp.mpf(d.theta))
+    if isinstance(d, Pareto):
+        return d.lam * (q ** (-1 / mp.mpf(d.theta)) - 1)
+    if isinstance(d, FoldedCramer):
+        return (1 - q) / (d.theta * q)
+    assert isinstance(d, TwoExpMax)
+    return mp.findroot(lambda x: mp.exp(-x) + mp.exp(-2 * x) - mp.exp(-3 * x) - q, -mp.log(q))
+
+
+#: near 1, where p^(1/n) is within a few ulps of 1, and just above 1/2
+UPPER_P = [1 - 1e-12, 1 - 1e-15, 0.5 + 1e-3]
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=ids(ALL_FAMILIES))
+def test_max_order_quantile_keeps_its_digits_near_one(d):
+    m = MaxOrder(d, 5)
+    for p in UPPER_P:
+        with mp.workdps(40):
+            want = _mp_isf(d, 1 - mp.mpf(p) ** (mp.mpf(1) / 5))
+            error = abs(mp.mpf(m.quantile(p)) - want)
+        # TwoExpMax has no closed quantile: the base class's inverse closes its bracket at 1e-12
+        assert error <= (1e-12 if isinstance(d, TwoExpMax) else 1e-13 * abs(want)), (p, error, want)
+    ps = np.array([1e-3, 0.25, 0.5, *UPPER_P, np.nextafter(1.0, 0.0)])
+    got = m.quantile(ps)
+    assert got.tobytes() == np.array([m.quantile(float(p)) for p in ps]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        MaxOrder(MinOrder(Exponential(1), 2), 3),
+        MaxOrder(MaxOrder(Weibull(2, 0.5), 2), 3),
+        MaxOrder(Affine(Weibull(1, 2), 2.0, 0.5), 3),
+        MaxOrder(TwoExpMax(), 2),
+    ],
+    ids=repr,
+)
+def test_nested_order_inverse_sf_is_the_quantile(d):
+    # an order statistic of an order statistic reads its parent's inverse sf; 1 - p is exact above 1/2
+    for p in (0.6, 0.9, 0.999):
+        assert d._isf(np.array([1.0 - p]))[0] == pytest.approx(d.quantile(p), rel=1e-12)
