@@ -17,7 +17,10 @@ The two rates and the two conditional means are written once, on
 rule, ``_levels``: a degenerate level raises, and an age outside the support
 is clamped to its nearest end, the stretch beyond it added exactly.  A
 family with a closed-form mrl or eit writes it once, in ``_closed_mean``;
-the mean is lo + mrl(lo), so a closed mrl gives a closed mean.
+the mean is lo + mrl(lo), so a closed mrl gives a closed mean.  ``_mean``
+gives the mean with its error estimate (0 for a closed form), which a check
+that reads the mean adds to its tolerance; a family whose mean is closed
+but whose mrl is not writes ``_mean``.
 
 All objects are immutable and all methods are pure, so instances can be
 shared freely across threads.
@@ -170,7 +173,8 @@ class Distribution(ABC):
     shape.  A subclass writes each of them over arrays only, in numpy: the
     class applies ``_elementwise`` to every one it defines, and a float
     reaches the formula as a one-element array.  It defines no rate or
-    mean: a closed-form mrl or eit goes in ``_closed_mean``.
+    conditional mean: a closed-form mrl or eit goes in ``_closed_mean``, and
+    a closed-form mean alone in ``_mean``.
     """
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -253,9 +257,15 @@ class Distribution(ABC):
         return _rate(self, False, t)
 
     def mean(self) -> float:
-        """lo + mrl(lo): the mean residual life at the support's lower end, where the level is 1."""
+        """The value of ``_mean``."""
+        return self._mean()[0]
+
+    def _mean(self) -> tuple[float, float]:
+        """The mean and its abs error estimate: lo + mrl(lo), the mean residual life at the
+        support's lower end, where the level is 1, and the error of mrl(lo)."""
         lo = self.support.lower
-        return lo + self.mean_residual_life(lo)
+        value, error = self.conditional_means([lo], "residual")
+        return lo + float(value[0]), float(error[0])
 
     def mean_residual_life(self, t: float) -> float:
         """E[X - t | X > t]: ``conditional_means`` at one age, side "residual"."""
@@ -536,8 +546,8 @@ class Weibull(Distribution):
     def _isf(self, q: np.ndarray) -> np.ndarray:
         return (-np.log(q) / self.lam) ** (1.0 / self.theta)
 
-    def mean(self) -> float:
-        return math.gamma(1.0 + 1.0 / self.theta) / self.lam ** (1.0 / self.theta)
+    def _mean(self) -> tuple[float, float]:
+        return math.gamma(1.0 + 1.0 / self.theta) / self.lam ** (1.0 / self.theta), 0.0
 
 
 @dataclass(frozen=True)
@@ -767,8 +777,8 @@ class Power(Distribution):
     def _isf(self, q: np.ndarray) -> np.ndarray:
         return self.b * np.exp(np.log1p(-q) / self.c)
 
-    def mean(self) -> float:
-        return self.b * self.c / (self.c + 1.0)
+    def _mean(self) -> tuple[float, float]:
+        return self.b * self.c / (self.c + 1.0), 0.0
 
     def _closed_mean(self, at: np.ndarray, residual: bool) -> Optional[np.ndarray]:
         return None if residual else at / (self.c + 1.0)
@@ -794,8 +804,8 @@ class TwoExpMax(Distribution):
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return _density(x, 0.0, inf, lambda y: np.exp(-y) + 2.0 * np.exp(-2.0 * y) - 3.0 * np.exp(-3.0 * y))
 
-    def mean(self) -> float:
-        return 1.0 + 0.5 - 1.0 / 3.0
+    def _mean(self) -> tuple[float, float]:
+        return 1.0 + 0.5 - 1.0 / 3.0, 0.0
 
     def __repr__(self) -> str:
         return "TwoExpMax()"
@@ -906,8 +916,9 @@ class Affine(Distribution):
     def _isf(self, q: np.ndarray) -> np.ndarray:
         return self.scale * self.base._isf(q) + self.shift
 
-    def mean(self) -> float:
-        return self.scale * self.base.mean() + self.shift
+    def _mean(self) -> tuple[float, float]:
+        value, error = self.base._mean()
+        return self.scale * value + self.shift, self.scale * error
 
     def conditional_means(self, ts: Sequence[float], side: str) -> tuple[np.ndarray, np.ndarray]:
         values, errors = self.base.conditional_means(self._pull(np.asarray(ts, dtype=np.float64)), side)
@@ -972,8 +983,9 @@ class Mixture(Distribution):
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return sum(w * d.pdf(x) for w, d in self.components)
 
-    def mean(self) -> float:
-        return sum(w * d.mean() for w, d in self.components)
+    def _mean(self) -> tuple[float, float]:
+        means = [(w, d._mean()) for w, d in self.components]
+        return sum(w * value for w, (value, _) in means), sum(w * error for w, (_, error) in means)
 
     def __repr__(self) -> str:
         return f"Mixture({list(self.components)!r})"

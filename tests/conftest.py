@@ -1,5 +1,8 @@
 """Shared fixtures: the bundled family instances every suite runs against."""
 
+import pytest
+
+from extropy import analysis
 from extropy.distributions import (
     Exponential,
     FiniteRange,
@@ -46,3 +49,11 @@ FINITE_MEAN = [d for d in ALL_FAMILIES if d.has_finite_mean]
 
 def ids(dists):
     return [repr(d) for d in dists]
+
+
+@pytest.fixture(autouse=True)
+def _no_chain_sweep_left_behind():
+    """Every test starts and ends with no kept chain sweep, so none reads another test's."""
+    analysis._CHAIN_SWEEPS.clear()
+    yield
+    analysis._CHAIN_SWEEPS.clear()

@@ -1,6 +1,8 @@
 """Property-check harness: orderings, inequalities, bound suites on instances."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,18 +31,20 @@ from extropy.analysis import (
     default_grid,
 )
 from extropy.distributions import (
+    Affine,
     Exponential,
     FiniteRange,
     PiecewiseBounded,
     Power,
     Pareto,
+    TwoExpMax,
     Uniform,
     Weibull,
 )
 from extropy import analysis
-from extropy.errors import BadWeights, DegenerateHead, DegenerateTail, UnboundedSupport
-from extropy.measures import MeasureKind, MeasureValue, _Arrays, dcpex, dcpex_max, dcrex, dcrex_min, evaluate
-from extropy.orderstats import max_order
+from extropy.errors import BadWeights, DegenerateHead, DegenerateTail, ExtropyError, UnboundedSupport
+from extropy.measures import MeasureKind, MeasureValue, _Arrays, crex, dcpex, dcpex_max, dcrex, dcrex_min, evaluate
+from extropy.orderstats import max_order, min_order
 
 from conftest import BOUNDED, FINITE_MEAN, ALL_FAMILIES, MONOTONE_BOUNDED, ids
 
@@ -239,6 +243,99 @@ def test_korder_chain_side_validation():
         check_korder_chains(Exponential(1), 1, 2, [0.5], "sideways")
 
 
+def _report_bits(report):
+    """A report's fields, with its worst margin as its exact bits (a nan equals a nan)."""
+    fields = report.as_dict()
+    fields["worst_margin"] = fields["worst_margin"].hex()
+    return fields
+
+
+def test_korder_chains_read_their_kept_sweep_only_when_it_is_theirs():
+    # interleaved calls: sides, two distributions, two sample sizes, a distribution equal to one
+    # of them but another object, and one grid list changed in place between calls
+    power, pwb, power_twin = Power(2, 0.5), PiecewiseBounded(), Power(2, 0.5)
+    grid = list(np.linspace(0.2, 1.8, 9))
+    calls = [
+        (power, 2, 4, "residual"),
+        (power, 3, 4, "past"),
+        (power, 1, 4, "residual"),
+        (pwb, 2, 4, "residual"),
+        (power, 2, 4, "residual"),
+        (power, 2, 3, "residual"),
+        (power, 2, 4, "past"),
+        (power_twin, 2, 4, "past"),
+        (pwb, 3, 4, "past"),
+        "mutate",
+        (pwb, 3, 4, "past"),
+        (pwb, 2, 4, "residual"),
+        (pwb, 3, 3, "past"),
+        (pwb, 4, 4, "residual"),
+    ]
+    kept, cleared = [], []
+    for call in calls:
+        if call == "mutate":
+            grid[:] = [0.95 * t for t in grid]
+            continue
+        kept.append(_report_bits(check_korder_chains(*call[:3], grid, call[3])))
+        saved = dict(analysis._CHAIN_SWEEPS)
+        analysis._CHAIN_SWEEPS.clear()
+        cleared.append(_report_bits(check_korder_chains(*call[:3], grid, call[3])))
+        analysis._CHAIN_SWEEPS.clear()
+        analysis._CHAIN_SWEEPS.update(saved)
+    assert kept == cleared
+
+
+def test_korder_chains_keep_their_sweep_when_a_call_raises():
+    d = Power(2, 0.5)
+    grid = list(np.linspace(0.2, 1.8, 9))
+    check_korder_chains(d, 2, 4, grid, "residual")
+    slot = analysis._CHAIN_SWEEPS["residual"]
+    with pytest.raises(ExtropyError):
+        check_korder_chains(d, 2, 4, grid[:4] + [math.nan] + grid[5:], "residual")
+    assert analysis._CHAIN_SWEEPS["residual"] is slot
+    got = _report_bits(check_korder_chains(d, 3, 4, grid[1:], "residual"))
+    analysis._CHAIN_SWEEPS.clear()
+    assert got == _report_bits(check_korder_chains(d, 3, 4, grid[1:], "residual"))
+
+
+def test_korder_chains_under_threads_read_only_their_own_sweep():
+    # more threads than cores, each on its own distribution and so replacing the others' slots
+    dists = [Uniform(0, 1), Power(1, 2), PiecewiseBounded(), Power(2, 0.5)]
+    grid = list(np.linspace(0.1, 0.9, 6))
+    calls = [(k, side) for k in range(1, 4) for side in ("residual", "past")]
+    want = {id(d): [_report_bits(check_korder_chains(d, k, 3, grid, side)) for k, side in calls] for d in dists}
+    got, errors = {}, []
+
+    def work(d):
+        try:
+            got[id(d)] = [_report_bits(check_korder_chains(d, k, 3, grid, side)) for _ in range(3) for k, side in calls]
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(d,)) for d in dists]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert got == {key: reports * 3 for key, reports in want.items()}
+
+
+def test_korder_chains_keep_one_sweep_per_side():
+    grid = list(np.linspace(0.1, 0.9, 5))
+    dists = [Uniform(0, 1), Power(1, 2), PiecewiseBounded()]
+    for d in dists:
+        for side in ("residual", "past"):
+            check_korder_chains(d, 1, 3, grid, side)
+    assert sorted(analysis._CHAIN_SWEEPS) == ["past", "residual"]
+    assert all(slot[0] is dists[-1] for slot in analysis._CHAIN_SWEEPS.values())
+
+
 # ---------------------------------------------------------------------------
 # Past-extropy inequalities (common-window convention)
 # ---------------------------------------------------------------------------
@@ -405,6 +502,40 @@ def test_margin_inside_error_bars_holds(check, monkeypatch):
     report = check()
     assert -1e-6 < report.worst_margin < -analysis.BASE_TOL
     assert report.verdict == "Holds"
+
+
+#: the checks that read the mean, and the term its error e adds to their tolerance, given mu and crex
+_MEAN_TERMS = {
+    check_crexmin_mean_bound: lambda e, mu, cr: 0.5 * e,
+    check_cpexmax_bounds: lambda e, mu, cr: 0.5 * e,
+    check_mean_abs_diff: lambda e, mu, cr: 0.5 * e,
+    check_cpex_cpen_inequality: lambda e, mu, cr: 0.5 * e,
+    # 2 (|lhs| + |rhs| / mu^2) e / mu, where lhs and rhs / mu^2 agree to the identity's 1e-8
+    check_equilibrium_identity: lambda e, mu, cr: 4.0 * abs(cr) / mu**2 * e / mu,
+}
+_QUADRATURE_MEANS = [PiecewiseBounded(), Affine(PiecewiseBounded(), 2, 1), min_order(TwoExpMax(), 2)]
+_CLOSED_MEANS = [TwoExpMax(), Weibull(1, 2), Power(3, 0.5), Uniform(0, 1)]
+
+
+@pytest.mark.parametrize("d", _QUADRATURE_MEANS + _CLOSED_MEANS, ids=ids(_QUADRATURE_MEANS + _CLOSED_MEANS))
+def test_the_mean_error_joins_the_tolerance(d, monkeypatch):
+    mu, mu_err = d._mean()
+    assert mu == d.mean()
+    quadrature_mean = any(d is q for q in _QUADRATURE_MEANS)
+    assert mu_err > 1e-10 if quadrature_mean else mu_err == 0.0
+    tols = []
+    report = analysis._report
+    monkeypatch.setattr(analysis, "_report", lambda *args: tols.append(args[5]) or report(*args))
+    checks = [c for c in _MEAN_TERMS if d.support.bounded or c in (check_crexmin_mean_bound, check_equilibrium_identity)]
+    with_err = [(check(d), tols[-1])[1] for check in checks]
+    monkeypatch.setattr(type(d), "_mean", lambda self, mean=type(d)._mean: (mean(self)[0], 0.0))
+    without = [(check(d), tols[-1])[1] for check in checks]
+    crex_value = evaluate(d, crex()).value
+    for check, tol, base in zip(checks, with_err, without):
+        if quadrature_mean:
+            assert tol - base == pytest.approx(_MEAN_TERMS[check](mu_err, mu, crex_value), rel=1e-6), check.__name__
+        else:
+            assert tol == base, check.__name__
 
 
 _IDENTITY_CHECKS = {

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from extropy import analysis
 from extropy.cli import _json, build_parser, reproduce_figure, run
 from extropy.distributions import _FAMILY_PARAMS
 from extropy.errors import ExtropyError
@@ -449,6 +450,32 @@ def test_check_all_reports_each_check_once(uniform01, capsys):
     for suite in ("bounds", "inequalities"):
         payload = run_json(["check", "--suite", suite, "--dist", uniform01, "--json"], capsys)
         assert "mean-abs-diff" in [r["check_id"] for r in payload], suite
+
+
+@pytest.mark.parametrize("family", ["uniform", "piecewise-bounded"])
+def test_check_all_sweeps_the_chains_once_per_side(family, tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "d.json"
+    spec.write_text(json.dumps({"family": family, "params": {"a": 0, "b": 1} if family == "uniform" else {}}))
+    argv = ["check", "--suite", "all", "--n", "4", "--dist", str(spec)]
+    sweep, chain_sweeps = analysis._sweep_arrays, []
+
+    def spy(curves, ages):
+        if hasattr(curves[0][0], "parent"):  # the curves of order statistics: a chain sweep
+            chain_sweeps.append(curves[0][1])
+        return sweep(curves, ages)
+
+    monkeypatch.setattr(analysis, "_sweep_arrays", spy)
+    assert run(argv) == 0
+    kept = capsys.readouterr().out
+    assert sorted(chain_sweeps) == ["dcpex", "dcrex"]
+    # the same report text when every chain check sweeps afresh
+    check = analysis.check_korder_chains
+    monkeypatch.setattr(
+        analysis, "check_korder_chains", lambda *args: analysis._CHAIN_SWEEPS.clear() or check(*args)
+    )
+    assert run(argv) == 0
+    assert capsys.readouterr().out == kept
+    assert len(chain_sweeps) == 2 + 2 * 4
 
 
 def test_check_text_output(uniform01, capsys):

@@ -283,6 +283,7 @@ def test_checks_on_unordered_grid_fall_back_to_pointwise(d, monkeypatch):
     got = [check() for check in checks]
     # what every check reports when each value is what evaluate gives at that age
     monkeypatch.setattr(analysis, "_sweep_arrays", _pointwise_sweep)
+    analysis._CHAIN_SWEEPS.clear()  # else the chains would read the sweeps kept from the first run
     assert got == [check() for check in checks]
 
 
