@@ -476,6 +476,9 @@ class Uniform(Distribution):
     def _isf(self, q: np.ndarray) -> np.ndarray:
         return self.b - q * (self.b - self.a)
 
+    def _mean(self) -> tuple[float, float]:
+        return 0.5 * self.a + 0.5 * self.b, 0.0  # one rounding; 0.5 * (a + b) can overflow
+
     def _closed_mean(self, at: np.ndarray, residual: bool) -> np.ndarray:
         return 0.5 * (self.b - at) if residual else 0.5 * (at - self.a)
 

@@ -21,7 +21,10 @@ from .errors import DegenerateTail, EmptySample, ExtropyError
 class SampleSet:
     """Sorted nonnegative observations, with an optional known support bound.
 
-    ``values`` is stored as a read-only float64 array, copied from the input.
+    ``values`` is stored as a read-only float64 array. A 1-D float64
+    ``ndarray`` that is already read-only and owns its data is adopted as
+    is, so ``SampleSet(s.values, bound)`` shares ``s.values``; a caller who
+    passes such an array gives up writing to it. Any other input is copied.
     The widths of the empirical step function's segments, [0, x_(1)] and
     (x_(i), x_(i+1)], are kept beside it, read-only, for the estimators.
     """
@@ -30,14 +33,25 @@ class SampleSet:
     upper_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64)
+        arr = self.values
+        if not (
+            type(arr) is np.ndarray
+            and arr.dtype == np.float64
+            and arr.ndim == 1
+            and arr.flags.owndata
+            and not arr.flags.writeable
+        ):
+            arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 1:
             raise ExtropyError("sample values must be a flat sequence")
         if arr.size == 0:
             raise EmptySample("sample must contain at least one observation")
         # widths x_(1), x_(2) - x_(1), ... all >= 0 (a nan fails) and a finite
-        # x_(m) hold exactly for a sorted, finite, nonnegative sample
-        widths = np.diff(arr, prepend=0.0)
+        # x_(m) hold exactly for a sorted, finite, nonnegative sample; they
+        # are the bits of np.diff(arr, prepend=0.0), without its concatenation
+        widths = np.empty_like(arr)
+        widths[0] = arr[0]
+        np.subtract(arr[1:], arr[:-1], out=widths[1:])
         if not (np.all(widths >= 0) and np.isfinite(arr[-1])):
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ExtropyError("sample values must be finite and nonnegative")
@@ -51,7 +65,10 @@ class SampleSet:
 
     @classmethod
     def from_values(cls, values: Sequence[float], upper_bound: Optional[float] = None) -> "SampleSet":
-        return cls(np.sort(np.asarray(values, dtype=np.float64)), upper_bound)
+        arr = np.array(values, dtype=np.float64)
+        arr.sort()
+        arr.flags.writeable = False
+        return cls(arr, upper_bound)
 
     @property
     def size(self) -> int:
@@ -61,7 +78,8 @@ class SampleSet:
 def empirical_crex(s: SampleSet, n: int = 1) -> float:
     """Exact integral of (empirical sf)^{2n} over [0, x_(m)], times -1/2."""
     m = s.size
-    h = np.arange(m, 0, -1) / m  # empirical sf on each segment (x_(i), x_(i+1)]
+    h = np.arange(m, 0, -1, dtype=np.float64)  # empirical sf on each segment (x_(i), x_(i+1)]
+    h /= m
     h **= 2 * n
     h *= s._widths
     return -0.5 * float(np.sum(h))
@@ -74,7 +92,8 @@ def empirical_cpex(s: SampleSet, n: int = 1) -> float:
     empirical cdf 1), otherwise the largest observation.
     """
     m = s.size
-    h = np.arange(m) / m  # empirical cdf on each segment (x_(i), x_(i+1))
+    h = np.arange(m, dtype=np.float64)  # empirical cdf on each segment (x_(i), x_(i+1))
+    h /= m
     h **= 2 * n
     h *= s._widths
     total = float(np.sum(h))
@@ -94,7 +113,8 @@ def empirical_dcrex(s: SampleSet, t: float, n: int = 1) -> float:
     j = int(np.searchsorted(x, t, side="right"))  # x[j:] are the observations above t
     # sf is (m - j)/m on [t, x_j] and (m - i - 1)/m on [x_i, x_{i+1}]; a tie
     # makes a zero-width segment, so its sf does not matter
-    h = np.arange(m - j, 0, -1) / m
+    h = np.arange(m - j, 0, -1, dtype=np.float64)
+    h /= m
     h /= (m - j) / m
     h **= 2 * n
     h[0] *= x[j] - t
@@ -105,8 +125,12 @@ def empirical_dcrex(s: SampleSet, t: float, n: int = 1) -> float:
 def draw_samples(d: Distribution, m: int, seed: int) -> SampleSet:
     """Inverse-cdf sampling with an explicit seed; each call owns its RNG."""
     rng = np.random.default_rng(seed)
-    u = rng.uniform(size=m)
-    return SampleSet(np.sort(d.quantile(u)))
+    x = d.quantile(rng.uniform(size=m))
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata and x.flags.writeable):
+        x = np.array(x, dtype=np.float64)
+    x.sort()  # in place: np.sort is a copy followed by this same sort
+    x.flags.writeable = False
+    return SampleSet(x)
 
 
 def read_sample_file(path: str, upper_bound: Optional[float] = None) -> SampleSet:

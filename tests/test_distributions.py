@@ -2,6 +2,7 @@
 
 import copy
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_reversed_hazard_spot_values(d, t, expected):
 )
 def test_means(d, expected):
     assert d.mean() == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [(0.1, 0.7, "0x1.9999999999999p-2"), (1e308, 1.7e308, "0x1.807e25b31820bp+1023")],
+)
+def test_uniform_mean_is_the_correctly_rounded_midpoint(a, b, want):
+    # a + 0.5 (b - a) rounds twice (0x1.999999999999ap-2 for the first);
+    # 0.5 (a + b) overflows to inf for the second
+    mean = Uniform(a, b).mean()
+    assert mean.hex() == want
+    assert mean == float((Fraction(a) + Fraction(b)) / 2)
 
 
 def test_mrl_and_eit_spot_values():

@@ -187,6 +187,90 @@ def test_mean_bound_is_exact():
     assert empirical_crex(s) >= -0.5 * float(np.mean(values)) - 1e-15
 
 
+def test_a_validated_sample_is_adopted_with_a_new_bound():
+    s = draw_samples(Uniform(0, 2), 1000, seed=3)
+    bounded = SampleSet(s.values, 2.0)
+    assert np.shares_memory(bounded.values, s.values)
+    assert np.array_equal(bounded._widths, s._widths)
+    assert empirical_cpex(bounded) == empirical_cpex(SampleSet.from_values(s.values.tolist(), 2.0))
+
+
+def test_a_writable_input_is_copied():
+    given = np.array([1.0, 2.0, 3.0])
+    s = SampleSet(given)
+    assert not np.shares_memory(s.values, given)
+    given[:] = [0.0, 7.0, 9.0]
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+    assert s._widths.tolist() == [1.0, 1.0, 1.0]
+    assert given.flags.writeable
+
+
+def test_a_read_only_view_of_a_writable_array_is_copied():
+    base = np.array([5.0, 1.0, 2.0, 3.0])
+    view = base[1:]
+    view.flags.writeable = False
+    s = SampleSet(view)
+    assert not np.shares_memory(s.values, base)
+    base[1:] = [4.0, 4.0, 4.0]
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_a_read_only_array_of_another_dtype_is_copied(dtype):
+    given = np.array([1, 2, 3], dtype=dtype)
+    given.flags.writeable = False
+    s = SampleSet(given)
+    assert s.values.dtype == np.float64 and not np.shares_memory(s.values, given)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([3.0, 1.0], "sorted ascending"),
+        ([0.0, 2.0, 2.0, 1.0], "sorted ascending"),
+        ([1.0, float("nan")], "finite and nonnegative"),
+        ([-1.0, 2.0], "finite and nonnegative"),
+        ([1.0, float("inf")], "finite and nonnegative"),
+    ],
+)
+def test_a_read_only_array_is_still_validated(values, message):
+    given = np.array(values)
+    given.flags.writeable = False
+    with pytest.raises(ExtropyError, match=f"^sample values must be {message}$"):
+        SampleSet(given)
+
+
+def test_a_read_only_2d_array_is_not_flat():
+    given = np.ones((2, 2))
+    given.flags.writeable = False
+    with pytest.raises(ExtropyError, match="flat sequence"):
+        SampleSet(given)
+
+
+def test_from_values_leaves_its_input_unsorted():
+    given = np.array([3.0, 1.0, 2.0])
+    s = SampleSet.from_values(given)
+    assert given.tolist() == [3.0, 1.0, 2.0] and given.flags.writeable
+    assert s.values.tolist() == [1.0, 2.0, 3.0] and not np.shares_memory(s.values, given)
+
+
+@settings(max_examples=60)
+@given(values=st.lists(st.sampled_from([-0.0, 0.0, 0.1, 0.3, 1e-300, 5e-324, 2.5, 1e300]), min_size=1, max_size=12))
+def test_widths_are_the_bits_of_diff_with_a_prepended_zero(values):
+    s = SampleSet.from_values(values)
+    want = np.diff(np.sort(np.array(values)), prepend=0.0)
+    assert np.array_equal(s._widths.view(np.uint64), want.view(np.uint64))
+
+
+def test_estimates_of_one_large_draw_keep_their_bits():
+    # pinned bits of one large draw: how the sample is stored must not move them
+    s = draw_samples(Exponential(1.5), 100_000, 2028)
+    assert empirical_crex(s, 1).hex() == "-0x1.58012dcd6a834p-3"
+    assert empirical_crex(s, 2).hex() == "-0x1.58e5a76c8b4a0p-4"
+    assert empirical_dcrex(s, 0.4, 1).hex() == "-0x1.56e938509ddd0p-3"
+    assert empirical_dcrex(s, 0.4, 2).hex() == "-0x1.573e7b5e79904p-4"
+
+
 def test_draw_samples_deterministic():
     a = draw_samples(Exponential(1), 100, seed=42)
     b = draw_samples(Exponential(1), 100, seed=42)

@@ -22,6 +22,7 @@ from extropy.distributions import (
     Mixture,
     Pareto,
     PiecewiseBounded,
+    Power,
     TwoExpMax,
     Uniform,
     Weibull,
@@ -114,6 +115,62 @@ def test_sample_values_are_a_read_only_copy():
         s.values[0] = 0.0
     with pytest.raises(ValueError):
         SampleSet.from_values([3.0, 1.0]).values.sort()
+
+
+SAMPLERS = [
+    Exponential(1.3),
+    Weibull(2, 0.5),
+    Pareto(1, 2),
+    Uniform(0.5, 2.0),
+    Power(2, 0.5),
+    TwoExpMax(),  # the base class's inverse
+    KthOrder(Exponential(1), OrderSpec(2, 5)),
+]
+
+
+@pytest.mark.parametrize("d", SAMPLERS, ids=ids(SAMPLERS))
+def test_draw_samples_is_the_sorted_array_quantile_read_only(d):
+    m, seed = 2000, 5
+    want = np.sort(d.quantile(np.random.default_rng(seed).uniform(size=m)))
+    s = draw_samples(d, m, seed)
+    assert np.array_equal(_bits(s.values), _bits(want))
+    assert not s.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s.values[0] = 0.0
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+class _QuantileAs(Exponential):
+    """Exponential(1) whose quantile array is passed through ``wrap``; it keeps what it returned."""
+
+    def __init__(self, wrap):
+        super().__init__(1.0)
+        object.__setattr__(self, "wrap", wrap)
+        object.__setattr__(self, "returned", [])
+
+    def quantile(self, p):
+        x = self.wrap(super().quantile(p))
+        self.returned.append(x)
+        return x
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [_read_only, lambda x: np.concatenate([x, x])[: x.size], lambda x: x.astype(np.float32), list],
+    ids=["read-only", "view", "float32", "list"],
+)
+def test_draw_samples_copies_a_quantile_array_it_may_not_sort_in_place(wrap):
+    m, seed = 500, 7
+    d = _QuantileAs(wrap)
+    s = draw_samples(d, m, seed)
+    unsorted = np.array(wrap(Exponential(1.0).quantile(np.random.default_rng(seed).uniform(size=m))), dtype=np.float64)
+    assert np.array_equal(_bits(s.values), _bits(np.sort(unsorted)))
+    (returned,) = d.returned
+    assert np.array_equal(_bits(np.array(returned, dtype=np.float64)), _bits(unsorted))  # left unsorted
 
 
 # --- the base class's inverse against a 40-digit root -----------------------
